@@ -21,10 +21,9 @@ import (
 	"twobitreg"
 
 	"twobitreg/internal/abd"
-	"twobitreg/internal/attiya"
-	"twobitreg/internal/boundedabd"
 	"twobitreg/internal/core"
 	"twobitreg/internal/eval"
+	"twobitreg/internal/phased"
 	"twobitreg/internal/proto"
 )
 
@@ -34,8 +33,8 @@ var tableNs = []int{3, 5, 10, 20, 40}
 func columns() []proto.Algorithm {
 	return []proto.Algorithm{
 		abd.Algorithm(),
-		boundedabd.Algorithm(),
-		attiya.Algorithm(),
+		phased.Algorithm(phased.BoundedABD()),
+		phased.Algorithm(phased.Attiya()),
 		core.Algorithm(),
 	}
 }

@@ -17,11 +17,8 @@
 // msgs/op is deterministic (seeded workloads), so its gate is exact; ns/op
 // guards against machine-class-sized slowdowns. Benchmarks present only in
 // the baseline fail too (coverage loss); new benchmarks are reported and
-// pass.
-//
-// The legacy single-file form (-old a.json -new b.json -metrics m1,m2
-// -max-regress 0.30) still works: -old is an alias for -baseline, and
-// -metrics/-max-regress expand to one -gate per metric.
+// pass. At least one -gate is required: a comparison that gates nothing
+// exits 2 with a usage line rather than passing vacuously.
 package main
 
 import (
@@ -252,45 +249,27 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-// flags is the parsed command line.
-type flags struct {
-	fs                         *flag.FlagSet
-	baselines, newPaths, gates stringList
-	oldPath, metrics           string
-	maxRegress                 float64
-}
-
-func newFlagSet(stderr io.Writer) *flags {
-	f := &flags{fs: flag.NewFlagSet("benchdiff", flag.ContinueOnError)}
-	f.fs.SetOutput(stderr)
-	f.fs.Var(&f.baselines, "baseline", "baseline report (repeatable; all merge into one baseline set)")
-	f.fs.Var(&f.newPaths, "new", "fresh report to compare against the baseline (repeatable)")
-	f.fs.Var(&f.gates, "gate", "metric=max-regress gate, e.g. 'msgs/op=0.30' (repeatable)")
-	f.fs.StringVar(&f.oldPath, "old", "", "legacy alias for -baseline")
-	f.fs.StringVar(&f.metrics, "metrics", "ns/op,msgs/op", "legacy: comma-separated metrics, gated at -max-regress each")
-	f.fs.Float64Var(&f.maxRegress, "max-regress", 0.30, "legacy: maximum tolerated relative regression for -metrics")
-	return f
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet(stderr)
-	if err := fs.fs.Parse(args); err != nil {
+	var baselines, newPaths, gateSpecs stringList
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Var(&baselines, "baseline", "baseline report (repeatable; all merge into one baseline set)")
+	fs.Var(&newPaths, "new", "fresh report to compare against the baseline (repeatable)")
+	fs.Var(&gateSpecs, "gate", "metric=max-regress gate, e.g. 'msgs/op=0.30' (repeatable)")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	baselines := append(stringList{}, fs.baselines...)
-	if fs.oldPath != "" {
-		baselines = append(baselines, fs.oldPath)
-	}
-	if len(baselines) == 0 || len(fs.newPaths) == 0 {
-		fmt.Fprintln(stderr, "benchdiff: at least one -baseline (or -old) and one -new are required")
+	if len(baselines) == 0 || len(newPaths) == 0 || len(gateSpecs) == 0 {
+		fmt.Fprintln(stderr, "usage: benchdiff -baseline old.json... -new fresh.json... -gate metric=max-regress...")
+		fmt.Fprintln(stderr, "benchdiff: at least one -baseline, one -new and one -gate are required")
 		return 2
 	}
 	var gates []gate
-	for _, g := range fs.gates {
+	for _, g := range gateSpecs {
 		parsed, err := parseGate(g)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -298,19 +277,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		gates = append(gates, parsed)
 	}
-	if len(gates) == 0 {
-		for _, m := range strings.Split(fs.metrics, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				gates = append(gates, gate{metric: m, maxRegress: fs.maxRegress})
-			}
-		}
-	}
 	oldRes, err := parseFiles(baselines)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2
 	}
-	newRes, err := parseFiles(fs.newPaths)
+	newRes, err := parseFiles(newPaths)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2

@@ -181,12 +181,20 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("stderr = %q, want both regressions counted", errOut.String())
 	}
 
-	// Legacy form still works.
+	// One baseline, one gate: the single-file form.
 	out.Reset()
 	errOut.Reset()
-	code = run([]string{"-old", base1, "-new", freshOK, "-metrics", "msgs/op", "-max-regress", "0.30"}, &out, &errOut)
+	code = run([]string{"-baseline", base1, "-new", freshOK, "-gate", "msgs/op=0.30"}, &out, &errOut)
 	if code != 0 {
-		t.Fatalf("legacy form exited %d: %s%s", code, out.String(), errOut.String())
+		t.Fatalf("single-file form exited %d: %s%s", code, out.String(), errOut.String())
+	}
+
+	// A comparison that gates nothing is a usage error, not a pass.
+	out.Reset()
+	errOut.Reset()
+	code = run([]string{"-baseline", base1, "-new", freshBad}, &out, &errOut)
+	if code != 2 || !strings.Contains(errOut.String(), "usage: benchdiff") {
+		t.Fatalf("gateless invocation exited %d with %q, want 2 and a usage line", code, errOut.String())
 	}
 }
 

@@ -12,20 +12,12 @@
 // -cluster takes the client address table (';'-separated shards of
 // ','-separated addresses); -config takes the same JSON file regnode
 // serves from (mesh addresses are ignored — clients never dial them).
-//
-// -legacy speaks the deprecated v1 line protocol instead, against a
-// regnode started with -legacy:
-//
-//	regctl -legacy -addr 127.0.0.1:7100 write hello
-//	regctl -legacy -addr 127.0.0.1:7100 read
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 
@@ -37,10 +29,9 @@ func main() {
 	addr := flag.String("addr", "", "single node client address (one-shard shorthand)")
 	clusterList := flag.String("cluster", "", "client address table: ';'-separated shards of ','-separated addresses")
 	configPath := flag.String("config", "", "JSON cluster config file (shard.ClusterConfig)")
-	legacy := flag.Bool("legacy", false, "speak the deprecated v1 line protocol (read | write <text>)")
 	flag.Parse()
 
-	if err := run(*addr, *clusterList, *configPath, *legacy, flag.Args()); err != nil {
+	if err := run(*addr, *clusterList, *configPath, flag.Args()); err != nil {
 		var cerr *shard.ConfigError
 		if errors.As(err, &cerr) {
 			fmt.Fprintf(os.Stderr, "regctl: bad configuration at %s: %s\n", cerr.Field, cerr.Reason)
@@ -51,13 +42,7 @@ func main() {
 	}
 }
 
-func run(addr, clusterList, configPath string, legacy bool, args []string) error {
-	if legacy {
-		if addr == "" {
-			return fmt.Errorf("-legacy needs -addr")
-		}
-		return runLegacy(addr, args)
-	}
+func run(addr, clusterList, configPath string, args []string) error {
 	cfg, err := loadConfig(addr, clusterList, configPath)
 	if err != nil {
 		return err
@@ -110,29 +95,4 @@ func loadConfig(addr, clusterList, configPath string) (*shard.ClusterConfig, err
 	default:
 		return shard.ParseTopology("", addr)
 	}
-}
-
-// runLegacy speaks the v1 line protocol: one command, one response line.
-func runLegacy(addr string, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("need a command: read | write <text>")
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, strings.Join(args, " ")); err != nil {
-		return err
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		return fmt.Errorf("no response: %v", sc.Err())
-	}
-	resp := sc.Text()
-	fmt.Println(resp)
-	if strings.HasPrefix(resp, "err") {
-		os.Exit(1)
-	}
-	return nil
 }

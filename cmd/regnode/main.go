@@ -33,33 +33,24 @@
 // one shard by hash (shard.ShardOfKey); requests for foreign keys answer
 // StatusWrongShard.
 //
-// -legacy serves the deprecated v1 line protocol ("read\n" /
-// "write <text>\n") on the client port instead, for one release — see the
-// protocol mapping in the repository's doc.go.
+// SIGINT or SIGTERM shuts the process down in order (shard.Member.Close):
+// the node stops, so requests in flight end as unavailable and clients
+// fail over; the client server closes once those requests have returned;
+// the mesh closes last.
 package main
 
 import (
-	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"strings"
+	"os/signal"
+	"syscall"
 
-	"twobitreg/internal/cluster"
-	"twobitreg/internal/proto"
-	"twobitreg/internal/regmap"
 	"twobitreg/internal/shard"
-	"twobitreg/internal/transport"
-	"twobitreg/internal/wire"
 )
-
-// legacyKey is the key the -legacy line protocol's read/write map to: the
-// v1 service had exactly one register, which the keyed service hosts
-// under this name.
-const legacyKey = "default"
 
 func main() {
 	configPath := flag.String("config", "", "JSON cluster config file (shard.ClusterConfig)")
@@ -67,10 +58,11 @@ func main() {
 	clients := flag.String("clients", "", "client address table, same shape as -peers")
 	shardIdx := flag.Int("shard", 0, "this process's shard index")
 	id := flag.Int("id", 0, "this process's index within its shard")
-	legacy := flag.Bool("legacy", false, "serve the deprecated v1 line protocol on the client port (one release; see doc.go)")
 	flag.Parse()
 
-	if err := run(*configPath, *peers, *clients, *shardIdx, *id, *legacy); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, *configPath, *peers, *clients, *shardIdx, *id); err != nil {
 		var cerr *shard.ConfigError
 		if errors.As(err, &cerr) {
 			fmt.Fprintf(os.Stderr, "regnode: bad configuration at %s: %s\n", cerr.Field, cerr.Reason)
@@ -81,79 +73,25 @@ func main() {
 	}
 }
 
-func run(configPath, peers, clients string, shardIdx, id int, legacy bool) error {
+// run serves one shard member until ctx is cancelled.
+func run(ctx context.Context, configPath, peers, clients string, shardIdx, id int) error {
 	cfg, err := loadConfig(configPath, peers, clients)
 	if err != nil {
 		return err
 	}
-	if shardIdx < 0 || shardIdx >= cfg.NumShards() {
-		return fmt.Errorf("-shard %d out of range for %d shards", shardIdx, cfg.NumShards())
-	}
-	procs := cfg.Shards[shardIdx].Procs
-	if id < 0 || id >= len(procs) {
-		return fmt.Errorf("-id %d out of range for shard %d's %d processes", id, shardIdx, len(procs))
-	}
-	n := len(procs)
-	meshAddrs := make([]string, n)
-	writers := make([]int, n)
-	for i, p := range procs {
-		meshAddrs[i] = p.Mesh
-		writers[i] = i
-	}
-
-	// Two-phase construction: the mesh binds first (the deliver closure
-	// indirects through the node variable, assigned before peers can
-	// produce traffic — they only send once we do).
-	var node *cluster.KeyedNode
-	mesh, err := transport.NewMesh(id, n, meshAddrs[id], wire.Codec{}, func(from int, msg proto.Message) {
-		node.Deliver(from, msg)
-	})
+	spec, meshAddrs, err := cfg.MemberSpec(shardIdx, id)
 	if err != nil {
 		return err
 	}
-	defer mesh.Close()
-	if err := mesh.SetPeers(meshAddrs); err != nil {
-		return err
-	}
-	store, err := regmap.NewNode(id, regmap.Config{N: n, DefaultWriters: writers, Coalesce: true})
+	m, err := shard.StartMember(spec, meshAddrs)
 	if err != nil {
 		return err
 	}
-	node = cluster.NewKeyedNode(id, store, func(to int, msg proto.Message) {
-		if err := mesh.Send(to, msg); err != nil {
-			log.Printf("send to %d: %v", to, err)
-		}
-	})
-	defer node.Stop()
-
-	ln, err := net.Listen("tcp", procs[id].Client)
-	if err != nil {
-		return fmt.Errorf("client listener: %w", err)
-	}
-	pname := "binary v2"
-	if legacy {
-		pname = "legacy line"
-	}
-	log.Printf("shard %d/%d process %d/%d up: mesh %s, clients %s (%s protocol)",
-		shardIdx, cfg.NumShards(), id, n, meshAddrs[id], procs[id].Client, pname)
-
-	if legacy {
-		defer ln.Close()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
-			}
-			go serveLegacy(conn, node)
-		}
-	}
-	srv, err := shard.Serve(ln, shardIdx, cfg.NumShards(), shard.NodeHandler(node))
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	defer srv.Close()
-	select {} // serve until killed
+	defer m.Close()
+	log.Printf("shard %d/%d process %d/%d up: mesh %s, clients %s",
+		spec.Shard, spec.Shards, spec.ID, spec.N, m.MeshAddr(), m.ClientAddr())
+	<-ctx.Done()
+	return nil
 }
 
 // loadConfig resolves the config surface: a JSON file, or the flag tables.
@@ -168,34 +106,4 @@ func loadConfig(configPath, peers, clients string) (*shard.ClusterConfig, error)
 		return nil, fmt.Errorf("need -config, or both -peers and -clients")
 	}
 	return shard.ParseTopology(peers, clients)
-}
-
-// serveLegacy speaks the deprecated v1 line protocol, mapped onto the
-// keyed store: read → get of the "default" key, write → put of it.
-func serveLegacy(conn net.Conn, node *cluster.KeyedNode) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		cmd, rest, _ := strings.Cut(line, " ")
-		switch cmd {
-		case "read":
-			v, err := node.Get(legacyKey)
-			if err != nil {
-				fmt.Fprintf(conn, "err %v\n", err)
-				continue
-			}
-			fmt.Fprintf(conn, "ok %s\n", v)
-		case "write":
-			if err := node.Put(legacyKey, []byte(rest)); err != nil {
-				fmt.Fprintf(conn, "err %v\n", err)
-				continue
-			}
-			fmt.Fprintln(conn, "ok")
-		case "quit", "":
-			return
-		default:
-			fmt.Fprintf(conn, "err unknown command %q (use: read | write <text>)\n", cmd)
-		}
-	}
 }

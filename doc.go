@@ -24,7 +24,7 @@
 // internal packages expose the full machinery: the protocol state machine
 // (internal/core), the discrete-event simulator and instrumented transports
 // (internal/sim, internal/transport), the ABD baselines (internal/abd), the
-// bounded-cost comparators (internal/boundedabd, internal/attiya), the
+// bounded-cost comparators (internal/phased), the
 // linearizability checkers (internal/check — a Checker interface over the
 // paper's Lemma-10 SWMR fast path, a near-linear Gibbons–Korach multi-writer
 // fast path, and the exhaustive Wing–Gong differential oracle; since the
@@ -106,9 +106,9 @@
 // multi-writer key runs the two-bit multi-writer register restricted to
 // its writer set (core.WithMWWriters), so a process hosts one lane per
 // (key, writer) rather than per (key, process). Writes run the
-// READ/PROCEED freshness round per key; the Store exposes per-key writer
-// handles, and writes through an out-of-set process fail with
-// regmap.ErrNotWriter — per key.
+// READ/PROCEED freshness round per key, and writes through an out-of-set
+// process fail with cluster.ErrNotWriter — per key — at the runtime's
+// client boundary, before the protocol sees them.
 //
 // On the wire a message is the register's own frame wrapped with its key
 // (KeyedMsg). The census stays honest under multiplexing: key bytes (like
@@ -153,8 +153,10 @@
 //
 // internal/transport.Mesh carries the same state machines over real
 // sockets: a fully connected loopback/LAN mesh of length-framed two-bit
-// wire messages (internal/wire) under cluster.Node's event loop — the
-// stack cmd/regnode deploys. The send path is pipelined per peer: Send
+// wire messages (internal/wire) feeding cluster.KeyedNode — the one
+// mailbox event loop every runtime shares (Cluster wires N of them in
+// memory around single-register processes; shard.Member puts one behind a
+// Mesh and a client port, which is what cmd/regnode deploys). The send path is pipelined per peer: Send
 // enqueues on the destination's bounded queue and a dedicated sender
 // goroutine drains everything queued per wakeup into a single conn.Write
 // (writev-style batching through one reused encode buffer), with an
@@ -177,7 +179,9 @@
 //
 // # The sharded keyed service
 //
-// cmd/regnode v2 deploys the keyed store as a sharded TCP service. A
+// cmd/regnode deploys the keyed store as a sharded TCP service: one
+// shard.Member (mesh + keyed store on the event loop + client server, with
+// recovery from stable storage at construction) per process. A
 // cluster (internal/shard.ClusterConfig — one validated configuration
 // type shared by regnode's JSON file and flags, regload's Spec, and the
 // client; invalid fields come back as typed *ConfigError values naming
@@ -194,16 +198,6 @@
 // and Client (placement routing plus failover across a shard's quorum
 // group members) — consumed by cmd/regctl and cmd/regload alike. The
 // sharded throughput scaling is recorded in EXPERIMENTS.md E-SH1.
-//
-// The v1 line-oriented text protocol is deprecated and kept for one
-// release behind regnode -legacy (regctl -legacy speaks it). The mapping
-// onto the keyed protocol: the v1 service was one unnamed register, so
-//
-//	v1 "read\n"         ->  v2 get "default"
-//	v1 "write <text>\n" ->  v2 put "default" <text>
-//
-// with v1's "ok ..."/"err ..." reply lines replaced by the binary
-// response statuses (OK, Err, WrongShard, Unavailable).
 //
 // # Durable registers: crash-restart recovery
 //

@@ -58,7 +58,7 @@ func TestDocTCPRuntime(t *testing.T) {
 // TestDocShardedService keeps the sharded-service documentation in
 // lockstep with the code: ARCHITECTURE.md must carry the "Sharded
 // service" section and doc.go must point at the shard/regclient packages,
-// the E-SH1 experiment, and the legacy-protocol mapping.
+// the one assembly (shard.Member), and the E-SH1 experiment.
 func TestDocShardedService(t *testing.T) {
 	t.Parallel()
 	arch, err := os.ReadFile("ARCHITECTURE.md")
@@ -72,7 +72,7 @@ func TestDocShardedService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"internal/shard", "internal/regclient", "E-SH1", "-legacy"} {
+	for _, want := range []string{"internal/shard", "internal/regclient", "shard.Member", "E-SH1"} {
 		if !strings.Contains(string(doc), want) {
 			t.Fatalf("doc.go does not mention %s", want)
 		}

@@ -21,19 +21,6 @@ import (
 	"twobitreg/internal/proto"
 )
 
-// Errors returned by client operations.
-var (
-	// ErrCrashed is returned for operations on (or pending at) a crashed
-	// process.
-	ErrCrashed = errors.New("cluster: process crashed")
-	// ErrStopped is returned for operations interrupted by Stop.
-	ErrStopped = errors.New("cluster: cluster stopped")
-	// ErrNotWriter is returned for writes through a process outside the
-	// cluster's writer set. SWMR protocols would panic their node goroutine
-	// on such a write; the cluster rejects it first.
-	ErrNotWriter = errors.New("cluster: process is not in the writer set")
-)
-
 // Config configures a Cluster.
 type Config struct {
 	// N is the number of processes; Writer designates the SWMR writer.
@@ -63,50 +50,17 @@ type Config struct {
 	OnComplete func(op proto.OpID, pid int, c proto.Completion)
 }
 
-// Cluster is a running protocol instance.
+// Cluster is a running protocol instance: N KeyedNodes wired mailbox to
+// mailbox in memory. All event-loop behaviour is KeyedNode's; what the
+// cluster adds lives in the send closures it hands its nodes — the metrics
+// tap and the delivery jitter.
 type Cluster struct {
 	cfg     Config
 	writers map[int]bool // the validated writer set
-	nodes   []*node
+	nodes   []*KeyedNode
 	opSeq   atomic.Uint64
-	wg      sync.WaitGroup
-
-	stopOnce sync.Once
-}
-
-// result is what a client operation ultimately receives.
-type result struct {
-	c   proto.Completion
-	err error
-}
-
-// event is a mailbox entry: a peer message, a client op request, or a
-// protocol step injected by the restart path (Node.PeerRestarted).
-type event struct {
-	// message fields
-	from int
-	msg  proto.Message
-	// op fields (msg == nil and step == nil means op request)
-	op    proto.OpID
-	kind  proto.OpKind
-	val   proto.Value
-	reply chan result
-	// step, when non-nil, runs against the process on the event loop and
-	// its effects route like a delivery's.
-	step func(proto.Process) proto.Effects
-}
-
-type node struct {
-	id   int
-	c    *Cluster
-	proc proto.Process
-	rng  *rand.Rand
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []event
-	crashed  bool
-	stopping bool
+	// jitter tracks in-flight jitter deliveries so Stop can wait for them.
+	jitter sync.WaitGroup
 }
 
 // New starts a cluster per cfg. Callers must Stop it.
@@ -129,25 +83,45 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Writer < 0 || cfg.Writer >= cfg.N {
 		return nil, fmt.Errorf("cluster: writer %d out of range [0,%d)", cfg.Writer, cfg.N)
 	}
-	c := &Cluster{cfg: cfg, writers: make(map[int]bool, len(ws))}
+	c := &Cluster{
+		cfg:     cfg,
+		writers: make(map[int]bool, len(ws)),
+		nodes:   make([]*KeyedNode, cfg.N),
+	}
 	for _, w := range ws {
 		c.writers[w] = true
 	}
-	for i := 0; i < cfg.N; i++ {
-		nd := &node{
-			id:   i,
-			c:    c,
-			proc: cfg.Alg.New(i, cfg.N, cfg.Writer),
-			rng:  rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-		}
-		nd.cond = sync.NewCond(&nd.mu)
-		c.nodes = append(c.nodes, nd)
-	}
-	for _, nd := range c.nodes {
-		c.wg.Add(1)
-		go nd.run()
+	// A node only sends once driven, and nothing drives it until New
+	// returns, so no send closure reads c.nodes before it is complete.
+	for i := range c.nodes {
+		c.nodes[i] = NewKeyedNode(i, Sequential(cfg.Alg.New(i, cfg.N, cfg.Writer), ws...), c.sender(i))
 	}
 	return c, nil
+}
+
+// sender returns process from's send closure: tap the collector, then
+// enqueue on the destination's mailbox — directly, or after a random delay
+// on a tracked goroutine when jitter is configured. A halted destination
+// drops the message, which is the crash model.
+func (c *Cluster) sender(from int) func(to int, msg proto.Message) {
+	// rng is touched only by from's event loop.
+	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(from)*7919))
+	return func(to int, msg proto.Message) {
+		if c.cfg.Collector != nil {
+			c.cfg.Collector.OnSend(msg)
+		}
+		if c.cfg.MaxJitter <= 0 {
+			c.nodes[to].Deliver(from, msg)
+			return
+		}
+		d := time.Duration(rng.Int63n(int64(c.cfg.MaxJitter))) + 1
+		c.jitter.Add(1)
+		go func() {
+			defer c.jitter.Done()
+			time.Sleep(d)
+			c.nodes[to].Deliver(from, msg)
+		}()
+	}
 }
 
 // N returns the number of processes.
@@ -210,41 +184,20 @@ func (h *Handle) Read() (proto.Value, error) { return h.c.Read(h.pid) }
 // in-flight jitter deliveries) to exit. Pending operations receive
 // ErrStopped. Stop is idempotent.
 func (c *Cluster) Stop() {
-	c.stopOnce.Do(func() {
-		for _, nd := range c.nodes {
-			nd.mu.Lock()
-			nd.stopping = true
-			nd.cond.Broadcast()
-			nd.mu.Unlock()
-		}
-	})
-	c.wg.Wait()
+	for _, nd := range c.nodes {
+		nd.Stop()
+	}
+	// Only event loops start jitter deliveries, and they have all exited.
+	c.jitter.Wait()
 }
 
 // Crash marks pid crashed: it processes nothing further, its pending and
 // future operations fail with ErrCrashed. Idempotent.
-func (c *Cluster) Crash(pid int) {
-	nd := c.nodes[pid]
-	nd.mu.Lock()
-	nd.crashed = true
-	nd.cond.Broadcast()
-	nd.mu.Unlock()
-}
-
-// Crashed reports whether pid has crashed.
-func (c *Cluster) Crashed(pid int) bool {
-	nd := c.nodes[pid]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.crashed
-}
+func (c *Cluster) Crash(pid int) { c.nodes[pid].Crash() }
 
 // Write performs a blocking write through process pid, which must belong to
 // the cluster's writer set (ErrNotWriter otherwise).
 func (c *Cluster) Write(pid int, v proto.Value) error {
-	if !c.writers[pid] {
-		return fmt.Errorf("%w: process %d (writers: %v)", ErrNotWriter, pid, c.Writers())
-	}
 	_, err := c.invoke(pid, proto.OpWrite, v)
 	return err
 }
@@ -252,191 +205,25 @@ func (c *Cluster) Write(pid int, v proto.Value) error {
 // Read performs a blocking read through process pid.
 func (c *Cluster) Read(pid int) (proto.Value, error) {
 	comp, err := c.invoke(pid, proto.OpRead, nil)
-	if err != nil {
-		return nil, err
-	}
-	return comp.Value, nil
+	return comp.Value, err
 }
 
 func (c *Cluster) invoke(pid int, kind proto.OpKind, v proto.Value) (proto.Completion, error) {
 	op := proto.OpID(c.opSeq.Add(1))
-	reply := make(chan result, 1)
 	if c.cfg.OnInvoke != nil {
 		c.cfg.OnInvoke(op, pid, kind, v)
 	}
 	start := time.Now()
-	if err := c.nodes[pid].enqueue(event{op: op, kind: kind, val: v, reply: reply}); err != nil {
+	// The register has no name; Sequential ignores the key.
+	comp, err := c.nodes[pid].invoke(op, "", kind, v)
+	if err != nil {
 		return proto.Completion{}, err
 	}
-	r := <-reply
-	if r.err != nil {
-		return proto.Completion{}, r.err
-	}
 	if c.cfg.OnComplete != nil {
-		c.cfg.OnComplete(op, pid, r.c)
+		c.cfg.OnComplete(op, pid, comp)
 	}
 	if c.cfg.Collector != nil {
-		c.cfg.Collector.OnOp(kind, time.Since(start).Seconds(), r.c.Rounds)
+		c.cfg.Collector.OnOp(kind, time.Since(start).Seconds(), comp.Rounds)
 	}
-	return r.c, nil
-}
-
-// enqueue adds ev to the node's mailbox. It returns ErrCrashed or ErrStopped
-// if the node can no longer accept events (messages are silently dropped in
-// that case, op requests fail).
-func (nd *node) enqueue(ev event) error {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.crashed {
-		return ErrCrashed
-	}
-	if nd.stopping {
-		return ErrStopped
-	}
-	nd.queue = append(nd.queue, ev)
-	nd.cond.Signal()
-	return nil
-}
-
-// next blocks until an event is available. ok=false means the node must shut
-// down (stop or crash); the caller fails outstanding work.
-func (nd *node) next() (event, bool) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	for len(nd.queue) == 0 && !nd.stopping && !nd.crashed {
-		nd.cond.Wait()
-	}
-	if nd.stopping || nd.crashed {
-		return event{}, false
-	}
-	ev := nd.queue[0]
-	nd.queue = nd.queue[1:]
-	return ev, true
-}
-
-// run is the node's event loop: strictly serial execution of the protocol
-// state machine, with client requests queued behind the in-flight operation
-// (the paper's processes are sequential).
-func (nd *node) run() {
-	defer nd.c.wg.Done()
-
-	var (
-		busy     bool
-		curReply chan result
-		opQueue  []event
-	)
-
-	fail := func(err error) {
-		if busy {
-			curReply <- result{err: err}
-			busy = false
-		}
-		for _, ev := range opQueue {
-			ev.reply <- result{err: err}
-		}
-		opQueue = nil
-		// Drain mailbox op requests so no client blocks forever.
-		nd.mu.Lock()
-		queue := nd.queue
-		nd.queue = nil
-		nd.mu.Unlock()
-		for _, ev := range queue {
-			if ev.msg == nil {
-				ev.reply <- result{err: err}
-			}
-		}
-	}
-
-	handleEffects := func(eff proto.Effects) {
-		for _, s := range eff.Sends {
-			nd.c.deliver(nd.id, s.To, s.Msg)
-		}
-		for _, d := range eff.Done {
-			// The sequential discipline guarantees a completion
-			// always belongs to the node's current operation.
-			if busy {
-				curReply <- result{c: d}
-				busy = false
-			}
-		}
-	}
-
-	startNext := func() {
-		for !busy && len(opQueue) > 0 {
-			ev := opQueue[0]
-			opQueue = opQueue[1:]
-			busy = true
-			curReply = ev.reply
-			var eff proto.Effects
-			if ev.kind == proto.OpWrite {
-				eff = nd.proc.StartWrite(ev.op, ev.val)
-			} else {
-				eff = nd.proc.StartRead(ev.op)
-			}
-			handleEffects(eff)
-		}
-	}
-
-	for {
-		flushIfIdle(nd.proc, nd.queueIdle, handleEffects)
-		ev, ok := nd.next()
-		if !ok {
-			nd.mu.Lock()
-			crashed := nd.crashed
-			nd.mu.Unlock()
-			if crashed {
-				fail(ErrCrashed)
-			} else {
-				fail(ErrStopped)
-			}
-			return
-		}
-		if ev.msg != nil {
-			handleEffects(nd.proc.Deliver(ev.from, ev.msg))
-		} else {
-			opQueue = append(opQueue, ev)
-		}
-		startNext()
-	}
-}
-
-// queueIdle reports a momentarily empty mailbox.
-func (nd *node) queueIdle() bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return len(nd.queue) == 0
-}
-
-// flushIfIdle grants a proto.Flusher process its flush tick when the
-// mailbox is idle: everything a burst of events buffered ships coalesced.
-// Both run loops (Cluster's internal nodes and the standalone Node) call
-// it at the top of each iteration, before blocking for the next event.
-func flushIfIdle(proc proto.Process, idle func() bool, handle func(proto.Effects)) {
-	f, ok := proc.(proto.Flusher)
-	if !ok || !f.PendingFlush() {
-		return
-	}
-	if idle() {
-		handle(f.Flush())
-	}
-}
-
-// deliver routes a protocol message, applying jitter if configured. Jitter
-// deliveries run on tracked goroutines so Stop can wait for them.
-func (c *Cluster) deliver(from, to int, msg proto.Message) {
-	if c.cfg.Collector != nil {
-		c.cfg.Collector.OnSend(msg)
-	}
-	if c.cfg.MaxJitter <= 0 {
-		c.nodes[to].enqueue(event{from: from, msg: msg})
-		return
-	}
-	nd := c.nodes[from]
-	d := time.Duration(nd.rng.Int63n(int64(c.cfg.MaxJitter))) + 1
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		time.Sleep(d)
-		c.nodes[to].enqueue(event{from: from, msg: msg})
-	}()
+	return comp, nil
 }

@@ -1,19 +1,34 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"twobitreg/internal/proto"
-	"twobitreg/internal/storage"
+)
+
+// Errors returned by client operations.
+var (
+	// ErrCrashed is returned for operations on (or pending at) a crashed
+	// process.
+	ErrCrashed = errors.New("cluster: process crashed")
+	// ErrStopped is returned for operations interrupted by Stop.
+	ErrStopped = errors.New("cluster: cluster stopped")
+	// ErrNotWriter is returned for writes through a process outside the
+	// writer set. SWMR protocols would panic their event loop on such a
+	// write; the node rejects it first.
+	ErrNotWriter = errors.New("cluster: process is not in the writer set")
 )
 
 // KeyedProcess is the keyed sibling of proto.Process: a single-threaded
 // state machine multiplexing many named registers at one process, with
-// operations addressed by key (internal/regmap.Node is the implementation).
-// Unlike proto.Process, several client operations may be in flight at once
-// — one per key — so completions are matched by operation id, not by the
-// sequential-discipline invariant.
+// operations addressed by key (internal/regmap.Node is the implementation;
+// Sequential places a single-register proto.Process behind the same
+// contract). Unlike proto.Process, several client operations may be in
+// flight at once — one per key — so completions are matched by operation
+// id, not by the sequential-discipline invariant.
 type KeyedProcess interface {
 	// ID returns this process's index in [0, N).
 	ID() int
@@ -24,27 +39,32 @@ type KeyedProcess interface {
 	Deliver(from int, msg proto.Message) proto.Effects
 }
 
-// KeyedNode is the standalone runtime for one process of the keyed store —
-// the per-shard-member event loop of the sharded TCP service (cmd/regnode
-// v2). It is Node's keyed sibling: the same injected-send/Deliver contract
-// toward a transport mesh, but client operations carry keys, any number of
-// them may be pending at once (operations on one key serialize inside the
-// KeyedProcess; different keys proceed independently), and the whole
-// mailbox drains as one burst so the store's cross-key coalescer gets a
-// flush point per burst instead of per event.
+// KeyedNode is the runtime for one process — the repository's one mailbox
+// event loop. The paper's process reacts to one received message or one
+// client invocation at a time; the node is that sequential process on a
+// goroutine: a transport (the TCP mesh per shard member under cmd/regnode,
+// sibling mailboxes under Cluster) calls Deliver, clients call Get/Put, and
+// every outbound message leaves through the injected send function. Any
+// number of client operations may be pending at once (operations on one
+// key serialize inside the KeyedProcess; different keys proceed
+// independently), and the whole mailbox drains as one burst so a
+// coalescing process gets its flush point per burst: a burst of one event
+// is the per-event loop, and the end of a burst is the moment the mailbox
+// was last seen empty.
 type KeyedNode struct {
 	id   int
 	proc KeyedProcess
 	send func(to int, msg proto.Message)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []keyedEvent
-	stopping bool
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []keyedEvent
+	// halted is nil while the node runs, then the verdict every pending
+	// and future operation receives: ErrStopped or ErrCrashed.
+	halted error
+	wg     sync.WaitGroup
 
-	opMu  sync.Mutex
-	opSeq proto.OpID
+	opSeq atomic.Uint64
 }
 
 // keyedWriterSet is the optional writer-set introspection a KeyedProcess
@@ -52,6 +72,18 @@ type KeyedNode struct {
 // at the client boundary instead of letting them reach the protocol.
 type keyedWriterSet interface {
 	IsWriter(key string, pid int) bool
+}
+
+// linkResetter is the slice of storage.Recoverable the event loop drives:
+// the restart protocol's per-link reset.
+type linkResetter interface {
+	PeerRestarted(peer int) proto.Effects
+}
+
+// result is what a client operation ultimately receives.
+type result struct {
+	c   proto.Completion
+	err error
 }
 
 // keyedEvent is a mailbox entry: a peer message, a keyed client operation,
@@ -86,23 +118,28 @@ func NewKeyedNode(id int, proc KeyedProcess, send func(to int, msg proto.Message
 func (nd *KeyedNode) ID() int { return nd.id }
 
 // Deliver hands the node a message from peer `from`. Safe for concurrent
-// use; this is the transport's inbound callback.
+// use; this is the transport's inbound callback. Messages for a halted
+// node are dropped, as toward a crashed process.
 func (nd *KeyedNode) Deliver(from int, msg proto.Message) {
-	nd.enqueue(keyedEvent{from: from, msg: msg})
+	_ = nd.enqueue(keyedEvent{from: from, msg: msg})
 }
 
 // PeerRestartedFunc enqueues the restart protocol's link reset for peer
-// onto the event loop (the process must implement storage.Recoverable).
-// pre, if non-nil, runs on the event loop immediately before the reset —
-// the transport purges its queue toward the peer's dead incarnation there.
-// Returns false (pre will never run) if the node is stopping.
+// onto the event loop: the process's view of the peer resets and its
+// backlog re-ships (storage.Recoverable.PeerRestarted, which the process
+// must implement). pre, if non-nil, runs on the event loop immediately
+// before the reset. Transports purge the frames still queued for the
+// peer's dead incarnation there — in the same step, so no frame the
+// process emitted before the reset can slip out after the purge and
+// precede the re-shipped backlog. Returns false (pre will never run) if
+// the node has halted.
 func (nd *KeyedNode) PeerRestartedFunc(peer int, pre func()) bool {
 	return nd.enqueue(keyedEvent{step: func(p KeyedProcess) proto.Effects {
 		if pre != nil {
 			pre()
 		}
-		return p.(storage.Recoverable).PeerRestarted(peer)
-	}})
+		return p.(linkResetter).PeerRestarted(peer)
+	}}) == nil
 }
 
 // PeerRestarted is PeerRestartedFunc without a transport hook.
@@ -113,19 +150,19 @@ func (nd *KeyedNode) PeerRestarted(peer int) {
 // Do performs one blocking client operation on key. Writes through a
 // process outside the key's writer set surface as ErrNotWriter.
 func (nd *KeyedNode) Do(key string, kind proto.OpKind, val proto.Value) (proto.Value, error) {
-	nd.opMu.Lock()
-	nd.opSeq++
-	op := nd.opSeq
-	nd.opMu.Unlock()
+	c, err := nd.invoke(proto.OpID(nd.opSeq.Add(1)), key, kind, val)
+	return c.Value, err
+}
+
+// invoke runs one operation under a caller-chosen id (Cluster numbers
+// operations across its nodes so one recorder can tell them apart).
+func (nd *KeyedNode) invoke(op proto.OpID, key string, kind proto.OpKind, val proto.Value) (proto.Completion, error) {
 	reply := make(chan result, 1)
-	if !nd.enqueue(keyedEvent{op: op, key: key, kind: kind, val: val, reply: reply}) {
-		return nil, ErrStopped
+	if err := nd.enqueue(keyedEvent{op: op, key: key, kind: kind, val: val, reply: reply}); err != nil {
+		return proto.Completion{}, err
 	}
 	r := <-reply
-	if r.err != nil {
-		return nil, r.err
-	}
-	return r.c.Value, nil
+	return r.c, r.err
 }
 
 // Get reads key through this node.
@@ -139,43 +176,50 @@ func (nd *KeyedNode) Put(key string, val proto.Value) error {
 	return err
 }
 
-// Stop shuts the node down, failing pending operations with ErrStopped.
-func (nd *KeyedNode) Stop() {
+// Stop shuts the node down, failing pending and future operations with
+// ErrStopped. It returns once the event loop has exited; idempotent.
+func (nd *KeyedNode) Stop() { nd.halt(ErrStopped) }
+
+// Crash is Stop with the crash verdict: the node processes nothing
+// further, and its pending and future operations fail with ErrCrashed. The
+// first verdict sticks — stopping a crashed node leaves it crashed.
+func (nd *KeyedNode) Crash() { nd.halt(ErrCrashed) }
+
+func (nd *KeyedNode) halt(cause error) {
 	nd.mu.Lock()
-	if !nd.stopping {
-		nd.stopping = true
+	if nd.halted == nil {
+		nd.halted = cause
 		nd.cond.Broadcast()
 	}
 	nd.mu.Unlock()
 	nd.wg.Wait()
 }
 
-func (nd *KeyedNode) enqueue(ev keyedEvent) bool {
+// enqueue adds ev to the mailbox, or returns the halt verdict.
+func (nd *KeyedNode) enqueue(ev keyedEvent) error {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.stopping {
-		return false
+	if nd.halted != nil {
+		return nd.halted
 	}
 	nd.queue = append(nd.queue, ev)
 	nd.cond.Signal()
-	return true
+	return nil
 }
 
 // nextBatch blocks until events are available and takes the whole mailbox:
 // the batch is the coalescing burst — every keyed frame its events produce
-// toward one peer ships as one multi-frame when the store coalesces.
-func (nd *KeyedNode) nextBatch() ([]keyedEvent, bool) {
+// toward one peer ships as one multi-frame when the store coalesces. On a
+// halt it returns the verdict and whatever was still queued.
+func (nd *KeyedNode) nextBatch() ([]keyedEvent, error) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	for len(nd.queue) == 0 && !nd.stopping {
+	for len(nd.queue) == 0 && nd.halted == nil {
 		nd.cond.Wait()
-	}
-	if nd.stopping {
-		return nil, false
 	}
 	batch := nd.queue
 	nd.queue = nil
-	return batch, true
+	return batch, nd.halted
 }
 
 func (nd *KeyedNode) run() {
@@ -203,19 +247,17 @@ func (nd *KeyedNode) run() {
 	}
 
 	for {
-		batch, ok := nd.nextBatch()
-		if !ok {
+		batch, halted := nd.nextBatch()
+		if halted != nil {
+			// Fail started and still-queued operations alike, so no
+			// client blocks forever.
 			for op, reply := range replies {
 				delete(replies, op)
-				reply <- result{err: ErrStopped}
+				reply <- result{err: halted}
 			}
-			nd.mu.Lock()
-			rest := nd.queue
-			nd.queue = nil
-			nd.mu.Unlock()
-			for _, ev := range rest {
+			for _, ev := range batch {
 				if ev.msg == nil && ev.step == nil {
-					ev.reply <- result{err: ErrStopped}
+					ev.reply <- result{err: halted}
 				}
 			}
 			return
@@ -228,7 +270,8 @@ func (nd *KeyedNode) run() {
 				route(nd.proc.Deliver(ev.from, ev.msg))
 			default:
 				// The writer-set boundary: a foreign write must not reach
-				// the protocol (regmap treats that as a harness bug).
+				// the protocol (the state machines treat that as a
+				// harness bug).
 				if ev.kind == proto.OpWrite {
 					if ws, ok := nd.proc.(keyedWriterSet); ok && !ws.IsWriter(ev.key, nd.id) {
 						ev.reply <- result{err: fmt.Errorf("%w: process %d, key %q", ErrNotWriter, nd.id, ev.key)}
@@ -239,7 +282,7 @@ func (nd *KeyedNode) run() {
 				route(nd.proc.Start(ev.key, ev.op, ev.kind, ev.val))
 			}
 		}
-		// End of burst: grant the store its flush tick (no-op for
+		// End of burst: grant the process its flush tick (no-op for
 		// non-coalescing processes).
 		if f, ok := nd.proc.(proto.Flusher); ok && f.PendingFlush() {
 			route(f.Flush())

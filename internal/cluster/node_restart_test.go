@@ -10,7 +10,7 @@ import (
 	"twobitreg/internal/storage"
 )
 
-// restartMesh wires storage-attached Nodes through a swappable routing
+// restartMesh wires storage-attached single-register nodes through a swappable routing
 // table: killing a node nils its slot (sends toward it drop, like loss
 // toward a crashed peer), and reviving swaps the recovered node in.
 // During a revival, frames toward the victim are held rather than
@@ -19,7 +19,7 @@ import (
 // the window before the fresh node is installed.
 type restartMesh struct {
 	mu      sync.Mutex
-	nodes   []*cluster.Node
+	nodes   []*cluster.KeyedNode
 	logs    []*storage.MemLog
 	holding []bool
 	held    [][]heldMsg
@@ -35,7 +35,7 @@ type heldMsg struct {
 func newRestartMesh(t *testing.T, n int) *restartMesh {
 	t.Helper()
 	m := &restartMesh{
-		nodes:   make([]*cluster.Node, n),
+		nodes:   make([]*cluster.KeyedNode, n),
 		logs:    make([]*storage.MemLog, n),
 		holding: make([]bool, n),
 		held:    make([][]heldMsg, n),
@@ -45,14 +45,14 @@ func newRestartMesh(t *testing.T, n int) *restartMesh {
 		m.logs[i] = storage.NewMemLog()
 		p := core.Algorithm().New(i, n, 0)
 		p.(storage.Recoverable).AttachStorage(m.logs[i])
-		m.nodes[i] = cluster.NewNodeWithProcess(i, p, m.sender(i))
+		m.nodes[i] = cluster.NewKeyedNode(i, cluster.Sequential(p, 0), m.sender(i))
 	}
 	t.Cleanup(func() {
 		// Snapshot, then Stop outside the lock: Stop joins the node's
 		// event loop, which may itself be blocked in sender() on m.mu
 		// relaying leftover protocol chatter.
 		m.mu.Lock()
-		nodes := append([]*cluster.Node(nil), m.nodes...)
+		nodes := append([]*cluster.KeyedNode(nil), m.nodes...)
 		m.mu.Unlock()
 		for _, nd := range nodes {
 			if nd != nil {
@@ -79,7 +79,7 @@ func (m *restartMesh) sender(from int) func(to int, msg proto.Message) {
 	}
 }
 
-func (m *restartMesh) node(pid int) *cluster.Node {
+func (m *restartMesh) node(pid int) *cluster.KeyedNode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.nodes[pid]
@@ -123,7 +123,7 @@ func (m *restartMesh) revive(t *testing.T, pid int) {
 	if err := fresh.(storage.Recoverable).Recover(m.logs[pid]); err != nil {
 		t.Fatalf("recover p%d: %v", pid, err)
 	}
-	nd := cluster.NewNodeWithProcess(pid, fresh, m.sender(pid))
+	nd := cluster.NewKeyedNode(pid, cluster.Sequential(fresh, 0), m.sender(pid))
 	for j := 0; j < m.n; j++ {
 		if j == pid {
 			continue
@@ -149,16 +149,16 @@ func TestNodeRestartReader(t *testing.T) {
 	t.Parallel()
 	m := newRestartMesh(t, 3)
 	for _, v := range []string{"w1", "w2", "w3"} {
-		if err := m.node(0).Write(val(v)); err != nil {
+		if err := m.node(0).Put("", val(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.kill(2)
-	if err := m.node(0).Write(val("w4")); err != nil {
+	if err := m.node(0).Put("", val("w4")); err != nil {
 		t.Fatal(err)
 	}
 	m.revive(t, 2)
-	got, err := m.node(2).Read()
+	got, err := m.node(2).Get("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,12 @@ func TestNodeRestartWriter(t *testing.T) {
 	t.Parallel()
 	m := newRestartMesh(t, 3)
 	for _, v := range []string{"w1", "w2"} {
-		if err := m.node(0).Write(val(v)); err != nil {
+		if err := m.node(0).Put("", val(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.kill(0)
-	got, err := m.node(1).Read()
+	got, err := m.node(1).Get("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,18 +187,18 @@ func TestNodeRestartWriter(t *testing.T) {
 		t.Fatalf("read during writer downtime got %q, want w2", got)
 	}
 	m.revive(t, 0)
-	got, err = m.node(0).Read()
+	got, err = m.node(0).Get("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(val("w2")) {
 		t.Fatalf("revived writer read %q, want w2 (acknowledged write lost)", got)
 	}
-	if err := m.node(0).Write(val("w3")); err != nil {
+	if err := m.node(0).Put("", val("w3")); err != nil {
 		t.Fatal(err)
 	}
 	for pid := 0; pid < 3; pid++ {
-		got, err := m.node(pid).Read()
+		got, err := m.node(pid).Get("")
 		if err != nil {
 			t.Fatalf("node %d: %v", pid, err)
 		}

@@ -11,15 +11,22 @@ import (
 	"twobitreg/internal/proto"
 )
 
-// nodeMesh wires standalone Nodes directly (no TCP): the transport is a
-// function call, which isolates Node's event-loop behaviour from transport
+// newSeqNode is the standalone single-register runtime: the one event loop
+// around a Sequential adapter, process 0 the writer. The register is
+// addressed by the empty key.
+func newSeqNode(id, n int, send func(to int, msg proto.Message)) *cluster.KeyedNode {
+	return cluster.NewKeyedNode(id, cluster.Sequential(core.Algorithm().New(id, n, 0), 0), send)
+}
+
+// nodeMesh wires standalone nodes directly (no TCP): the transport is a
+// function call, which isolates the event-loop behaviour from transport
 // concerns.
-func nodeMesh(t *testing.T, n int) []*cluster.Node {
+func nodeMesh(t *testing.T, n int) []*cluster.KeyedNode {
 	t.Helper()
-	nodes := make([]*cluster.Node, n)
+	nodes := make([]*cluster.KeyedNode, n)
 	for i := 0; i < n; i++ {
 		i := i
-		nodes[i] = cluster.NewNode(i, n, 0, core.Algorithm(), func(to int, msg proto.Message) {
+		nodes[i] = newSeqNode(i, n, func(to int, msg proto.Message) {
 			nodes[to].Deliver(i, msg)
 		})
 	}
@@ -34,11 +41,11 @@ func nodeMesh(t *testing.T, n int) []*cluster.Node {
 func TestNodeWriteRead(t *testing.T) {
 	t.Parallel()
 	nodes := nodeMesh(t, 3)
-	if err := nodes[0].Write(val("x")); err != nil {
+	if err := nodes[0].Put("", val("x")); err != nil {
 		t.Fatal(err)
 	}
 	for i, nd := range nodes {
-		got, err := nd.Read()
+		got, err := nd.Get("")
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -56,7 +63,7 @@ func TestNodeConcurrentClients(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 1; k <= 15; k++ {
-			if err := nodes[0].Write(val(fmt.Sprintf("v%d", k))); err != nil {
+			if err := nodes[0].Put("", val(fmt.Sprintf("v%d", k))); err != nil {
 				t.Errorf("write: %v", err)
 				return
 			}
@@ -68,7 +75,7 @@ func TestNodeConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 8; k++ {
-				if _, err := nodes[r].Read(); err != nil {
+				if _, err := nodes[r].Get(""); err != nil {
 					t.Errorf("node %d read: %v", r, err)
 					return
 				}
@@ -82,25 +89,24 @@ func TestNodeStopFailsPendingAndFutureOps(t *testing.T) {
 	t.Parallel()
 	// A single node of a 3-process instance can never reach quorum alone:
 	// its write parks forever until Stop.
-	var nd *cluster.Node
-	nd = cluster.NewNode(0, 3, 0, core.Algorithm(), func(int, proto.Message) {})
+	nd := newSeqNode(0, 3, func(int, proto.Message) {})
 	done := make(chan error, 1)
-	go func() { done <- nd.Write(val("stuck")) }()
+	go func() { done <- nd.Put("", val("stuck")) }()
 	nd.Stop()
 	if err := <-done; !errors.Is(err, cluster.ErrStopped) {
 		t.Fatalf("pending write: %v, want ErrStopped", err)
 	}
-	if err := nd.Write(val("late")); !errors.Is(err, cluster.ErrStopped) {
+	if err := nd.Put("", val("late")); !errors.Is(err, cluster.ErrStopped) {
 		t.Fatalf("post-stop write: %v, want ErrStopped", err)
 	}
-	if _, err := nd.Read(); !errors.Is(err, cluster.ErrStopped) {
+	if _, err := nd.Get(""); !errors.Is(err, cluster.ErrStopped) {
 		t.Fatalf("post-stop read: %v, want ErrStopped", err)
 	}
 }
 
 func TestNodeDeliverAfterStopIsNoop(t *testing.T) {
 	t.Parallel()
-	nd := cluster.NewNode(0, 3, 0, core.Algorithm(), func(int, proto.Message) {})
+	nd := newSeqNode(0, 3, func(int, proto.Message) {})
 	nd.Stop()
 	nd.Deliver(1, core.ReadMsg{}) // must not panic or block
 }

@@ -12,10 +12,9 @@ import (
 	"fmt"
 
 	"twobitreg/internal/abd"
-	"twobitreg/internal/attiya"
-	"twobitreg/internal/boundedabd"
 	"twobitreg/internal/core"
 	"twobitreg/internal/metrics"
+	"twobitreg/internal/phased"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/sim"
 	"twobitreg/internal/transport"
@@ -27,8 +26,8 @@ import (
 func Columns() []proto.Algorithm {
 	return []proto.Algorithm{
 		abd.Algorithm(),
-		boundedabd.Algorithm(),
-		attiya.Algorithm(),
+		phased.Algorithm(phased.BoundedABD()),
+		phased.Algorithm(phased.Attiya()),
 		core.Algorithm(),
 	}
 }

@@ -6,17 +6,16 @@ import (
 	"testing"
 
 	"twobitreg/internal/abd"
-	"twobitreg/internal/attiya"
-	"twobitreg/internal/boundedabd"
 	"twobitreg/internal/core"
 	"twobitreg/internal/explore"
+	"twobitreg/internal/phased"
 	"twobitreg/internal/proto"
 )
 
 func TestScenarioFailureFreeAllAlgorithms(t *testing.T) {
 	t.Parallel()
 	algs := []proto.Algorithm{
-		core.Algorithm(), abd.Algorithm(), boundedabd.Algorithm(), attiya.Algorithm(),
+		core.Algorithm(), abd.Algorithm(), phased.Algorithm(phased.BoundedABD()), phased.Algorithm(phased.Attiya()),
 	}
 	for _, alg := range algs {
 		alg := alg

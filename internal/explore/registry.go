@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"twobitreg/internal/abd"
-	"twobitreg/internal/attiya"
-	"twobitreg/internal/boundedabd"
 	"twobitreg/internal/core"
 	"twobitreg/internal/phased"
 	"twobitreg/internal/proto"
@@ -82,8 +80,8 @@ func buildRegistry() map[string]proto.Algorithm {
 				}
 				return ws
 			}),
-		"bounded-abd": boundedabd.Algorithm(),
-		"attiya":      attiya.Algorithm(),
+		"bounded-abd": phased.Algorithm(phased.BoundedABD()),
+		"attiya":      phased.Algorithm(phased.Attiya()),
 		// The phased engine in its minimal configuration (1 write phase,
 		// 2 read phases — ABD's exchange): bounded-abd and attiya are
 		// deeper phase schedules of the same engine, but this entry

@@ -48,6 +48,41 @@ type Config struct {
 	MemoryBits func(n int) int
 }
 
+// BoundedABD returns the cost profile of the bounded sequence-number
+// version of ABD (Table 1, column "ABD95 bounded seq. nb"), registered as
+// "bounded-abd". Published costs (the paper's Table 1, itself citing
+// [1,19]): write O(n²) messages / 12Δ, read O(n²) messages / 12Δ — six
+// all-to-all echo rounds per operation — with messages carrying O(n⁵) bits
+// of control information and O(n⁶) bits of local memory.
+func BoundedABD() Config {
+	return Config{
+		Name:        "bounded-abd",
+		WritePhases: 6, // 12Δ
+		ReadPhases:  6, // 12Δ
+		EchoAll:     true,
+		CtrlBits:    func(n int) int { return n * n * n * n * n },
+		MemoryBits:  func(n int) int { return n * n * n * n * n * n },
+	}
+}
+
+// Attiya returns the cost profile of H. Attiya's bounded algorithm
+// ("Efficient and robust sharing of memory in message-passing systems",
+// J. Algorithms 2000; Table 1, column "H. Attiya's algorithm"), registered
+// as "attiya". Published costs (same sources): write O(n) messages / 14Δ,
+// read O(n) messages / 18Δ — seven direct request/ack rounds per write,
+// nine per read — with messages carrying O(n³) bits of control information
+// and O(n⁵) bits of local memory.
+func Attiya() Config {
+	return Config{
+		Name:        "attiya",
+		WritePhases: 7, // 14Δ
+		ReadPhases:  9, // 18Δ
+		EchoAll:     false,
+		CtrlBits:    func(n int) int { return n * n * n },
+		MemoryBits:  func(n int) int { return n * n * n * n * n },
+	}
+}
+
 func (c Config) validate() {
 	if c.Name == "" || c.WritePhases < 1 || c.ReadPhases < 2 || c.CtrlBits == nil || c.MemoryBits == nil {
 		panic(fmt.Sprintf("phased: invalid config %+v", c))

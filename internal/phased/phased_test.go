@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"twobitreg/internal/attiya"
-	"twobitreg/internal/boundedabd"
 	"twobitreg/internal/phased"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/prototest"
@@ -16,8 +14,8 @@ func val(s string) proto.Value { return proto.Value(s) }
 
 func comparators() map[string]proto.Algorithm {
 	return map[string]proto.Algorithm{
-		"bounded-abd": boundedabd.Algorithm(),
-		"attiya":      attiya.Algorithm(),
+		"bounded-abd": phased.Algorithm(phased.BoundedABD()),
+		"attiya":      phased.Algorithm(phased.Attiya()),
 	}
 }
 
@@ -70,8 +68,8 @@ func TestComparatorLatencies(t *testing.T) {
 		wantW float64
 		wantR float64
 	}{
-		{boundedabd.Algorithm(), 12, 12},
-		{attiya.Algorithm(), 14, 18},
+		{phased.Algorithm(phased.BoundedABD()), 12, 12},
+		{phased.Algorithm(phased.Attiya()), 14, 18},
 	}
 	for _, c := range cases {
 		c := c
@@ -113,16 +111,16 @@ func TestComparatorMessageComplexity(t *testing.T) {
 	// bounded ABD: 6 phases of (n-1) reqs + (n-1)² echoes.
 	for _, n := range []int{3, 5, 7} {
 		want := int64(6 * ((n - 1) + (n-1)*(n-1)))
-		if got := count(boundedabd.Algorithm(), n, false); got != want {
+		if got := count(phased.Algorithm(phased.BoundedABD()), n, false); got != want {
 			t.Errorf("bounded-abd write msgs at n=%d: got %d, want %d", n, got, want)
 		}
 	}
 	// Attiya: 7 (write) / 9 (read) phases of 2(n-1) messages.
 	for _, n := range []int{3, 5, 7} {
-		if got, want := count(attiya.Algorithm(), n, false), int64(7*2*(n-1)); got != want {
+		if got, want := count(phased.Algorithm(phased.Attiya()), n, false), int64(7*2*(n-1)); got != want {
 			t.Errorf("attiya write msgs at n=%d: got %d, want %d", n, got, want)
 		}
-		if got, want := count(attiya.Algorithm(), n, true), int64(9*2*(n-1)); got != want {
+		if got, want := count(phased.Algorithm(phased.Attiya()), n, true), int64(9*2*(n-1)); got != want {
 			t.Errorf("attiya read msgs at n=%d: got %d, want %d", n, got, want)
 		}
 	}
@@ -132,13 +130,13 @@ func TestComparatorControlBits(t *testing.T) {
 	t.Parallel()
 	// n⁵ for bounded ABD, n³ for Attiya, measured off the wire.
 	n := 4
-	r := prototest.NewSimRig(t, boundedabd.Algorithm(), n, 0, 1, transport.FixedDelay(1))
+	r := prototest.NewSimRig(t, phased.Algorithm(phased.BoundedABD()), n, 0, 1, transport.FixedDelay(1))
 	r.Net.StartWriteAt(0, 0, 1, val("x"))
 	r.Net.Run()
 	if got := r.Col.Snapshot().MaxCtrlBits; got != 1024 { // 4^5
 		t.Errorf("bounded-abd control bits = %d, want 1024", got)
 	}
-	r2 := prototest.NewSimRig(t, attiya.Algorithm(), n, 0, 1, transport.FixedDelay(1))
+	r2 := prototest.NewSimRig(t, phased.Algorithm(phased.Attiya()), n, 0, 1, transport.FixedDelay(1))
 	r2.Net.StartWriteAt(0, 0, 1, val("x"))
 	r2.Net.Run()
 	if got := r2.Col.Snapshot().MaxCtrlBits; got != 64 { // 4^3
@@ -168,13 +166,54 @@ func TestComparatorCrashTolerance(t *testing.T) {
 
 func TestComparatorMemoryBits(t *testing.T) {
 	t.Parallel()
-	p := phased.New(boundedabd.Config(), 0, 4, 0)
+	p := phased.New(phased.BoundedABD(), 0, 4, 0)
 	if got := p.LocalMemoryBits(); got != 4096 { // 4^6
 		t.Errorf("bounded-abd memory bits = %d, want 4096", got)
 	}
-	q := phased.New(attiya.Config(), 0, 4, 0)
+	q := phased.New(phased.Attiya(), 0, 4, 0)
 	if got := q.LocalMemoryBits(); got != 1024 { // 4^5
 		t.Errorf("attiya memory bits = %d, want 1024", got)
+	}
+}
+
+// TestProfilesMatchPublishedCosts pins the two exported profiles to the
+// figures the paper's Table 1 cites: registry name, phase counts (2Δ per
+// phase), message pattern, and the declared control/memory sizes.
+func TestProfilesMatchPublishedCosts(t *testing.T) {
+	t.Parallel()
+	type size struct{ n, ctrl, mem int }
+	for _, tc := range []struct {
+		cfg         phased.Config
+		name        string
+		write, read int
+		echoAll     bool
+		ctrlN, memN string
+		sizes       []size
+	}{
+		{phased.BoundedABD(), "bounded-abd", 6, 6, true, "n⁵", "n⁶",
+			[]size{{2, 32, 64}, {3, 243, 729}, {10, 100000, 1000000}}},
+		{phased.Attiya(), "attiya", 7, 9, false, "n³", "n⁵",
+			[]size{{2, 8, 32}, {3, 27, 243}, {10, 1000, 100000}}},
+	} {
+		if got := phased.Algorithm(tc.cfg).Name(); got != tc.name {
+			t.Errorf("Name() = %q, want %q", got, tc.name)
+		}
+		if tc.cfg.WritePhases != tc.write || tc.cfg.ReadPhases != tc.read {
+			t.Errorf("%s: phases = %d/%d, want %d/%d (%dΔ/%dΔ)", tc.name,
+				tc.cfg.WritePhases, tc.cfg.ReadPhases, tc.write, tc.read, 2*tc.write, 2*tc.read)
+		}
+		if tc.cfg.EchoAll != tc.echoAll {
+			t.Errorf("%s: EchoAll = %v: bounded ABD echoes all-to-all (O(n²) messages), Attiya acks directly (O(n))",
+				tc.name, tc.cfg.EchoAll)
+		}
+		for _, sz := range tc.sizes {
+			if got := tc.cfg.CtrlBits(sz.n); got != sz.ctrl {
+				t.Errorf("%s: CtrlBits(%d) = %d, want %s = %d", tc.name, sz.n, got, tc.ctrlN, sz.ctrl)
+			}
+			if got := tc.cfg.MemoryBits(sz.n); got != sz.mem {
+				t.Errorf("%s: MemoryBits(%d) = %d, want %s = %d", tc.name, sz.n, got, tc.memN, sz.mem)
+			}
+		}
 	}
 }
 
@@ -190,7 +229,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestComparatorNonWriterWritePanics(t *testing.T) {
 	t.Parallel()
-	p := phased.New(attiya.Config(), 1, 3, 0)
+	p := phased.New(phased.Attiya(), 1, 3, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -158,7 +158,10 @@ func (s *Session) roundTrip(op wire.ClientOp, key string, val []byte) (wire.Clie
 		s.mu.Lock()
 		delete(s.pending, id)
 		s.mu.Unlock()
-		s.fail(fmt.Errorf("%w: %v", ErrSessionClosed, err))
+		// A failed write is a dead session (often one the reader has just
+		// declared dead): the router must see it as such and fail over.
+		err = fmt.Errorf("%w: %v", ErrSessionClosed, err)
+		s.fail(err)
 		return wire.ClientResponse{}, err
 	}
 

@@ -1,10 +1,9 @@
 // Package regload is the closed-loop load harness for the sharded keyed
-// TCP service: it stands up a shards×(procs/shards) regnode-style cluster
-// (cluster.KeyedNode + transport.Mesh quorum groups per shard, client-
-// protocol session servers per process — the exact cmd/regnode v2
-// production stack over loopback), drives it through internal/regclient
-// with a configurable number of closed-loop clients, and reports ops/sec
-// plus latency histograms.
+// TCP service: it stands up a shards×(procs/shards) grid of shard.Members
+// (the exact cmd/regnode production stack over loopback: a transport.Mesh
+// quorum group per shard, a client-protocol session server per process),
+// drives it through internal/regclient with a configurable number of
+// closed-loop clients, and reports ops/sec plus latency histograms.
 //
 // Closed-loop means each client issues its next operation only after the
 // previous one completes — throughput and latency are measured under
@@ -19,18 +18,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
-	"twobitreg/internal/cluster"
 	"twobitreg/internal/metrics"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regclient"
-	"twobitreg/internal/regmap"
 	"twobitreg/internal/shard"
 	"twobitreg/internal/storage"
 	"twobitreg/internal/transport"
@@ -321,401 +318,328 @@ func Run(spec Spec) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	n := spec.Procs
-	shards := spec.shardCount()
-	per := n / shards
-	valueSize := spec.ValueSize
-	if valueSize == 0 {
-		valueSize = 16
+	h, err := startCluster(spec)
+	if err != nil {
+		return nil, err
 	}
-	shardOf := func(pid int) int { return pid / per }
-	localOf := func(pid int) int { return pid % per }
-	allWriters := make([]int, per)
-	for i := range allWriters {
-		allWriters[i] = i
+	defer h.close()
+	pool, err := h.clientPool()
+	if err != nil {
+		return nil, err
 	}
-	newStore := func(pid int) (*regmap.Node, error) {
-		return regmap.NewNode(localOf(pid), regmap.Config{
-			N: per, DefaultWriters: allWriters, Coalesce: spec.Coalesce,
-		})
-	}
-
-	// Restart runs arm an in-memory log per process so a victim can be
-	// rebuilt from its durable state; plain runs skip the logging overhead
-	// (the BENCH_tcp trajectory measures the unlogged path).
-	var logs []*storage.MemLog
-	if len(spec.Restart) > 0 {
-		logs = make([]*storage.MemLog, n)
-		for i := range logs {
-			logs[i] = storage.NewMemLog()
-		}
-	}
-
-	// Node, mesh and server slots are atomic pointers because restarts
-	// swap them mid-run: a nil slot is a crashed process — sends toward it
-	// fail, frames addressed to it drop, its client port refuses — exactly
-	// the asymmetry a crash produces.
-	nodes := make([]atomic.Pointer[cluster.KeyedNode], n)
-	meshes := make([]atomic.Pointer[transport.Mesh], n)
-	servers := make([]atomic.Pointer[shard.Server], n)
-	meshAddrs := make([]string, n)
-	clientAddrs := make([]string, n)
-	// gate sequences a revival's slot swap against inbound deliveries and
-	// client ops: while a revival holds it exclusively, deliveries and
-	// client-protocol requests wait (frames are delayed, not dropped) and
-	// first see the revived node with its link resets already enqueued
-	// ahead of them.
-	var gate sync.RWMutex
-	var sendErrs atomic.Int64
-	var meshOpts []transport.MeshOption
-	if spec.PerFrame {
-		meshOpts = append(meshOpts, transport.WithPerFrameWrites())
-	}
-	if spec.FlushWindow > 0 {
-		meshOpts = append(meshOpts, transport.WithSendFlushWindow(spec.FlushWindow))
-	}
-	shardMeshAddrs := func(s int) []string { return meshAddrs[s*per : (s+1)*per] }
-	newMesh := func(pid int, addr string) (*transport.Mesh, error) {
-		return transport.NewMesh(localOf(pid), per, addr, wire.Codec{}, func(from int, msg proto.Message) {
-			gate.RLock()
-			nd := nodes[pid].Load()
-			gate.RUnlock()
-			if nd != nil {
-				nd.Deliver(from, msg)
-			}
-		}, meshOpts...)
-	}
-	sender := func(pid int) func(to int, msg proto.Message) {
-		return func(to int, msg proto.Message) {
-			m := meshes[pid].Load()
-			if m == nil || m.Send(to, msg) != nil {
-				sendErrs.Add(1)
-			}
-		}
-	}
-	// handler serves pid's client port: requests against a crashed slot
-	// answer StatusUnavailable so clients fail over within the shard.
-	handler := func(pid int) shard.Handler {
-		return func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-			gate.RLock()
-			nd := nodes[pid].Load()
-			gate.RUnlock()
-			if nd == nil {
-				return nil, shard.ErrUnavailable
-			}
-			var v []byte
-			var err error
-			if op == wire.ClientGet {
-				v, err = nd.Get(key)
-			} else {
-				err = nd.Put(key, val)
-			}
-			if errors.Is(err, cluster.ErrStopped) {
-				// The node died under the request (a kill racing the
-				// session): unavailable, not terminal — fail over.
-				return nil, shard.ErrUnavailable
-			}
-			return v, err
-		}
-	}
-	defer func() {
-		for i := range nodes {
-			if nd := nodes[i].Swap(nil); nd != nil {
-				nd.Stop()
-			}
-			if srv := servers[i].Swap(nil); srv != nil {
-				srv.Close()
-			}
-			if m := meshes[i].Swap(nil); m != nil {
-				m.Close()
-			}
-		}
-	}()
-
-	// Phase 1: bind every mesh listener on an ephemeral port (same
-	// two-phase construction as cmd/regnode; the deliver closure indirects
-	// through the node slots, filled in before any node is driven), then
-	// wire each shard's peer table.
-	for i := 0; i < n; i++ {
-		m, err := newMesh(i, "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("regload: mesh %d: %w", i, err)
-		}
-		meshes[i].Store(m)
-		meshAddrs[i] = m.Addr()
-	}
-	for i := 0; i < n; i++ {
-		if err := meshes[i].Load().SetPeers(shardMeshAddrs(shardOf(i))); err != nil {
-			return nil, err
-		}
-	}
-	// Phase 2: the nodes, sending through their current mesh slot. With
-	// restarts scheduled every process logs to stable storage, so a victim
-	// can be replayed back.
-	for i := 0; i < n; i++ {
-		st, err := newStore(i)
-		if err != nil {
-			return nil, err
-		}
-		if logs != nil {
-			if !st.RecoveryEnabled() {
-				return nil, fmt.Errorf("regload: the keyed store is not recoverable; -restart needs a durable configuration")
-			}
-			st.AttachStorage(logs[i])
-		}
-		nodes[i].Store(cluster.NewKeyedNode(localOf(i), st, sender(i)))
-	}
-	// Phase 3: the client-protocol servers, one per process.
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("regload: client listener %d: %w", i, err)
-		}
-		srv, err := shard.Serve(ln, shardOf(i), shards, handler(i))
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		servers[i].Store(srv)
-		clientAddrs[i] = srv.Addr()
-	}
-	clientCfg := &shard.ClusterConfig{Shards: make([]shard.Shard, shards)}
-	for i := 0; i < n; i++ {
-		s := shardOf(i)
-		clientCfg.Shards[s].Procs = append(clientCfg.Shards[s].Procs, shard.Proc{Client: clientAddrs[i]})
-	}
-
-	// The routing client pool: one Client per shard-member offset, shared
-	// by the client goroutines (goroutine c uses pool[c%per]) — sessions
-	// are connection-multiplexed, so many goroutines pipelining requests
-	// over one conn per node is the intended shape.
-	pool := make([]*regclient.Client, per)
-	for j := range pool {
-		cl, err := regclient.New(clientCfg, j)
-		if err != nil {
-			return nil, err
-		}
-		pool[j] = cl
-	}
-	defer func() {
-		for _, cl := range pool {
-			cl.Close()
-		}
-	}()
-
-	// kill crashes one process: node stopped, client server and mesh
-	// listener and connections closed, slots nilled so peers' frames
-	// toward it drop and clients' dials are refused.
-	kill := func(pid int) {
-		if nd := nodes[pid].Swap(nil); nd != nil {
-			nd.Stop()
-		}
-		if srv := servers[pid].Swap(nil); srv != nil {
-			srv.Close()
-		}
-		if m := meshes[pid].Swap(nil); m != nil {
-			m.Close()
-		}
-	}
-
-	// revive rebuilds a killed process from its durable log: replay into a
-	// fresh process, reset every live shard peer's link to it, rebind the
-	// original addresses (the peers' tables and the clients' routing
-	// config are fixed), and swap the recovered node in with its own link
-	// resets queued first.
-	revive := func(pid int) error {
-		sh := shardOf(pid)
-		fresh, err := newStore(pid)
-		if err != nil {
-			return err
-		}
-		if err := fresh.Recover(logs[pid]); err != nil {
-			return fmt.Errorf("recover p%d: %w", pid, err)
-		}
-		// Every live shard peer resets its link to the victim while the
-		// victim's listener is still down: the purge of frames queued for
-		// the dead incarnation runs inside the peer's reset step, so once
-		// the listener returns, the peer's queue holds nothing older than
-		// the re-shipped backlog, in FIFO order behind the dial retry. The
-		// listener must stay down until the steps have run — hence the
-		// wait, bounded in case a peer is stopped out from under it by an
-		// overlapping restart.
-		//
-		// The gate closes over the whole reset-to-swap window, not just
-		// the swap: everything a peer emits toward the victim after its
-		// purge is addressed to the live incarnation and must not be lost,
-		// but the victim cannot drain its bounded transport queue until
-		// the listener is back. Quiescing deliveries and new client ops
-		// caps what accumulates in that window at the re-shipped backlog
-		// plus whatever the event loops had in flight — comfortably inside
-		// the queue bound — where free-running load could overflow it and
-		// wedge the cluster on the silently dropped frames (lanes never
-		// resend: a sent cursor only moves forward).
-		gate.Lock()
-		var resetWG sync.WaitGroup
-		for j := sh * per; j < (sh+1)*per; j++ {
-			if j == pid {
-				continue
-			}
-			pn := nodes[j].Load()
-			if pn == nil {
-				continue
-			}
-			pm := meshes[j].Load()
-			resetWG.Add(1)
-			ok := pn.PeerRestartedFunc(localOf(pid), func() {
-				if pm != nil {
-					pm.PeerRestarted(localOf(pid))
-				}
-				resetWG.Done()
-			})
-			if !ok {
-				resetWG.Done()
-			}
-		}
-		resets := make(chan struct{})
-		go func() { resetWG.Wait(); close(resets) }()
-		select {
-		case <-resets:
-		case <-time.After(5 * time.Second):
-		}
-		var m *transport.Mesh
-		var err2 error
-		for try := 0; ; try++ {
-			m, err2 = newMesh(pid, meshAddrs[pid])
-			if err2 == nil {
-				break
-			}
-			if try >= 200 {
-				gate.Unlock()
-				return fmt.Errorf("rebind %s: %w", meshAddrs[pid], err2)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if err := m.SetPeers(shardMeshAddrs(sh)); err != nil {
-			gate.Unlock()
-			m.Close()
-			return err
-		}
-		nd := cluster.NewKeyedNode(localOf(pid), fresh, sender(pid))
-		meshes[pid].Store(m)
-		nodes[pid].Store(nd)
-		// The victim's own link resets enqueue before the gate opens, so
-		// they run ahead of every inbound frame and client op. The dial
-		// kicks break the peers' senders out of their reconnect backoff
-		// now that the listener is provably up: the re-shipped backlogs
-		// (queued since the purge) start draining in milliseconds, before
-		// the post-gate load resumes and contends for queue space.
-		for j := sh * per; j < (sh+1)*per; j++ {
-			if j == pid {
-				continue
-			}
-			if nodes[j].Load() != nil {
-				nd.PeerRestarted(localOf(j))
-			}
-			if pm := meshes[j].Load(); pm != nil {
-				pm.KickDial(localOf(pid))
-			}
-		}
-		gate.Unlock()
-		// Rebind the client port so the routing config stays valid.
-		var ln net.Listener
-		for try := 0; ; try++ {
-			ln, err2 = net.Listen("tcp", clientAddrs[pid])
-			if err2 == nil {
-				break
-			}
-			if try >= 200 {
-				return fmt.Errorf("rebind client %s: %w", clientAddrs[pid], err2)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		srv, err := shard.Serve(ln, sh, shards, handler(pid))
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		servers[pid].Store(srv)
-		// The revived process must serve again: one client-protocol read
-		// through its own port proves it recovered, reconnected, and
-		// reaches a quorum.
-		sess, err := regclient.DialNode(clientAddrs[pid])
-		if err != nil {
-			return fmt.Errorf("post-revival dial p%d: %w", pid, err)
-		}
-		defer sess.Close()
-		if _, err := sess.Get(probeKey(pid, sh, shards)); err != nil {
-			return fmt.Errorf("post-revival read on p%d: %w", pid, err)
-		}
-		return nil
-	}
-
+	defer closePool(pool)
 	// The dead-peer scenario: these processes were reachable at startup
-	// (peers may have dialed them) and now crash — node stopped, listeners
-	// and connections closed. Live processes keep (re)trying them; clients
-	// fail over to their shard siblings.
-	for i := 0; i < n; i++ {
-		if contains(spec.Dead, i) {
-			kill(i)
+	// (peers may have dialed them) and now crash. Live processes keep
+	// (re)trying them; clients fail over to their shard siblings.
+	for _, d := range spec.Dead {
+		h.kill(d)
+	}
+	faults := h.scheduleRestarts()
+	stats, elapsed := h.runClients(pool)
+	faults.wg.Wait() // revivals scheduled past the load window still run
+	return h.report(stats, elapsed, faults), nil
+}
+
+// harness is the cluster under load: shards×per shard.Members in a flat,
+// globally numbered grid. A nil slot is a crashed process — frames
+// addressed to it drop, its client port refuses — and restarts swap a
+// revived member back in at the original addresses.
+type harness struct {
+	spec        Spec
+	shards, per int
+	members     []atomic.Pointer[shard.Member]
+	// Fixed for the run: the peers' tables and the clients' routing config
+	// keep pointing here, so a revived member rebinds its own.
+	meshAddrs, clientAddrs []string
+	// logs arms an in-memory log per process when restarts are scheduled,
+	// so a victim can be rebuilt from its durable state; plain runs skip
+	// the logging overhead (the BENCH_tcp trajectory measures the unlogged
+	// path).
+	logs []*storage.MemLog
+	// gate sequences a revival against inbound deliveries and client ops
+	// on every member: while a revival holds it exclusively they wait
+	// (frames are delayed, not dropped) and first see the revived node
+	// with its link resets already enqueued ahead of them.
+	gate sync.RWMutex
+	// sendErrs keeps the count of members that have since been killed.
+	sendErrs atomic.Int64
+}
+
+func (h *harness) shardOf(pid int) int { return pid / h.per }
+func (h *harness) localOf(pid int) int { return pid % h.per }
+
+// shardPIDs returns the global ids of pid's shard siblings, pid excluded.
+func (h *harness) shardPIDs(pid int) []int {
+	var out []int
+	for j := h.shardOf(pid) * h.per; j < (h.shardOf(pid)+1)*h.per; j++ {
+		if j != pid {
+			out = append(out, j)
 		}
 	}
+	return out
+}
 
-	// Schedule the kill-and-revive faults. Each victim gets a final
-	// acknowledged write through its client port just before the kill;
-	// losing it across the crash is the durability violation the harness
-	// exists to catch.
+// memberSpec is process pid's shard.MemberSpec at the given addresses: the
+// run's store and transport options, its log if restarts are scheduled,
+// and the gate on both inbound seams.
+func (h *harness) memberSpec(pid int, meshAddr, clientAddr string) shard.MemberSpec {
+	ms := shard.MemberSpec{
+		Shard: h.shardOf(pid), Shards: h.shards, ID: h.localOf(pid), N: h.per,
+		MeshAddr: meshAddr, ClientAddr: clientAddr, Coalesce: h.spec.Coalesce,
+		WrapDeliver: func(deliver func(int, proto.Message)) func(int, proto.Message) {
+			return func(from int, msg proto.Message) {
+				h.gate.RLock()
+				h.gate.RUnlock()
+				deliver(from, msg)
+			}
+		},
+		WrapHandler: func(handle shard.Handler) shard.Handler {
+			return func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
+				h.gate.RLock()
+				h.gate.RUnlock()
+				return handle(op, key, val)
+			}
+		},
+	}
+	if h.logs != nil {
+		ms.Storage = h.logs[pid]
+	}
+	if h.spec.PerFrame {
+		ms.MeshOptions = append(ms.MeshOptions, transport.WithPerFrameWrites())
+	}
+	if h.spec.FlushWindow > 0 {
+		ms.MeshOptions = append(ms.MeshOptions, transport.WithSendFlushWindow(h.spec.FlushWindow))
+	}
+	return ms
+}
+
+// startCluster boots the grid on ephemeral loopback ports.
+func startCluster(spec Spec) (*harness, error) {
+	n, shards := spec.Procs, spec.shardCount()
+	h := &harness{
+		spec: spec, shards: shards, per: n / shards,
+		members:   make([]atomic.Pointer[shard.Member], n),
+		meshAddrs: make([]string, n), clientAddrs: make([]string, n),
+	}
+	if len(spec.Restart) > 0 {
+		h.logs = make([]*storage.MemLog, n)
+		for i := range h.logs {
+			h.logs[i] = storage.NewMemLog()
+		}
+	}
+	specs := make([][]shard.MemberSpec, shards)
+	for pid := 0; pid < n; pid++ {
+		specs[h.shardOf(pid)] = append(specs[h.shardOf(pid)], h.memberSpec(pid, "127.0.0.1:0", "127.0.0.1:0"))
+	}
+	grid, err := shard.StartMembers(specs)
+	if err != nil {
+		return nil, fmt.Errorf("regload: %w", err)
+	}
+	for s, row := range grid {
+		for i, m := range row {
+			pid := s*h.per + i
+			h.members[pid].Store(m)
+			h.meshAddrs[pid], h.clientAddrs[pid] = m.MeshAddr(), m.ClientAddr()
+		}
+	}
+	return h, nil
+}
+
+// clientPool returns the routing clients: one Client per shard-member
+// offset, shared by the client goroutines (goroutine c uses pool[c%per]) —
+// sessions are connection-multiplexed, so many goroutines pipelining
+// requests over one conn per node is the intended shape.
+func (h *harness) clientPool() ([]*regclient.Client, error) {
+	cfg := &shard.ClusterConfig{Shards: make([]shard.Shard, h.shards)}
+	for pid, addr := range h.clientAddrs {
+		s := h.shardOf(pid)
+		cfg.Shards[s].Procs = append(cfg.Shards[s].Procs, shard.Proc{Client: addr})
+	}
+	pool := make([]*regclient.Client, 0, h.per)
+	for j := 0; j < h.per; j++ {
+		cl, err := regclient.New(cfg, j)
+		if err != nil {
+			closePool(pool)
+			return nil, err
+		}
+		pool = append(pool, cl)
+	}
+	return pool, nil
+}
+
+func closePool(pool []*regclient.Client) {
+	for _, cl := range pool {
+		cl.Close()
+	}
+}
+
+// kill crashes one process (shard.Member.Close) and nils its slot.
+func (h *harness) kill(pid int) {
+	if m := h.members[pid].Swap(nil); m != nil {
+		m.Close()
+		h.sendErrs.Add(m.SendErrors())
+	}
+}
+
+func (h *harness) close() {
+	for pid := range h.members {
+		h.kill(pid)
+	}
+}
+
+// revive rebuilds a killed process from its durable log: reset every live
+// shard peer's link to it, start a member that replays the log at the
+// original addresses (the peers' tables and the clients' routing config
+// are fixed) with its own link resets queued first, and prove it serves.
+func (h *harness) revive(pid int) error {
+	local := h.localOf(pid)
+	// Every live shard peer resets its link to the victim while the
+	// victim's listener is still down: the purge of frames queued for the
+	// dead incarnation runs inside the peer's reset step, so once the
+	// listener returns, the peer's queue holds nothing older than the
+	// re-shipped backlog, in FIFO order behind the dial retry. The
+	// listener must stay down until the steps have run — hence the wait,
+	// bounded in case a peer is stopped out from under it by an
+	// overlapping restart.
+	//
+	// The gate closes over the whole reset-to-start window, not just the
+	// swap: everything a peer emits toward the victim after its purge is
+	// addressed to the live incarnation and must not be lost, but the
+	// victim cannot drain its bounded transport queue until the listener
+	// is back. Quiescing deliveries and new client ops caps what
+	// accumulates in that window at the re-shipped backlog plus whatever
+	// the event loops had in flight — comfortably inside the queue bound —
+	// where free-running load could overflow it and wedge the cluster on
+	// the silently dropped frames (lanes never resend: a sent cursor only
+	// moves forward).
+	h.gate.Lock()
+	defer h.gate.Unlock()
 	var (
-		restartWG   sync.WaitGroup
-		restartMu   sync.Mutex
-		restarted   []int
-		restartErrs atomic.Int64
-		lostAcks    atomic.Int64
+		live   []int // shard-local ids of the peers that reset their links
+		resets sync.WaitGroup
 	)
-	for _, rs := range spec.Restart {
+	for _, j := range h.shardPIDs(pid) {
+		resets.Add(1)
+		if pm := h.members[j].Load(); pm != nil && pm.PeerRestarted(local, resets.Done) {
+			live = append(live, h.localOf(j))
+		} else {
+			resets.Done()
+		}
+	}
+	done := make(chan struct{})
+	go func() { resets.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+	}
+	sh := h.shardOf(pid)
+	spec := h.memberSpec(pid, h.meshAddrs[pid], h.clientAddrs[pid])
+	var m *shard.Member
+	for try := 0; ; try++ {
+		var err error
+		m, err = shard.StartMember(spec, h.meshAddrs[sh*h.per:(sh+1)*h.per], live...)
+		if err == nil {
+			break
+		}
+		// Only a port the dead incarnation has not released yet is worth
+		// waiting for.
+		if !errors.Is(err, syscall.EADDRINUSE) || try >= 200 {
+			return fmt.Errorf("restart p%d: %w", pid, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	h.members[pid].Store(m)
+	// The dial kicks break the peers' senders out of their reconnect
+	// backoff now that the listener is provably up: the re-shipped
+	// backlogs (queued since the purge) start draining in milliseconds,
+	// before the post-gate load resumes and contends for queue space.
+	for _, j := range h.shardPIDs(pid) {
+		if pm := h.members[j].Load(); pm != nil {
+			pm.Mesh().KickDial(local)
+		}
+	}
+	return nil
+}
+
+// restartLog is what the scheduled kill-and-revive faults leave behind.
+type restartLog struct {
+	wg        sync.WaitGroup
+	mu        sync.Mutex
+	restarted []int
+	errs      atomic.Int64
+	lostAcks  atomic.Int64
+}
+
+// scheduleRestarts arms the kill-and-revive faults. Each victim gets a
+// final acknowledged write through its client port just before the kill;
+// losing it across the crash is the durability violation the harness
+// exists to catch. After revival the process must serve again: one
+// client-protocol read through its own port proves it recovered,
+// reconnected, and reaches a quorum.
+func (h *harness) scheduleRestarts() *restartLog {
+	rl := &restartLog{}
+	for _, rs := range h.spec.Restart {
 		rs := rs
-		restartWG.Add(1)
+		rl.wg.Add(1)
 		go func() {
-			defer restartWG.Done()
+			defer rl.wg.Done()
 			time.Sleep(rs.After)
+			addr := h.clientAddrs[rs.Proc]
+			probe := probeKey(rs.Proc, h.shardOf(rs.Proc), h.shards)
 			marker := []byte(fmt.Sprintf("ack-probe-p%d", rs.Proc))
 			acked := false
-			if sess, err := regclient.DialNode(clientAddrs[rs.Proc]); err == nil {
-				acked = sess.Put(probeKey(rs.Proc, shardOf(rs.Proc), shards), marker) == nil
+			if sess, err := regclient.DialNode(addr); err == nil {
+				acked = sess.Put(probe, marker) == nil
 				sess.Close()
 			}
 			debugf("marker write p%d acked=%v", rs.Proc, acked)
-			kill(rs.Proc)
+			h.kill(rs.Proc)
 			debugf("killed p%d", rs.Proc)
-			logs[rs.Proc].DropUnsynced() // the crash: the unsynced tail vanishes
-			if acked && !logContains(logs[rs.Proc], marker) {
-				lostAcks.Add(1)
+			h.logs[rs.Proc].DropUnsynced() // the crash: the unsynced tail vanishes
+			if acked && !logContains(h.logs[rs.Proc], marker) {
+				rl.lostAcks.Add(1)
 			}
 			down := rs.Down
 			if down == 0 {
 				down = 250 * time.Millisecond
 			}
 			time.Sleep(down)
-			if err := revive(rs.Proc); err != nil {
+			err := h.revive(rs.Proc)
+			if err == nil {
+				var sess *regclient.Session
+				if sess, err = regclient.DialNode(addr); err == nil {
+					_, err = sess.Get(probe)
+					sess.Close()
+				}
+			}
+			if err != nil {
 				debugf("revive p%d failed: %v", rs.Proc, err)
-				restartErrs.Add(1)
+				rl.errs.Add(1)
 				return
 			}
 			debugf("revived p%d", rs.Proc)
-			restartMu.Lock()
-			restarted = append(restarted, rs.Proc)
-			restartMu.Unlock()
+			rl.mu.Lock()
+			rl.restarted = append(rl.restarted, rs.Proc)
+			rl.mu.Unlock()
 		}()
 	}
+	return rl
+}
 
-	// Closed-loop clients, each driving its pooled routing client. Each
-	// owns its rng and histograms; merge at the end keeps the measurement
-	// path contention-free.
-	type clientStats struct {
-		readLat, writeLat metrics.Histogram
-		reads, writes     int64
-		errors            int64
-		inflight          atomic.Int64 // debug: op start unixnano, 0 = idle
-	}
+// clientStats is one closed-loop client's tally. Each client owns its rng
+// and histograms; merging at the end keeps the measurement path
+// contention-free.
+type clientStats struct {
+	readLat, writeLat metrics.Histogram
+	reads, writes     int64
+	errors            int64
+	inflight          atomic.Int64 // debug: op start unixnano (negated for writes), 0 = idle
+}
+
+// runClients drives the closed-loop clients, each through its pooled
+// routing client, until the spec's duration or operation budget is spent.
+func (h *harness) runClients(pool []*regclient.Client) ([]clientStats, time.Duration) {
+	spec := h.spec
 	var (
 		wg       sync.WaitGroup
 		stats    = make([]clientStats, spec.Clients)
@@ -723,6 +647,10 @@ func Run(spec Spec) (*Report, error) {
 		deadline = make(chan struct{})
 	)
 	budget.Store(spec.Ops) // 0 when duration-bounded: budget check disabled
+	valueSize := spec.ValueSize
+	if valueSize == 0 {
+		valueSize = 16
+	}
 	payload := make([]byte, valueSize)
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
@@ -738,7 +666,7 @@ func Run(spec Spec) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			st := &stats[c]
-			cl := pool[c%per]
+			cl := pool[c%len(pool)]
 			rng := rand.New(rand.NewSource(spec.Seed + int64(c)*7919))
 			for {
 				select {
@@ -779,45 +707,53 @@ func Run(spec Spec) (*Report, error) {
 	if os.Getenv("REGLOAD_DEBUG") != "" {
 		watchStop := make(chan struct{})
 		defer close(watchStop)
-		go func() {
-			for {
-				select {
-				case <-watchStop:
-					return
-				case <-time.After(2 * time.Second):
-				}
-				for c := range stats {
-					v := stats[c].inflight.Load()
-					if v == 0 {
-						continue
-					}
-					kind, ts := "read", v
-					if v < 0 {
-						kind, ts = "write", -v
-					}
-					age := time.Since(time.Unix(0, ts))
-					if age > time.Second {
-						debugf("client %d stuck in %s for %s (reads=%d writes=%d errs=%d)",
-							c, kind, age.Round(time.Millisecond),
-							stats[c].reads, stats[c].writes, stats[c].errors)
-					}
-				}
-				for i := range meshes {
-					if m := meshes[i].Load(); m != nil {
-						debugf("mesh %d: %s", i, m.Stats())
-					}
-				}
-			}
-		}()
+		go h.watchStuck(stats, watchStop)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	restartWG.Wait() // revivals scheduled past the load window still run
+	return stats, time.Since(start)
+}
 
-	sort.Ints(restarted)
+// watchStuck is the REGLOAD_DEBUG watchdog: every two seconds it names
+// the clients stuck in one operation for over a second and dumps every
+// live mesh's counters.
+func (h *harness) watchStuck(stats []clientStats, stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		case <-time.After(2 * time.Second):
+		}
+		for c := range stats {
+			v := stats[c].inflight.Load()
+			if v == 0 {
+				continue
+			}
+			kind, ts := "read", v
+			if v < 0 {
+				kind, ts = "write", -v
+			}
+			if age := time.Since(time.Unix(0, ts)); age > time.Second {
+				debugf("client %d stuck in %s for %s (reads=%d writes=%d errs=%d)",
+					c, kind, age.Round(time.Millisecond),
+					stats[c].reads, stats[c].writes, stats[c].errors)
+			}
+		}
+		for pid := range h.members {
+			if m := h.members[pid].Load(); m != nil {
+				debugf("mesh %d: %s", pid, m.Mesh().Stats())
+			}
+		}
+	}
+}
+
+// report merges the clients' tallies, the fault log and the live members'
+// transport counters.
+func (h *harness) report(stats []clientStats, elapsed time.Duration, faults *restartLog) *Report {
+	spec := h.spec
+	sort.Ints(faults.restarted)
 	rep := &Report{
 		Procs:         spec.Procs,
-		Shards:        shards,
+		Shards:        h.shards,
 		Clients:       spec.Clients,
 		Keys:          spec.Keys,
 		ReadFrac:      spec.ReadFrac,
@@ -825,11 +761,11 @@ func Run(spec Spec) (*Report, error) {
 		PerFrame:      spec.PerFrame,
 		FlushWin:      spec.FlushWindow,
 		Dead:          append([]int(nil), spec.Dead...),
-		Restarted:     restarted,
-		RestartErrs:   restartErrs.Load(),
-		LostAckWrites: lostAcks.Load(),
+		Restarted:     faults.restarted,
+		RestartErrs:   faults.errs.Load(),
+		LostAckWrites: faults.lostAcks.Load(),
 		Elapsed:       elapsed,
-		SendErrs:      sendErrs.Load(),
+		SendErrs:      h.sendErrs.Load(),
 	}
 	for c := range stats {
 		st := &stats[c]
@@ -843,14 +779,15 @@ func Run(spec Spec) (*Report, error) {
 	if elapsed > 0 {
 		rep.OpsPerSec = float64(rep.Ops) / elapsed.Seconds()
 	}
-	for i := range meshes {
-		if m := meshes[i].Load(); m != nil {
-			rep.Mesh.Add(m.Stats())
+	for pid := range h.members {
+		if m := h.members[pid].Load(); m != nil {
+			rep.Mesh.Add(m.Mesh().Stats())
+			rep.SendErrs += m.SendErrors()
 		}
 	}
 	rep.ReadLat = summarize(&rep.readHist)
 	rep.WriteLat = summarize(&rep.writeHist)
-	return rep, nil
+	return rep
 }
 
 // logContains reports whether any durable record's value contains want.

@@ -27,7 +27,7 @@ type KeyedAlgorithm struct {
 
 // NewKeyedAlgorithm builds the adapter: name registers it, keys is the
 // key-space size, tmpl carries the store options (Coalesce, Fault, writer
-// sets; N and Collector are ignored).
+// sets; N is ignored).
 func NewKeyedAlgorithm(name string, keys int, tmpl Config) KeyedAlgorithm {
 	if keys < 1 {
 		panic(fmt.Sprintf("regmap: keyed algorithm %q needs at least 1 key, got %d", name, keys))
@@ -68,7 +68,6 @@ func (a KeyedAlgorithm) KeyName(k int) string { return fmt.Sprintf("k%04d", k) }
 func (a KeyedAlgorithm) New(id, n, _ int) proto.Process {
 	cfg := a.tmpl
 	cfg.N = n
-	cfg.Collector = nil
 	if len(cfg.DefaultWriters) == 0 {
 		all := make([]int, n)
 		for i := range all {

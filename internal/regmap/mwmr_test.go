@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"twobitreg/internal/cluster"
 	"twobitreg/internal/metrics"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
@@ -15,48 +16,42 @@ import (
 )
 
 // TestStorePerKeyWriterSets pins the multi-writer store surface: per-key
-// writer sets from Config, per-key writer Handles, and ErrNotWriter for
-// writes through out-of-set processes — per key, not per store.
+// writer sets from Config, writes through each member of a key's set, and
+// ErrNotWriter for writes through out-of-set processes — per key, not per
+// store.
 func TestStorePerKeyWriterSets(t *testing.T) {
 	t.Parallel()
-	s, err := regmap.New(regmap.Config{
+	s := startStore(t, regmap.Config{
 		N:       5,
 		Writers: map[string][]int{"shared": {0, 1, 2}, "p3only": {3}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
+	}, nil)
 
-	if got := s.WritersFor("shared"); len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("WritersFor(shared) = %v", got)
+	shared := s.procs[0].WritersFor("shared")
+	if len(shared) != 3 || shared[0] != 0 || shared[2] != 2 {
+		t.Fatalf("WritersFor(shared) = %v", shared)
 	}
-	if got := s.WritersFor("unlisted"); len(got) != 1 || got[0] != 0 {
+	if got := s.procs[4].WritersFor("unlisted"); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("WritersFor(unlisted) = %v, want the default {0}", got)
 	}
 
-	handles := s.WriterHandles("shared")
-	if len(handles) != 3 {
-		t.Fatalf("%d writer handles for a 3-writer key", len(handles))
-	}
-	for i, h := range handles {
-		if err := h.Write("shared", []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatalf("writer %d: %v", h.PID(), err)
+	for i, w := range shared {
+		if err := s.WriteVia(w, "shared", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("writer %d: %v", w, err)
 		}
 	}
 	// Writes outside a key's set fail with ErrNotWriter — per key.
-	if err := s.Handle(3).Write("shared", []byte("x")); !errors.Is(err, regmap.ErrNotWriter) {
+	if err := s.WriteVia(3, "shared", []byte("x")); !errors.Is(err, cluster.ErrNotWriter) {
 		t.Fatalf("p3 write to shared: %v, want ErrNotWriter", err)
 	}
-	if err := s.Handle(0).Write("p3only", []byte("x")); !errors.Is(err, regmap.ErrNotWriter) {
+	if err := s.WriteVia(0, "p3only", []byte("x")); !errors.Is(err, cluster.ErrNotWriter) {
 		t.Fatalf("p0 write to p3only: %v, want ErrNotWriter", err)
 	}
-	if err := s.Handle(3).Write("p3only", []byte("theirs")); err != nil {
+	if err := s.WriteVia(3, "p3only", []byte("theirs")); err != nil {
 		t.Fatal(err)
 	}
 
 	// Sequential writes settle: every process reads the last value.
-	if err := s.Handle(2).Write("shared", []byte("final")); err != nil {
+	if err := s.WriteVia(2, "shared", []byte("final")); err != nil {
 		t.Fatal(err)
 	}
 	for pid := 0; pid < 5; pid++ {
@@ -71,15 +66,15 @@ func TestStorePerKeyWriterSets(t *testing.T) {
 }
 
 // TestStoreBadWriterSet pins the validation path: invalid writer sets
-// surface as typed *proto.WriterSetError values at New time.
+// surface as typed *proto.WriterSetError values at construction time.
 func TestStoreBadWriterSet(t *testing.T) {
 	t.Parallel()
-	_, err := regmap.New(regmap.Config{N: 3, Writers: map[string][]int{"k": {0, 7}}})
+	_, err := regmap.NewNode(0, regmap.Config{N: 3, Writers: map[string][]int{"k": {0, 7}}})
 	var wse *proto.WriterSetError
 	if !errors.As(err, &wse) {
 		t.Fatalf("out-of-range writer set: %v, want a *proto.WriterSetError", err)
 	}
-	if _, err := regmap.New(regmap.Config{N: 3, DefaultWriters: []int{1, 1}}); err == nil {
+	if _, err := regmap.NewNode(0, regmap.Config{N: 3, DefaultWriters: []int{1, 1}}); err == nil {
 		t.Fatal("duplicate default writer set accepted")
 	}
 }
@@ -91,15 +86,11 @@ func TestStoreBadWriterSet(t *testing.T) {
 func TestStoreConcurrentMultiWriter(t *testing.T) {
 	t.Parallel()
 	const n, keys, rounds = 5, 50, 6
-	s, err := regmap.New(regmap.Config{
+	s := startStore(t, regmap.Config{
 		N:              n,
 		DefaultWriters: []int{0, 1, 2},
 		Coalesce:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
+	}, nil)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -107,10 +98,9 @@ func TestStoreConcurrentMultiWriter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := s.Handle(w)
 			for r := 1; r <= rounds; r++ {
 				for k := 0; k < keys; k++ {
-					if err := h.Write(key(k), []byte(fmt.Sprintf("w%d.%d", w, r))); err != nil {
+					if err := s.WriteVia(w, key(k), []byte(fmt.Sprintf("w%d.%d", w, r))); err != nil {
 						t.Errorf("writer %d key %d: %v", w, k, err)
 						return
 					}
@@ -120,11 +110,11 @@ func TestStoreConcurrentMultiWriter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := s.Handle((w + 2) % n)
+			pid := (w + 2) % n
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < keys; k += 7 {
-					if _, err := h.Read(key(k)); err != nil {
-						t.Errorf("reader %d key %d: %v", h.PID(), k, err)
+					if _, err := s.Read(pid, key(k)); err != nil {
+						t.Errorf("reader %d key %d: %v", pid, k, err)
 						return
 					}
 				}
@@ -158,16 +148,12 @@ func TestStoreConcurrentMultiWriter(t *testing.T) {
 // surviving majority keeps writing and reading.
 func TestStoreMultiWriterCrash(t *testing.T) {
 	t.Parallel()
-	s, err := regmap.New(regmap.Config{N: 5, DefaultWriters: []int{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
-	if err := s.Handle(1).Write("k", []byte("before")); err != nil {
+	s := startStore(t, regmap.Config{N: 5, DefaultWriters: []int{0, 1, 2}}, nil)
+	if err := s.WriteVia(1, "k", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash(1)
-	if err := s.Handle(2).Write("k", []byte("after")); err != nil {
+	if err := s.WriteVia(2, "k", []byte("after")); err != nil {
 		t.Fatalf("surviving writer: %v", err)
 	}
 	v, err := s.Read(3, "k")
@@ -177,7 +163,7 @@ func TestStoreMultiWriterCrash(t *testing.T) {
 	if string(v) != "after" {
 		t.Fatalf("read %q, want after", v)
 	}
-	if err := s.Handle(1).Write("k", []byte("zombie")); !errors.Is(err, regmap.ErrCrashed) {
+	if err := s.WriteVia(1, "k", []byte("zombie")); !errors.Is(err, cluster.ErrCrashed) {
 		t.Fatalf("write via crashed writer: %v, want ErrCrashed", err)
 	}
 }

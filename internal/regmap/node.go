@@ -11,9 +11,9 @@ import (
 
 // Node is the keyed store's state machine at one process: a map from key to
 // register instance on the lane engine, plus the cross-key frame coalescer.
-// Like the core protocol types it is single-threaded — the goroutine Store
-// serializes calls through its event loop, and the deterministic harnesses
-// (simulator, explorer) call it directly.
+// Like the core protocol types it is single-threaded — the runtime
+// (cluster.KeyedNode) serializes calls through its event loop, and the
+// deterministic harnesses (simulator, explorer) call it directly.
 type Node struct {
 	id   int
 	sh   *shared

@@ -22,7 +22,7 @@
 //
 // With Config.Coalesce, frames from different keys headed down the same
 // link coalesce into one keyed multi-frame (MultiMsg): a node buffers its
-// outgoing keyed frames during a processing burst (the goroutine store) or
+// outgoing keyed frames during a processing burst (the goroutine runtime) or
 // a virtual-time flush window (the simulator, proto.Flusher) and ships one
 // frame per link. A store serving many keys over one link then pays the
 // per-message cost once per burst instead of once per key — the cross-key
@@ -40,18 +40,8 @@ import (
 	"twobitreg/internal/proto"
 )
 
-// Errors returned by Store operations.
-var (
-	// ErrStopped reports an operation on a stopped store.
-	ErrStopped = errors.New("regmap: store stopped")
-	// ErrCrashed reports an operation on a crashed process.
-	ErrCrashed = errors.New("regmap: process crashed")
-	// ErrKeyTooLong rejects keys above MaxKeyLen.
-	ErrKeyTooLong = errors.New("regmap: key too long")
-	// ErrNotWriter reports a write through a process outside the key's
-	// writer set.
-	ErrNotWriter = errors.New("regmap: process is not in the key's writer set")
-)
+// ErrKeyTooLong rejects keys above MaxKeyLen.
+var ErrKeyTooLong = errors.New("regmap: key too long")
 
 // MaxKeyLen bounds key sizes (they travel in every message).
 const MaxKeyLen = 255
@@ -81,12 +71,10 @@ const (
 	FaultDropMultiTail
 )
 
-// Config configures a Store (or a deterministic Node set).
+// Config configures the Node set of one store.
 type Config struct {
 	// N is the number of processes.
 	N int
-	// Collector, if non-nil, sees every sent message.
-	Collector *metrics.Collector
 	// HistoryGC enables per-register history garbage collection
 	// (single-writer keys only; the multi-writer register retains its
 	// lanes).

@@ -6,18 +6,64 @@ import (
 	"sync"
 	"testing"
 
+	"twobitreg/internal/cluster"
 	"twobitreg/internal/metrics"
+	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
 )
 
-func newStore(t *testing.T, n int) *regmap.Store {
+// store is the keyed store as a running system: one regmap.Node per
+// process on the runtime's event loop (cluster.KeyedNode), wired mailbox to
+// mailbox in memory — the served stack minus TCP. Operations on one key
+// through one process serialize, different keys proceed independently, and
+// a crashed process simply stops draining its mailbox.
+type store struct {
+	procs []*regmap.Node
+	nodes []*cluster.KeyedNode
+}
+
+// startStore runs cfg's store; col, if non-nil, sees every sent message.
+func startStore(t *testing.T, cfg regmap.Config, col *metrics.Collector) *store {
 	t.Helper()
-	s, err := regmap.New(regmap.Config{N: n})
-	if err != nil {
-		t.Fatal(err)
+	s := &store{procs: make([]*regmap.Node, cfg.N), nodes: make([]*cluster.KeyedNode, cfg.N)}
+	for i := range s.procs {
+		var err error
+		if s.procs[i], err = regmap.NewNode(i, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range s.nodes {
+		i := i
+		s.nodes[i] = cluster.NewKeyedNode(i, s.procs[i], func(to int, msg proto.Message) {
+			if col != nil {
+				col.OnSend(msg)
+			}
+			s.nodes[to].Deliver(i, msg)
+		})
 	}
 	t.Cleanup(s.Stop)
 	return s
+}
+
+func newStore(t *testing.T, n int) *store {
+	return startStore(t, regmap.Config{N: n}, nil)
+}
+
+// Write stores val under key via the first member of key's writer set.
+func (s *store) Write(key string, val []byte) error {
+	return s.WriteVia(s.procs[0].WritersFor(key)[0], key, val)
+}
+
+func (s *store) WriteVia(pid int, key string, val []byte) error { return s.nodes[pid].Put(key, val) }
+
+func (s *store) Read(pid int, key string) ([]byte, error) { return s.nodes[pid].Get(key) }
+
+func (s *store) Crash(pid int) { s.nodes[pid].Crash() }
+
+func (s *store) Stop() {
+	for _, nd := range s.nodes {
+		nd.Stop()
+	}
 }
 
 func TestStoreWriteRead(t *testing.T) {
@@ -137,7 +183,7 @@ func TestStoreCrashMinority(t *testing.T) {
 	if string(v) != "after" {
 		t.Fatalf("read %q, want after", v)
 	}
-	if _, err := s.Read(4, "k"); !errors.Is(err, regmap.ErrCrashed) {
+	if _, err := s.Read(4, "k"); !errors.Is(err, cluster.ErrCrashed) {
 		t.Fatalf("read via crashed process: %v, want ErrCrashed", err)
 	}
 }
@@ -145,11 +191,7 @@ func TestStoreCrashMinority(t *testing.T) {
 func TestStoreControlBitsAccounting(t *testing.T) {
 	t.Parallel()
 	col := &metrics.Collector{}
-	s, err := regmap.New(regmap.Config{N: 3, Collector: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
+	s := startStore(t, regmap.Config{N: 3}, col)
 	if err := s.Write("ab", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -162,42 +204,35 @@ func TestStoreControlBitsAccounting(t *testing.T) {
 
 func TestStoreRejectsBadInput(t *testing.T) {
 	t.Parallel()
-	if _, err := regmap.New(regmap.Config{N: 0}); err == nil {
+	if _, err := regmap.NewNode(0, regmap.Config{N: 0}); err == nil {
 		t.Fatal("accepted N=0")
 	}
-	s := newStore(t, 3)
-	long := make([]byte, regmap.MaxKeyLen+1)
-	if err := s.Write(string(long), []byte("v")); !errors.Is(err, regmap.ErrKeyTooLong) {
+	// Keys travel in every message: an oversized one is refused where the
+	// configuration names it (requests are bounded by the client protocol's
+	// one-byte key length before they reach a node).
+	long := string(make([]byte, regmap.MaxKeyLen+1))
+	_, err := regmap.NewNode(0, regmap.Config{N: 3, Writers: map[string][]int{long: {0}}})
+	if !errors.Is(err, regmap.ErrKeyTooLong) {
 		t.Fatalf("oversized key: %v, want ErrKeyTooLong", err)
-	}
-	if _, err := s.Read(99, "k"); err == nil {
-		t.Fatal("accepted out-of-range pid")
 	}
 }
 
 func TestStoreStopUnblocksPending(t *testing.T) {
 	t.Parallel()
-	s, err := regmap.New(regmap.Config{N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(t, 3)
 	s.Crash(1)
 	s.Crash(2) // majority gone: writes cannot finish
 	done := make(chan error, 1)
 	go func() { done <- s.Write("k", []byte("stuck")) }()
 	s.Stop()
-	if err := <-done; !errors.Is(err, regmap.ErrStopped) && !errors.Is(err, regmap.ErrCrashed) {
+	if err := <-done; !errors.Is(err, cluster.ErrStopped) && !errors.Is(err, cluster.ErrCrashed) {
 		t.Fatalf("unblocked write: %v, want ErrStopped/ErrCrashed", err)
 	}
 }
 
 func TestStoreWithHistoryGC(t *testing.T) {
 	t.Parallel()
-	s, err := regmap.New(regmap.Config{N: 3, HistoryGC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
+	s := startStore(t, regmap.Config{N: 3, HistoryGC: true}, nil)
 	for k := 1; k <= 50; k++ {
 		if err := s.Write("hot", []byte(fmt.Sprintf("%d", k))); err != nil {
 			t.Fatal(err)

@@ -1,23 +1,15 @@
 package shard
 
 // local.go boots a whole sharded cluster inside one process over loopback
-// TCP — the real production stack (transport.Mesh quorum links, regmap
-// keyed stores on cluster.KeyedNode event loops, client-protocol session
-// servers) minus the process boundary. Examples and tests use it to stand
-// up a cluster in a few lines; cmd/regnode runs the same pieces one
-// process at a time.
+// TCP — a grid of Members, the real production stack minus the process
+// boundary. Examples and tests use it to stand up a cluster in a few
+// lines; cmd/regnode runs the same Member one process at a time.
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 
 	"twobitreg/internal/cluster"
-	"twobitreg/internal/proto"
-	"twobitreg/internal/regmap"
-	"twobitreg/internal/transport"
-	"twobitreg/internal/wire"
 )
 
 // LocalCluster is an in-process sharded cluster on loopback TCP.
@@ -26,12 +18,9 @@ type LocalCluster struct {
 	// addresses) — hand it to a regclient.Client to talk to the cluster.
 	Config *ClusterConfig
 
-	// Node and mesh slots are atomic because KillProc nils them while
-	// deliver callbacks and client sessions may be reading: a nil slot is
-	// a crashed process, exactly as in regload.
-	nodes   [][]atomic.Pointer[cluster.KeyedNode]
-	meshes  [][]atomic.Pointer[transport.Mesh]
-	servers [][]*Server
+	// One atomic slot per process: KillProc nils it while readers may be
+	// looking; a nil slot is a crashed process.
+	members [][]atomic.Pointer[Member]
 }
 
 // StartLocal boots shards×procsPerShard processes: per shard an
@@ -45,136 +34,64 @@ func StartLocal(shards, procsPerShard int) (*LocalCluster, error) {
 	if procsPerShard < 1 || procsPerShard > 255 {
 		return nil, &ConfigError{Field: "procs", Reason: fmt.Sprintf("need 1..255 per shard, got %d", procsPerShard)}
 	}
+	specs := make([][]MemberSpec, shards)
+	for s := range specs {
+		for i := 0; i < procsPerShard; i++ {
+			specs[s] = append(specs[s], MemberSpec{
+				Shard: s, Shards: shards, ID: i, N: procsPerShard,
+				MeshAddr: "127.0.0.1:0", ClientAddr: "127.0.0.1:0", Coalesce: true,
+			})
+		}
+	}
+	grid, err := StartMembers(specs)
+	if err != nil {
+		return nil, err
+	}
 	lc := &LocalCluster{
 		Config:  &ClusterConfig{Shards: make([]Shard, shards)},
-		nodes:   make([][]atomic.Pointer[cluster.KeyedNode], shards),
-		meshes:  make([][]atomic.Pointer[transport.Mesh], shards),
-		servers: make([][]*Server, shards),
+		members: make([][]atomic.Pointer[Member], shards),
 	}
-	for s := 0; s < shards; s++ {
-		if err := lc.startShard(s, shards, procsPerShard); err != nil {
-			lc.Close()
-			return nil, err
+	for s, row := range grid {
+		lc.members[s] = make([]atomic.Pointer[Member], len(row))
+		for i, m := range row {
+			lc.members[s][i].Store(m)
+			lc.Config.Shards[s].Procs = append(lc.Config.Shards[s].Procs,
+				Proc{Mesh: m.MeshAddr(), Client: m.ClientAddr()})
 		}
 	}
 	return lc, nil
 }
 
-func (lc *LocalCluster) startShard(s, shards, n int) error {
-	writers := make([]int, n)
-	for i := range writers {
-		writers[i] = i
-	}
-	lc.nodes[s] = make([]atomic.Pointer[cluster.KeyedNode], n)
-	lc.meshes[s] = make([]atomic.Pointer[transport.Mesh], n)
-	lc.servers[s] = make([]*Server, n)
-	nodes, meshes := lc.nodes[s], lc.meshes[s]
-	addrs := make([]string, n)
-	// The two-phase mesh construction regnode and regload use: bind every
-	// listener first (the deliver closure indirects through the node
-	// slots, filled before any traffic flows), then wire the peers.
-	for i := 0; i < n; i++ {
-		i := i
-		m, err := transport.NewMesh(i, n, "127.0.0.1:0", wire.Codec{}, func(from int, msg proto.Message) {
-			if nd := nodes[i].Load(); nd != nil {
-				nd.Deliver(from, msg)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d mesh %d: %w", s, i, err)
-		}
-		meshes[i].Store(m)
-		addrs[i] = m.Addr()
-	}
-	for i := 0; i < n; i++ {
-		if err := meshes[i].Load().SetPeers(addrs); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		st, err := regmap.NewNode(i, regmap.Config{N: n, DefaultWriters: writers, Coalesce: true})
-		if err != nil {
-			return err
-		}
-		nodes[i].Store(cluster.NewKeyedNode(i, st, func(to int, msg proto.Message) {
-			if m := meshes[i].Load(); m != nil {
-				m.Send(to, msg)
-			}
-		}))
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		srv, err := Serve(ln, s, shards, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-			nd := nodes[i].Load()
-			if nd == nil {
-				return nil, ErrUnavailable
-			}
-			v, err := NodeHandler(nd)(op, key, val)
-			if errors.Is(err, cluster.ErrStopped) {
-				// The node died under the request (a kill racing the
-				// session): unavailable, not a terminal error — the
-				// client should fail over to a live shard member.
-				return nil, ErrUnavailable
-			}
-			return v, err
-		})
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		lc.servers[s][i] = srv
-		lc.Config.Shards[s].Procs = append(lc.Config.Shards[s].Procs,
-			Proc{Mesh: addrs[i], Client: srv.Addr()})
+// Node returns shard s's local process i (tests drive nodes directly),
+// nil if killed.
+func (lc *LocalCluster) Node(s, i int) *cluster.KeyedNode {
+	if m := lc.members[s][i].Load(); m != nil {
+		return m.Node()
 	}
 	return nil
 }
 
-// NodeHandler adapts a KeyedNode to the session server: gets and puts run
-// through the node's event loop (and from there the shard's quorum).
-func NodeHandler(nd *cluster.KeyedNode) Handler {
-	return func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-		if op == wire.ClientGet {
-			return nd.Get(key)
-		}
-		return nil, nd.Put(key, val)
+// Server returns shard s's local process i's client server, nil if killed.
+func (lc *LocalCluster) Server(s, i int) *Server {
+	if m := lc.members[s][i].Load(); m != nil {
+		return m.Server()
 	}
+	return nil
 }
 
-// Node returns shard s's local process i (tests drive nodes directly),
-// nil if killed.
-func (lc *LocalCluster) Node(s, i int) *cluster.KeyedNode { return lc.nodes[s][i].Load() }
-
-// Server returns shard s's local process i's client server, nil if killed.
-func (lc *LocalCluster) Server(s, i int) *Server { return lc.servers[s][i] }
-
-// KillProc crashes shard s's local process i: the node stops, the mesh and
-// the client server close. Peers keep retrying its mesh address; clients
-// dialing its client port get connection refused and fail over.
+// KillProc crashes shard s's local process i (Member.Close). Peers keep
+// retrying its mesh address; clients dialing its client port get
+// connection refused and fail over.
 func (lc *LocalCluster) KillProc(s, i int) {
-	// Node first: stopping it fails any in-flight operations, so the
-	// server's drain below cannot wait on a quorum round that will never
-	// finish (the rest of the shard may be dying too).
-	if nd := lc.nodes[s][i].Swap(nil); nd != nil {
-		nd.Stop()
-	}
-	if srv := lc.servers[s][i]; srv != nil {
-		lc.servers[s][i] = nil
-		srv.Close()
-	}
-	if m := lc.meshes[s][i].Swap(nil); m != nil {
+	if m := lc.members[s][i].Swap(nil); m != nil {
 		m.Close()
 	}
 }
 
 // Close tears the whole cluster down.
 func (lc *LocalCluster) Close() {
-	for s := range lc.servers {
-		for i := range lc.servers[s] {
+	for s := range lc.members {
+		for i := range lc.members[s] {
 			lc.KillProc(s, i)
 		}
 	}

@@ -172,11 +172,11 @@ func TestTCPConnDropUnderClusterLoad(t *testing.T) {
 	go func() {
 		defer close(done)
 		for k := 1; k <= 30; k++ {
-			if err := rig.nodes[0].Write([]byte(fmt.Sprintf("v%d", k))); err != nil {
+			if err := rig.nodes[0].Put("", []byte(fmt.Sprintf("v%d", k))); err != nil {
 				t.Errorf("write %d: %v", k, err)
 				return
 			}
-			if _, err := rig.nodes[1].Read(); err != nil {
+			if _, err := rig.nodes[1].Get(""); err != nil {
 				t.Errorf("read %d: %v", k, err)
 				return
 			}
@@ -193,7 +193,7 @@ func TestTCPConnDropUnderClusterLoad(t *testing.T) {
 			t.Errorf("mesh %d: %d decode errors (frame interleaving)", i, st.DecodeErrors)
 		}
 	}
-	got, err := rig.nodes[2].Read()
+	got, err := rig.nodes[2].Get("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,12 @@ import (
 	"twobitreg/internal/wire"
 )
 
-// tcpRig wires n cluster.Nodes over loopback TCP meshes — the full
+// tcpRig wires n single-register nodes (the cluster.KeyedNode event loop
+// around a cluster.Sequential adapter) over loopback TCP meshes — the full
 // production stack (state machine + event loop + 2-bit wire format + TCP)
-// inside one test process.
+// inside one test process. The register is addressed by the empty key.
 type tcpRig struct {
-	nodes  []*cluster.Node
+	nodes  []*cluster.KeyedNode
 	meshes []*transport.Mesh
 }
 
@@ -30,7 +31,7 @@ func startTCPRig(t *testing.T, n int) *tcpRig {
 func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 	t.Helper()
 	rig := &tcpRig{
-		nodes:  make([]*cluster.Node, n),
+		nodes:  make([]*cluster.KeyedNode, n),
 		meshes: make([]*transport.Mesh, n),
 	}
 	// Phase 1: bind every listener on an ephemeral port. The deliver
@@ -53,10 +54,16 @@ func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 			t.Fatal(err)
 		}
 	}
-	// Phase 2: the nodes, sending through their mesh.
+	// Phase 2: the nodes, sending through their mesh. Every process may
+	// write: the multi-writer algorithms are driven through all of them,
+	// and the SWMR tests only ever write through process 0.
+	writers := make([]int, n)
+	for i := range writers {
+		writers[i] = i
+	}
 	for i := 0; i < n; i++ {
 		i := i
-		rig.nodes[i] = cluster.NewNode(i, n, 0, alg, func(to int, msg proto.Message) {
+		rig.nodes[i] = cluster.NewKeyedNode(i, cluster.Sequential(alg.New(i, n, 0), writers...), func(to int, msg proto.Message) {
 			if err := rig.meshes[i].Send(to, msg); err != nil {
 				t.Errorf("node %d send to %d: %v", i, to, err)
 			}
@@ -76,11 +83,11 @@ func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 func TestTCPWriteReadAcrossMesh(t *testing.T) {
 	t.Parallel()
 	rig := startTCPRig(t, 3)
-	if err := rig.nodes[0].Write([]byte("over tcp")); err != nil {
+	if err := rig.nodes[0].Put("", []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := rig.nodes[i].Read()
+		got, err := rig.nodes[i].Get("")
 		if err != nil {
 			t.Fatalf("node %d read: %v", i, err)
 		}
@@ -94,11 +101,11 @@ func TestTCPSequenceOfWrites(t *testing.T) {
 	t.Parallel()
 	rig := startTCPRig(t, 3)
 	for k := 1; k <= 10; k++ {
-		if err := rig.nodes[0].Write([]byte(fmt.Sprintf("v%d", k))); err != nil {
+		if err := rig.nodes[0].Put("", []byte(fmt.Sprintf("v%d", k))); err != nil {
 			t.Fatalf("write %d: %v", k, err)
 		}
 	}
-	got, err := rig.nodes[2].Read()
+	got, err := rig.nodes[2].Get("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestTCPConcurrentReaders(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 1; k <= 10; k++ {
-			if err := rig.nodes[0].Write([]byte(fmt.Sprintf("v%d", k))); err != nil {
+			if err := rig.nodes[0].Put("", []byte(fmt.Sprintf("v%d", k))); err != nil {
 				t.Errorf("write: %v", err)
 				return
 			}
@@ -127,7 +134,7 @@ func TestTCPConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
-				if _, err := rig.nodes[r].Read(); err != nil {
+				if _, err := rig.nodes[r].Get(""); err != nil {
 					t.Errorf("node %d read: %v", r, err)
 					return
 				}
@@ -149,11 +156,11 @@ func TestTCPMWMRBatchedLaneFrames(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for w := 0; w < n; w++ {
 			val := fmt.Sprintf("r%d-w%d", round, w)
-			if err := rig.nodes[w].Write([]byte(val)); err != nil {
+			if err := rig.nodes[w].Put("", []byte(val)); err != nil {
 				t.Fatalf("node %d write: %v", w, err)
 			}
 			for r := 0; r < n; r++ {
-				got, err := rig.nodes[r].Read()
+				got, err := rig.nodes[r].Get("")
 				if err != nil {
 					t.Fatalf("node %d read: %v", r, err)
 				}
@@ -203,11 +210,11 @@ func TestTCPKeyedStoreCoalescedFrames(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for w := 0; w < n; w++ {
 			val := fmt.Sprintf("r%d-w%d", round, w)
-			if err := rig.nodes[w].Write([]byte(val)); err != nil {
+			if err := rig.nodes[w].Put("", []byte(val)); err != nil {
 				t.Fatalf("node %d write: %v", w, err)
 			}
 			for r := 0; r < n; r++ {
-				got, err := rig.nodes[r].Read()
+				got, err := rig.nodes[r].Get("")
 				if err != nil {
 					t.Fatalf("node %d read: %v", r, err)
 				}
@@ -226,11 +233,11 @@ func TestTCPKeyedStoreCoalescedFrames(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 10; k++ {
-				if err := rig.nodes[w].Write([]byte(fmt.Sprintf("c%d-%d", w, k))); err != nil {
+				if err := rig.nodes[w].Put("", []byte(fmt.Sprintf("c%d-%d", w, k))); err != nil {
 					t.Errorf("node %d write: %v", w, err)
 					return
 				}
-				if _, err := rig.nodes[w].Read(); err != nil {
+				if _, err := rig.nodes[w].Get(""); err != nil {
 					t.Errorf("node %d read: %v", w, err)
 					return
 				}
@@ -249,10 +256,10 @@ func TestMeshPeerRestartedPurgesAndReconnects(t *testing.T) {
 	t.Parallel()
 	rig := startTCPRig(t, 3)
 	// Drive traffic so every link has handshaken once.
-	if err := rig.nodes[0].Write([]byte("w1")); err != nil {
+	if err := rig.nodes[0].Put("", []byte("w1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.nodes[1].Read(); err != nil {
+	if _, err := rig.nodes[1].Get(""); err != nil {
 		t.Fatal(err)
 	}
 	base := rig.meshes[1].Stats().Reconnects
@@ -263,7 +270,7 @@ func TestMeshPeerRestartedPurgesAndReconnects(t *testing.T) {
 	// writing until the reconnect lands).
 	deadline := time.Now().Add(5 * time.Second)
 	for rig.meshes[1].Stats().Reconnects == base {
-		if err := rig.nodes[0].Write([]byte("w2")); err != nil {
+		if err := rig.nodes[0].Put("", []byte("w2")); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -271,7 +278,7 @@ func TestMeshPeerRestartedPurgesAndReconnects(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	got, err := rig.nodes[1].Read()
+	got, err := rig.nodes[1].Get("")
 	if err != nil {
 		t.Fatal(err)
 	}

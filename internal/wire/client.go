@@ -1,10 +1,10 @@
 package wire
 
 // client.go is the versioned binary client protocol of the sharded keyed
-// service (cmd/regnode v2): the frames a client session exchanges with one
-// node's client port. It replaces the v1 line protocol ("read\n" /
-// "write <text>\n"); the mapping is documented in the repository's doc.go
-// and regnode keeps a -legacy text mode for one release.
+// service (cmd/regnode): the frames a client session exchanges with one
+// node's client port. Version 1 was a line protocol ("read\n" /
+// "write <text>\n") that no node speaks any more; the leading version byte
+// is what tells such a peer, or a future revision, apart.
 //
 // Framing is the mesh's u32 big-endian length prefix; inside a frame:
 //
@@ -95,7 +95,7 @@ type ClientVersionError struct {
 }
 
 func (e *ClientVersionError) Error() string {
-	return fmt.Sprintf("wire: client frame version %d (this node speaks %d; v1 peers must use regnode -legacy)",
+	return fmt.Sprintf("wire: client frame version %d (this node speaks %d; the v1 line protocol is no longer served)",
 		e.Got, ClientProtoVersion)
 }
 
