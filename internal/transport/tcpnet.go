@@ -379,24 +379,31 @@ func (m *Mesh) KickDial(to int) {
 
 // Close shuts the mesh down and waits for its goroutines. Queued and
 // in-flight frames are discarded.
+//
+// Every peer is marked closed BEFORE m.done closes: a sender whose dial
+// cycle bails on m.done drops its batch and drains the queue again, and
+// while its peer still looked open that freed space for a Block-policy
+// Send, which then enqueued into a queue nobody would write and returned
+// nil. All of it happens under m.mu, which SetPeers holds across its
+// m.done check and its sender starts — so either Close sees the peers
+// SetPeers made, or SetPeers sees the mesh closed and starts none.
 func (m *Mesh) Close() error {
+	m.mu.Lock()
+	for _, p := range m.peers {
+		if p != nil {
+			p.close()
+		}
+	}
 	select {
 	case <-m.done:
 	default:
 		close(m.done)
 	}
-	err := m.ln.Close()
-	m.mu.Lock()
-	peers := m.peers
 	for c := range m.inbound {
 		c.Close() // unblocks serveConn reads
 	}
 	m.mu.Unlock()
-	for _, p := range peers {
-		if p != nil {
-			p.close()
-		}
-	}
+	err := m.ln.Close()
 	m.wg.Wait()
 	return err
 }
