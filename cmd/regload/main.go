@@ -48,8 +48,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		ops      = fs.Int64("ops", 0, "total operation budget (overrides -duration when positive)")
 		valSize  = fs.Int("value-size", 16, "written payload bytes")
 		coalesce = fs.Bool("coalesce", true, "cross-key frame coalescing in the keyed store")
-		perFrame = fs.Bool("per-frame", false, "one conn.Write per frame (batching-off measurement baseline)")
-		flushWin = fs.Duration("flush-window", 0, "sender linger before each drain (bigger batches, added latency)")
 		seed     = fs.Int64("seed", 1, "workload seed (same spec + seed = same op mix)")
 		dead     = fs.String("dead", "", "comma-separated process ids to kill before load (dead-peer scenario)")
 		restart  = fs.String("restart", "", "comma-separated proc@seconds kill-and-revive faults, e.g. 2@1.5 (revived from the durable log after the default downtime)")
@@ -70,18 +68,16 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	spec := regload.Spec{
-		Procs:       *procs,
-		Shards:      *shards,
-		Clients:     *clients,
-		Keys:        *keys,
-		ReadFrac:    *readFrac,
-		ValueSize:   *valSize,
-		Coalesce:    *coalesce,
-		PerFrame:    *perFrame,
-		FlushWindow: *flushWin,
-		Seed:        *seed,
-		Dead:        deadList,
-		Restart:     restarts,
+		Procs:     *procs,
+		Shards:    *shards,
+		Clients:   *clients,
+		Keys:      *keys,
+		ReadFrac:  *readFrac,
+		ValueSize: *valSize,
+		Coalesce:  *coalesce,
+		Seed:      *seed,
+		Dead:      deadList,
+		Restart:   restarts,
 	}
 	if *ops > 0 {
 		spec.Ops = *ops

@@ -87,7 +87,6 @@ func TestRegloadFlagValidation(t *testing.T) {
 		{"bad dead list", []string{"-dead", "1,x", "-ops", "10"}, "-dead"},
 		{"dead majority", []string{"-dead", "0,1", "-ops", "10"}, "-dead"},
 		{"negative min-ops", []string{"-ops", "10", "-min-ops", "-1"}, "-min-ops"},
-		{"bad flush window", []string{"-ops", "10", "-flush-window", "2s"}, "-flush-window"},
 		{"restart missing offset", []string{"-restart", "2", "-ops", "10"}, "-restart"},
 		{"restart bad proc", []string{"-restart", "x@1", "-ops", "10"}, "-restart"},
 		{"restart negative offset", []string{"-restart", "1@-2", "-ops", "10"}, "-restart"},

@@ -208,8 +208,9 @@
 // and the durability contract is one line: log every lane append, sync
 // before any attestation leaves. Every outbound message attests to lane
 // state — a WRITE echo fills a quorum, a PROCEED certifies a freshness
-// bar — so core.Proc, core.MWProc and the regmap node sync at their drain
-// fixpoints, before a step's effects release to the transport; what was
+// bar, a completion acknowledges a client — so a process syncs where it
+// releases: core.Proc and core.MWProc at each drain fixpoint, the regmap
+// node once per burst (group commit, EXPERIMENTS.md E-GC1); what was
 // never synced was never attested and may be lost. Recovery
 // (storage.Recoverable: Recover replays the log into a fresh process,
 // PeerRestarted resets BOTH ends of every link of the revived process and
@@ -220,8 +221,8 @@
 // victims (drawn from ALL pids, writer included) crash at a seeded
 // protocol phase, their unsynced tail is discarded, and a seeded
 // virtual-time later they revive behind the simulator's incarnation fence
-// (transport.SimNet.Revive) — the durability cheat mut-wal-skipsync is
-// invisible to every crash-stop adversary and only this one catches it.
+// (transport.SimNet.Revive) — only this adversary catches the durability
+// cheats mut-wal-skipsync and mut-wal-earlyrelease.
 // BenchmarkWALWrite prices the contract (file-backed synced vs unsynced
 // vs in-memory appends, BENCH_wal.json; EXPERIMENTS.md E-WAL1), and the
 // TCP runtime rehearses the same kill-and-revive cycle over real sockets
@@ -259,6 +260,7 @@
 //   - mut-lane-batch — receiver tears batched lane frames
 //   - mut-regmap-frame — receiver drops cross-key multi-frame tails
 //   - mut-wal-skipsync — WAL appends never sync, a crash empties the log
+//   - mut-wal-earlyrelease — keyed store releases a step before its sync
 //
 // ARCHITECTURE.md maps how these pieces fit — the package graph from proto
 // through the lane engine, runtimes, and harnesses, with worked message

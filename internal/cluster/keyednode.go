@@ -50,7 +50,9 @@ type KeyedProcess interface {
 // independently), and the whole mailbox drains as one burst so a
 // coalescing process gets its flush point per burst: a burst of one event
 // is the per-event loop, and the end of a burst is the moment the mailbox
-// was last seen empty.
+// was last seen empty. For a durable process that flush point is the
+// commit point: one stable-storage sync per mailbox drain, after which the
+// burst's frames and client replies leave together.
 type KeyedNode struct {
 	id   int
 	proc KeyedProcess

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
+	"twobitreg/internal/storage"
 )
 
 // keyedTrio wires three KeyedNodes directly to each other in memory — the
@@ -122,5 +124,100 @@ func TestKeyedNodeStopFailsPending(t *testing.T) {
 	}
 	if err := nd.Put("after", []byte("x")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("op after Stop: %v, want ErrStopped", err)
+	}
+}
+
+// gatedStore is a regmap.Node whose Start parks on a gate, so a test can
+// hold the event loop inside a burst while the mailbox fills. Embedding
+// keeps the node's Flusher and writer-set methods visible to KeyedNode.
+type gatedStore struct {
+	*regmap.Node
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedStore) Start(key string, op proto.OpID, kind proto.OpKind, val proto.Value) proto.Effects {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.Node.Start(key, op, kind, val)
+}
+
+// TestKeyedNodeGroupCommit runs the commit point on the real event loop: a
+// mailbox drain is one burst, so concurrent Puts on distinct keys share one
+// WAL sync — and no Put returns before the sync covering it, Stop or not.
+func TestKeyedNodeGroupCommit(t *testing.T) {
+	// One process is its own quorum: a write completes inside its Start
+	// step, so its completion is held for the burst's Flush.
+	st, err := regmap.NewNode(0, regmap.Config{N: 1, Coalesce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := storage.NewMemLog()
+	st.AttachStorage(log)
+	const puts = 32
+	g := &gatedStore{Node: st, entered: make(chan struct{}, puts), gate: make(chan struct{}, puts)}
+	nd := NewKeyedNode(0, g, func(int, proto.Message) {})
+	defer nd.Stop()
+
+	acked := make(chan error, puts)
+	put := func(i int) {
+		go func() { acked <- nd.Put(fmt.Sprintf("key-%02d", i), []byte{byte(i)}) }()
+	}
+	queued := func() int {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		return len(nd.queue)
+	}
+
+	// Burst one is a single Put, parked inside its Start; the other 31
+	// pile up in the mailbox behind it and drain as burst two.
+	put(0)
+	<-g.entered
+	for i := 1; i < puts; i++ {
+		put(i)
+	}
+	for queued() < puts-1 {
+		time.Sleep(time.Millisecond)
+	}
+	g.gate <- struct{}{}
+	if err := <-acked; err != nil {
+		t.Fatal(err)
+	}
+	if got := log.Syncs(); got != 1 {
+		t.Fatalf("a burst of one cost %d syncs, want 1", got)
+	}
+
+	// Stop lands mid-burst: the burst in progress still commits before it
+	// acknowledges, and nothing is acknowledged that is not durable.
+	<-g.entered
+	stopped := make(chan struct{})
+	go func() { nd.Stop(); close(stopped) }()
+	for halted := false; !halted; time.Sleep(time.Millisecond) {
+		nd.mu.Lock()
+		halted = nd.halted != nil
+		nd.mu.Unlock()
+	}
+	select {
+	case err := <-acked:
+		t.Fatalf("a Put returned (%v) while its burst was still unsynced", err)
+	default:
+	}
+	for i := 1; i < puts; i++ {
+		g.gate <- struct{}{}
+	}
+	for i := 1; i < puts; i++ {
+		if err := <-acked; err != nil {
+			t.Fatalf("a Put of the burst in progress failed: %v", err)
+		}
+	}
+	<-stopped
+	if got := log.Syncs(); got != 2 {
+		t.Fatalf("%d puts cost %d syncs, want 2 (one per burst)", puts, got)
+	}
+	if got := log.SyncedLen(); got != puts {
+		t.Fatalf("%d records durable for %d acknowledged puts", got, puts)
+	}
+	if err := nd.Put("late", []byte("x")); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Put after Stop: %v, want ErrStopped", err)
 	}
 }

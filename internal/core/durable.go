@@ -11,9 +11,10 @@ package core
 //
 // Every outbound message attests to lane state — a WRITE echo fills the
 // sender's line-3 quorum, a PROCEED certifies a freshness bar, a
-// completion acknowledges a write — so the sync point is the end of every
-// drain that appended (core.go / mwmr.go call syncStorage at their drain
-// fixpoints, before the step's Effects are released to the transport).
+// completion acknowledges a write — so a process syncs where it releases:
+// core.go / mwmr.go call syncStorage at their drain fixpoints, before the
+// step's Effects go to the transport (under the keyed store that call is
+// the dirty signal, and the node syncs once per burst: regmap/durable.go).
 // What was never synced was never attested and may be lost in a crash.
 //
 // Recovery rebuilds only the value histories; every link-synchronisation

@@ -4,6 +4,26 @@ import (
 	"testing"
 )
 
+// caughtByToken replays a committed witness for a seeded durability bug and
+// requires it to keep failing. If a legitimate change to the explorer's
+// seeding breaks a token, re-find one with TestMutantsAreCaughtWithinBudget
+// and update it.
+func caughtByToken(t *testing.T, token, mutant string) {
+	t.Helper()
+	s, err := ParseToken(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failed() {
+		t.Fatalf("token %s no longer catches %s", token, mutant)
+	}
+	t.Logf("caught: %s", res.Violation())
+}
+
 // TestCrashRestartCorrectAlgsClean is the soundness half of the restart
 // adversary: every correct algorithm — recoverable or not (the latter
 // degrade to crash-stop) — must survive a crashrestart sweep with writer
@@ -82,22 +102,38 @@ func TestCrashRestartDeterminism(t *testing.T) {
 // TestWALSkipSyncCaughtToken pins a replayable witness for the seeded
 // durability bug: the committed token must keep failing (the revived
 // writer's log is empty while its readers hold the stream — Lemma 4 at the
-// first post-revival probe, or a stale read soon after). If a legitimate
-// change to the explorer's seeding breaks this token, re-find one with
-// TestMutantsAreCaughtWithinBudget and update it.
+// first post-revival probe, or a stale read soon after).
 func TestWALSkipSyncCaughtToken(t *testing.T) {
 	t.Parallel()
-	const token = "xb1:mut-wal-skipsync:crashrestart:2:5:30:0.6:1"
-	s, err := ParseToken(token)
-	if err != nil {
-		t.Fatal(err)
+	caughtByToken(t, "xb1:mut-wal-skipsync:crashrestart:2:5:30:0.6:1", "mut-wal-skipsync")
+}
+
+// TestWALEarlyReleaseCaught is the commit point's detection bar: the keyed
+// store that releases a step's frames and completions before the burst's
+// sync (mut-wal-earlyrelease) must be caught by crashrestart within the
+// mutation budget — a victim crashing between a step and its flush tick
+// revives without a record a peer already processed, which the first
+// post-revival probe reports as a conservation violation — the committed
+// token must keep reproducing the catch, and the correct store must pass
+// the very same sweep.
+func TestWALEarlyReleaseCaught(t *testing.T) {
+	t.Parallel()
+	sweep := func(alg string) SweepResult {
+		sw, err := Sweep(SweepSpec{
+			Algs: []string{alg}, Strategies: []string{"crashrestart"},
+			N: 5, Ops: 30, ReadFrac: 0.6, Crashes: 1, Writers: 3,
+			Budget: mutationBudget, Seed0: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
 	}
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
+	if sw := sweep("mut-wal-earlyrelease"); len(sw.Failures) == 0 {
+		t.Fatalf("mut-wal-earlyrelease survived %d crashrestart schedules", sw.Runs)
 	}
-	if !res.Failed() {
-		t.Fatalf("token %s no longer catches mut-wal-skipsync", token)
+	caughtByToken(t, "xb1:mut-wal-earlyrelease:crashrestart:2:5:30:0.6:1:3", "mut-wal-earlyrelease")
+	for _, f := range sweep("regmap-mwmr").Failures {
+		t.Errorf("correct keyed store failed the same sweep: %s: %s", f.Token, f.Violation())
 	}
-	t.Logf("caught: %s", res.Violation())
 }

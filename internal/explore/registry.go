@@ -137,6 +137,12 @@ func buildRegistry() map[string]proto.Algorithm {
 		// liveness check) or read stale (the per-key checker).
 		"mut-regmap-frame": regmap.NewKeyedAlgorithm("mut-regmap-frame", 50,
 			regmap.Config{Coalesce: true, Fault: regmap.FaultDropMultiTail}),
+		// The group-commit cheat (regmap.FaultEarlyRelease): a crash
+		// between a step and its flush tick loses records a peer already
+		// processed — only crashrestart sees it. Three keys, not fifty:
+		// the probes skip a key the revived process no longer hosts.
+		"mut-wal-earlyrelease": regmap.NewKeyedAlgorithm("mut-wal-earlyrelease", 3,
+			regmap.Config{Coalesce: true, Fault: regmap.FaultEarlyRelease}),
 	}
 }
 
@@ -160,6 +166,7 @@ var mwmrCapableSet = map[string]bool{
 	"mut-twobit-mwmr":        true,
 	"mut-lane-batch":         true,
 	"mut-regmap-frame":       true,
+	"mut-wal-earlyrelease":   true,
 }
 
 // MWMRCapable reports whether the named algorithm supports concurrent

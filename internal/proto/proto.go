@@ -194,10 +194,12 @@ type FIFOLinks interface {
 // event (transport.WithFlushWindow), the goroutine runtimes flush when a
 // mailbox goes idle. Delaying protocol messages is always safe in the
 // asynchronous model; the tick bounds the delay so liveness is preserved.
+// A durable process may make the tick its commit point: hold completions
+// beside its frames and sync once before releasing both.
 type Flusher interface {
-	// PendingFlush reports whether buffered frames await a flush tick.
+	// PendingFlush reports whether anything held awaits a flush tick.
 	PendingFlush() bool
-	// Flush emits the buffered frames. Calling it with nothing pending is a
+	// Flush emits what was held. Calling it with nothing pending is a
 	// harmless no-op.
 	Flush() Effects
 }

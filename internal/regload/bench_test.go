@@ -9,10 +9,9 @@ import (
 
 // BenchmarkTCPRegload is the committed TCP-runtime trajectory
 // (BENCH_tcp.json, benchdiff-gated in ci.yml): a fixed-ops closed-loop run
-// of the coalescing keyed store over loopback TCP, batched versus the
-// per-frame write baseline, plus the dead-peer scenario. Each b.N
-// iteration is one whole cluster run, so ns/op tracks end-to-end harness
-// cost; the reported ops/sec and frames/write are the E-TCP1 figures.
+// of the coalescing keyed store over loopback TCP, healthy ("batched")
+// and in the dead-peer scenario. Each b.N iteration is one whole cluster
+// run, so ns/op tracks end-to-end harness cost; the reported ops/sec and frames/write are the E-TCP1 figures.
 // Wall-clock throughput is machine-dependent — the gate's job is catching
 // relative regressions on the same runner (see BENCH_RUNNER.txt handling).
 func BenchmarkTCPRegload(b *testing.B) {
@@ -25,7 +24,6 @@ func BenchmarkTCPRegload(b *testing.B) {
 		mutate func(*regload.Spec)
 	}{
 		{"batched", func(s *regload.Spec) {}},
-		{"per-frame", func(s *regload.Spec) { s.PerFrame = true }},
 		{"dead-peer", func(s *regload.Spec) { s.Dead = []int{2} }},
 	}
 	for _, tc := range cases {

@@ -62,12 +62,6 @@ type Spec struct {
 	ValueSize int
 	// Coalesce enables regmap's cross-key frame coalescing.
 	Coalesce bool
-	// PerFrame disables the meshes' batched drains (one conn.Write per
-	// frame) — the E-TCP1 measurement baseline for the batching win.
-	PerFrame bool
-	// FlushWindow makes each peer sender linger this long before draining,
-	// trading latency for larger batches (transport.WithSendFlushWindow).
-	FlushWindow time.Duration
 	// Seed drives the clients' read/write and key choice; runs with the
 	// same spec issue the same operation mix.
 	Seed int64
@@ -150,9 +144,6 @@ func (s *Spec) Validate() error {
 	if s.ValueSize < 0 || s.ValueSize > 1<<20 {
 		return fail("value-size", fmt.Sprintf("need 0..1MiB, got %d", s.ValueSize))
 	}
-	if s.FlushWindow < 0 || s.FlushWindow > time.Second {
-		return fail("flush-window", fmt.Sprintf("need 0..1s, got %s", s.FlushWindow))
-	}
 	deadPerShard := make([]int, shards)
 	seen := make(map[int]bool, len(s.Dead))
 	for _, d := range s.Dead {
@@ -205,15 +196,13 @@ func (s *Spec) Validate() error {
 
 // Report is the outcome of one load run.
 type Report struct {
-	Procs    int           `json:"procs"`
-	Shards   int           `json:"shards"`
-	Clients  int           `json:"clients"`
-	Keys     int           `json:"keys"`
-	ReadFrac float64       `json:"read_frac"`
-	Coalesce bool          `json:"coalesce"`
-	PerFrame bool          `json:"per_frame,omitempty"`
-	FlushWin time.Duration `json:"flush_window_ns,omitempty"`
-	Dead     []int         `json:"dead,omitempty"`
+	Procs    int     `json:"procs"`
+	Shards   int     `json:"shards"`
+	Clients  int     `json:"clients"`
+	Keys     int     `json:"keys"`
+	ReadFrac float64 `json:"read_frac"`
+	Coalesce bool    `json:"coalesce"`
+	Dead     []int   `json:"dead,omitempty"`
 	// Restarted lists the processes that were killed mid-run and came
 	// back; RestartErrs counts revivals whose recovery or post-revival
 	// read failed, and LostAckWrites counts pre-kill acknowledged writes
@@ -274,12 +263,6 @@ func (r *Report) WriteHistogram() *metrics.Histogram { return &r.writeHist }
 func (r *Report) String() string {
 	s := fmt.Sprintf("regload: n=%d shards=%d clients=%d keys=%d reads=%.0f%% coalesce=%v",
 		r.Procs, r.Shards, r.Clients, r.Keys, 100*r.ReadFrac, r.Coalesce)
-	if r.PerFrame {
-		s += " per-frame"
-	}
-	if r.FlushWin > 0 {
-		s += fmt.Sprintf(" flush-window=%s", r.FlushWin)
-	}
 	if len(r.Dead) > 0 {
 		s += fmt.Sprintf(" dead=%v", r.Dead)
 	}
@@ -403,12 +386,6 @@ func (h *harness) memberSpec(pid int, meshAddr, clientAddr string) shard.MemberS
 	}
 	if h.logs != nil {
 		ms.Storage = h.logs[pid]
-	}
-	if h.spec.PerFrame {
-		ms.MeshOptions = append(ms.MeshOptions, transport.WithPerFrameWrites())
-	}
-	if h.spec.FlushWindow > 0 {
-		ms.MeshOptions = append(ms.MeshOptions, transport.WithSendFlushWindow(h.spec.FlushWindow))
 	}
 	return ms
 }
@@ -758,8 +735,6 @@ func (h *harness) report(stats []clientStats, elapsed time.Duration, faults *res
 		Keys:          spec.Keys,
 		ReadFrac:      spec.ReadFrac,
 		Coalesce:      spec.Coalesce,
-		PerFrame:      spec.PerFrame,
-		FlushWin:      spec.FlushWindow,
 		Dead:          append([]int(nil), spec.Dead...),
 		Restarted:     faults.restarted,
 		RestartErrs:   faults.errs.Load(),

@@ -29,8 +29,6 @@ func TestSpecValidate(t *testing.T) {
 		{"no bound", func(s *regload.Spec) { s.Ops = 0 }, "duration"},
 		{"both bounds", func(s *regload.Spec) { s.Duration = time.Second }, "duration"},
 		{"value too big", func(s *regload.Spec) { s.ValueSize = 1<<20 + 1 }, "value-size"},
-		{"negative flush window", func(s *regload.Spec) { s.FlushWindow = -time.Millisecond }, "flush-window"},
-		{"huge flush window", func(s *regload.Spec) { s.FlushWindow = 2 * time.Second }, "flush-window"},
 		{"majority dead", func(s *regload.Spec) { s.Dead = []int{0, 1} }, "dead"},
 		{"dead out of range", func(s *regload.Spec) { s.Dead = []int{3} }, "dead"},
 		{"dead negative", func(s *regload.Spec) { s.Dead = []int{-1} }, "dead"},
@@ -172,26 +170,6 @@ func TestRunDeadPeer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Dead, []int{2}) {
 		t.Errorf("report lost the dead list: %v", rep.Dead)
-	}
-}
-
-// TestRunPerFrameAndFlushWindow exercises the two measurement knobs end to
-// end (they must not affect correctness, only batching shape).
-func TestRunPerFrameAndFlushWindow(t *testing.T) {
-	for _, spec := range []regload.Spec{
-		{Procs: 3, Clients: 2, Keys: 4, ReadFrac: 0.5, Ops: 30, PerFrame: true},
-		{Procs: 3, Clients: 2, Keys: 4, ReadFrac: 0.5, Ops: 30, FlushWindow: 200 * time.Microsecond},
-	} {
-		rep, err := regload.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Ops < 30 || rep.OpErrors != 0 {
-			t.Fatalf("spec %+v: ops=%d errors=%d", spec, rep.Ops, rep.OpErrors)
-		}
-		if spec.PerFrame && rep.Mesh.ConnWrites != rep.Mesh.FramesSent {
-			t.Fatalf("per-frame run batched: %s", rep.Mesh)
-		}
 	}
 }
 

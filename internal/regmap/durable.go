@@ -3,9 +3,10 @@ package regmap
 // durable.go fans the crash-restart recovery contract (storage.Recoverable)
 // out across a keyed store node: one stable-storage log per node, shared by
 // every hosted register through a key-stamping view, so a single WAL replay
-// rebuilds the whole key space. The per-register protocol (replay the
-// histories, reset both ends of every link, re-ship backlogs) lives in
-// core/durable.go; this file only routes.
+// rebuilds the whole key space, and one sync point: what the node has told
+// a peer or a client is on stable storage, synced where the node releases.
+// The per-register protocol (replay the histories, reset both ends of
+// every link, re-ship backlogs) lives in core/durable.go.
 
 import (
 	"fmt"
@@ -15,23 +16,23 @@ import (
 )
 
 // keyStore is the key-stamping view of the node's log one register writes
-// through: appends gain the register's key, syncs share the node's single
-// sync point (a no-op sync is free, so per-register syncing costs one real
-// sync per dirty register per step).
+// through: appends gain the register's key, and Sync — a register's call
+// once a step has appended — only marks the node dirty; the node itself
+// syncs, once, where it releases (endStep, Flush).
 type keyStore struct {
 	key string
-	s   storage.StableStorage
+	nd  *Node
 }
 
 func (k keyStore) Append(r storage.Record) {
 	r.Key = k.key
-	k.s.Append(r)
+	k.nd.store.Append(r)
 }
 
-func (k keyStore) Sync() error { return k.s.Sync() }
+func (k keyStore) Sync() error { k.nd.dirty = true; return nil }
 
 func (k keyStore) Replay(fn func(storage.Record) error) error {
-	return k.s.Replay(func(r storage.Record) error {
+	return k.nd.store.Replay(func(r storage.Record) error {
 		if r.Key != k.key {
 			return nil
 		}
@@ -41,6 +42,34 @@ func (k keyStore) Replay(fn func(storage.Record) error) error {
 }
 
 func (k keyStore) Close() error { return nil }
+
+// endStep applies the one durability rule — the node syncs where it
+// releases — to a step: a non-coalescing node releases as the step returns,
+// so it commits here (one sync however many registers the step dirtied); a
+// coalescing node holds the step's completions beside its frames for Flush.
+func (nd *Node) endStep(out *proto.Effects) {
+	switch {
+	case nd.store == nil:
+	case nd.hold == nil:
+		nd.commit()
+	case nd.sh.fault == FaultEarlyRelease:
+		nd.releaseFrames(out) // mutant: the sync still waits for Flush
+	default:
+		nd.doneHeld = append(nd.doneHeld, out.Done...)
+		out.Done = nil
+	}
+}
+
+// commit syncs what was appended since the last release, or fails stop.
+func (nd *Node) commit() {
+	if !nd.dirty {
+		return
+	}
+	nd.dirty = false
+	if err := nd.store.Sync(); err != nil {
+		panic(fmt.Sprintf("regmap: process %d stable-storage sync failed: %v", nd.id, err))
+	}
+}
 
 // RecoveryEnabled implements storage.Recoverable: every register this node
 // can host must itself be recoverable. Multi-writer keys always are (the
@@ -60,7 +89,7 @@ func (nd *Node) AttachStorage(s storage.StableStorage) {
 	}
 	nd.store = s
 	for _, key := range nd.Keys() {
-		nd.regs[key].attachStorage(key, s)
+		nd.regs[key].attachStorage(keyStore{key: key, nd: nd})
 	}
 }
 
@@ -108,11 +137,11 @@ func (nd *Node) PeerRestarted(peer int) proto.Effects {
 		r := nd.regs[key]
 		nd.pump(key, r, r.peerRestarted(peer), &out)
 	}
+	nd.endStep(&out)
 	return out
 }
 
-func (r *reg) attachStorage(key string, s storage.StableStorage) {
-	ks := keyStore{key: key, s: s}
+func (r *reg) attachStorage(ks keyStore) {
 	if r.swmr != nil {
 		r.swmr.AttachStorage(ks)
 	} else {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"twobitreg/internal/core"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/storage"
 )
@@ -173,12 +174,27 @@ func TestNodeRecoveryDisabledUnderGC(t *testing.T) {
 
 func TestKeyStoreStampsAndFilters(t *testing.T) {
 	base := storage.NewMemLog()
-	ka := keyStore{key: "ka", s: base}
-	kb := keyStore{key: "kb", s: base}
+	nd, err := NewNode(0, Config{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.AttachStorage(base)
+	ka := keyStore{key: "ka", nd: nd}
+	kb := keyStore{key: "kb", nd: nd}
 	ka.Append(storage.Record{Lane: 0, Index: 1, Val: proto.Value("va")})
 	kb.Append(storage.Record{Lane: 1, Index: 1, Val: proto.Value("vb")})
+	// A register's Sync is the dirty signal, not I/O: the node syncs where
+	// it releases.
 	if err := ka.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if !nd.dirty || base.Syncs() != 0 || base.SyncedLen() != 0 {
+		t.Fatalf("keyStore.Sync: dirty=%v syncs=%d synced=%d, want a dirty mark and no I/O",
+			nd.dirty, base.Syncs(), base.SyncedLen())
+	}
+	nd.commit()
+	if nd.dirty || base.Syncs() != 1 {
+		t.Fatalf("commit: dirty=%v syncs=%d, want one sync", nd.dirty, base.Syncs())
 	}
 	var got []string
 	if err := kb.Replay(func(r storage.Record) error {
@@ -192,5 +208,376 @@ func TestKeyStoreStampsAndFilters(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != "1:vb" {
 		t.Fatalf("kb replay = %v, want [1:vb]", got)
+	}
+}
+
+// --- the commit point: the keyed node syncs where it releases ---
+
+type inFrame struct {
+	from int
+	msg  proto.Message
+}
+
+type startOp struct {
+	key  string
+	op   proto.OpID
+	kind proto.OpKind
+	val  proto.Value
+}
+
+// burstMesh drives storage-attached coalescing Nodes the way
+// cluster.KeyedNode does: a process takes its whole inbox plus any client
+// invocations as one burst of steps, then gets one Flush. Every step is
+// checked against the commit point — nothing may leave it.
+type burstMesh struct {
+	t     *testing.T
+	nodes []*Node
+	logs  []*storage.MemLog
+	inbox [][]inFrame
+	done  []proto.Completion
+}
+
+func newBurstMesh(t *testing.T, cfg Config) *burstMesh {
+	t.Helper()
+	m := &burstMesh{t: t, inbox: make([][]inFrame, cfg.N)}
+	for i := 0; i < cfg.N; i++ {
+		nd, err := NewNode(i, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := storage.NewMemLog()
+		nd.AttachStorage(log)
+		m.nodes, m.logs = append(m.nodes, nd), append(m.logs, log)
+	}
+	return m
+}
+
+// held asserts that a step of pid released nothing and did no I/O.
+func (m *burstMesh) held(pid, syncs int, eff proto.Effects) {
+	m.t.Helper()
+	if len(eff.Sends) > 0 || len(eff.Done) > 0 {
+		m.t.Fatalf("p%d: %d sends and %d completions escaped a step before its Flush", pid, len(eff.Sends), len(eff.Done))
+	}
+	if got := m.logs[pid].Syncs(); got != syncs {
+		m.t.Fatalf("p%d synced inside a step (%d -> %d)", pid, syncs, got)
+	}
+}
+
+// steps runs pid's inbox, then starts, as one burst — without the Flush.
+func (m *burstMesh) steps(pid int, starts ...startOp) {
+	m.t.Helper()
+	nd, syncs := m.nodes[pid], m.logs[pid].Syncs()
+	in := m.inbox[pid]
+	m.inbox[pid] = nil
+	for _, f := range in {
+		m.held(pid, syncs, nd.Deliver(f.from, f.msg))
+	}
+	for _, s := range starts {
+		m.held(pid, syncs, nd.Start(s.key, s.op, s.kind, s.val))
+	}
+}
+
+// flush grants pid its flush tick and routes what it releases.
+func (m *burstMesh) flush(pid int) proto.Effects {
+	eff := m.nodes[pid].Flush()
+	eff.Sends = append([]proto.Send(nil), eff.Sends...)
+	for _, s := range eff.Sends {
+		m.inbox[s.To] = append(m.inbox[s.To], inFrame{from: pid, msg: s.Msg})
+	}
+	m.done = append(m.done, eff.Done...)
+	return eff
+}
+
+func (m *burstMesh) burst(pid int, starts ...startOp) proto.Effects {
+	m.t.Helper()
+	m.steps(pid, starts...)
+	return m.flush(pid)
+}
+
+// settle runs bursts until every inbox is empty.
+func (m *burstMesh) settle() {
+	m.t.Helper()
+	for progress := true; progress; {
+		progress = false
+		for pid := range m.nodes {
+			if len(m.inbox[pid]) > 0 {
+				m.burst(pid)
+				progress = true
+			}
+		}
+	}
+}
+
+func (m *burstMesh) completed(op proto.OpID) (proto.Completion, bool) {
+	for _, d := range m.done {
+		if d.Op == op {
+			return d, true
+		}
+	}
+	return proto.Completion{}, false
+}
+
+func writes(first proto.OpID, keys ...string) []startOp {
+	out := make([]startOp, len(keys))
+	for i, key := range keys {
+		op := first + proto.OpID(i)
+		out[i] = startOp{key: key, op: op, kind: proto.OpWrite, val: proto.Value(fmt.Sprintf("%s=%d", key, op))}
+	}
+	return out
+}
+
+// frameKeys lists, in order, the keys of the frames pid's flush sent to
+// peer `to`.
+func frameKeys(t *testing.T, eff proto.Effects, to int) []string {
+	t.Helper()
+	var keys []string
+	for _, s := range eff.Sends {
+		if s.To != to {
+			continue
+		}
+		switch f := s.Msg.(type) {
+		case KeyedMsg:
+			keys = append(keys, f.Key)
+		case MultiMsg:
+			for _, sub := range f.Frames {
+				keys = append(keys, sub.Key)
+			}
+		default:
+			t.Fatalf("foreign frame %T", s.Msg)
+		}
+	}
+	return keys
+}
+
+// TestNodeGroupCommitOneSyncPerBurst: a burst of k writes on distinct keys
+// plus the inbound echoes that complete k earlier ones costs exactly one
+// sync, at the Flush, and everything the burst produced leaves after it —
+// completions in completion order, frames in per-link emission order.
+func TestNodeGroupCommitOneSyncPerBurst(t *testing.T) {
+	m := newBurstMesh(t, Config{N: 3, Coalesce: true})
+	first := []string{"a0", "a1", "a2", "a3", "a4"}
+	second := []string{"b0", "b1", "b2", "b3", "b4"}
+	k := len(first)
+
+	eff := m.burst(0, writes(1, first...)...)
+	if got := m.logs[0].Syncs(); got != 1 {
+		t.Fatalf("burst of %d writes cost %d syncs, want 1", k, got)
+	}
+	if got := m.logs[0].SyncedLen(); got != k {
+		t.Fatalf("%d records durable after the flush, want %d", got, k)
+	}
+	for _, to := range []int{1, 2} {
+		if got := fmt.Sprint(frameKeys(t, eff, to)); got != fmt.Sprint(first) {
+			t.Fatalf("frames to p%d = %s, want emission order %v", to, got, first)
+		}
+	}
+	// The peers adopt and echo: k appends, one sync each.
+	for _, pid := range []int{1, 2} {
+		m.burst(pid)
+		if got := m.logs[pid].Syncs(); got != 1 {
+			t.Fatalf("p%d adopted %d values with %d syncs, want 1", pid, k, got)
+		}
+	}
+
+	// One burst at the writer: the echoes complete writes 1..k, and k new
+	// writes append.
+	before := m.logs[0].Syncs()
+	m.steps(0, writes(proto.OpID(k+1), second...)...)
+	if !m.nodes[0].PendingFlush() {
+		t.Fatal("PendingFlush false with completions, frames and unsynced records held")
+	}
+	eff = m.flush(0)
+	if got := m.logs[0].Syncs(); got != before+1 {
+		t.Fatalf("the burst cost %d syncs, want exactly 1", got-before)
+	}
+	if got := m.logs[0].SyncedLen(); got != 2*k {
+		t.Fatalf("%d records durable, want %d", got, 2*k)
+	}
+	if len(eff.Done) != k {
+		t.Fatalf("flush released %d completions, want %d", len(eff.Done), k)
+	}
+	for i, d := range eff.Done {
+		if d.Op != proto.OpID(i+1) {
+			t.Fatalf("completion %d is op %d, want %d", i, d.Op, i+1)
+		}
+	}
+	for _, to := range []int{1, 2} {
+		if got := fmt.Sprint(frameKeys(t, eff, to)); got != fmt.Sprint(second) {
+			t.Fatalf("frames to p%d = %s, want emission order %v", to, got, second)
+		}
+	}
+	if m.nodes[0].PendingFlush() {
+		t.Fatal("PendingFlush still true after the flush")
+	}
+}
+
+// TestNodeCrashBeforeFlushLosesOnlyTheUnacked: a crash between a burst's
+// steps and its Flush loses exactly what nobody was told about. The
+// overwrites of that burst never completed and reached no peer; everything
+// acknowledged before it is served after recovery.
+func TestNodeCrashBeforeFlushLosesOnlyTheUnacked(t *testing.T) {
+	cfg := Config{N: 3, Coalesce: true}
+	m := newBurstMesh(t, cfg)
+	keys := []string{"x", "y", "z"}
+	m.burst(0, writes(1, keys...)...)
+	m.settle()
+	for op := proto.OpID(1); op <= 3; op++ {
+		if _, ok := m.completed(op); !ok {
+			t.Fatalf("write %d did not complete", op)
+		}
+	}
+	durable := m.logs[0].SyncedLen()
+
+	// The doomed burst: three overwrites appended, nothing flushed.
+	m.steps(0, writes(4, keys...)...)
+	m.logs[0].DropUnsynced()
+	if got := m.logs[0].SyncedLen(); got != durable {
+		t.Fatalf("%d records durable after the crash, want the %d acknowledged ones", got, durable)
+	}
+	if len(m.inbox[1])+len(m.inbox[2]) != 0 {
+		t.Fatal("a peer was sent frames of a burst that never flushed")
+	}
+
+	fresh, err := NewNode(0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Recover(m.logs[0]); err != nil {
+		t.Fatal(err)
+	}
+	m.nodes[0] = fresh
+	for _, j := range []int{1, 2} {
+		syncs := m.logs[0].Syncs()
+		m.held(0, syncs, fresh.PeerRestarted(j))
+		m.held(j, m.logs[j].Syncs(), m.nodes[j].PeerRestarted(0))
+		m.flush(0)
+		m.flush(j)
+	}
+	m.settle()
+
+	for op := proto.OpID(4); op <= 6; op++ {
+		if _, ok := m.completed(op); ok {
+			t.Fatalf("write %d completed although its burst never flushed", op)
+		}
+	}
+	for i, key := range keys {
+		for _, pid := range []int{0, 1} {
+			op := proto.OpID(10 + 2*i + pid)
+			m.burst(pid, startOp{key: key, op: op, kind: proto.OpRead})
+			m.settle()
+			d, ok := m.completed(op)
+			if want := fmt.Sprintf("%s=%d", key, i+1); !ok || string(d.Value) != want {
+				t.Fatalf("read of %s at p%d = %q (completed %v), want the acknowledged %q", key, pid, d.Value, ok, want)
+			}
+		}
+	}
+}
+
+// failingLog is a stable storage whose Sync always fails.
+type failingLog struct{ *storage.MemLog }
+
+func (failingLog) Sync() error { return fmt.Errorf("disk on fire") }
+
+// TestNodeSyncFailureIsFailStop: a failed sync panics at the one commit
+// point, before anything it covers is released — at the Flush of a
+// coalescing node (whose held state stays held), inside the step of a
+// non-coalescing one.
+func TestNodeSyncFailureIsFailStop(t *testing.T) {
+	panics := func(fn func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		fn()
+		return false
+	}
+	for _, coalesce := range []bool{true, false} {
+		nd, err := NewNode(0, Config{N: 3, Coalesce: coalesce})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.AttachStorage(failingLog{storage.NewMemLog()})
+		start := func() {
+			if eff := nd.Start("k", 1, proto.OpWrite, proto.Value("v")); len(eff.Sends)+len(eff.Done) > 0 {
+				t.Errorf("coalesce=%v: the step released %d sends before its sync", coalesce, len(eff.Sends))
+			}
+		}
+		if !coalesce {
+			if !panics(start) {
+				t.Fatal("non-coalescing node survived a failed sync at the end of its step")
+			}
+			continue
+		}
+		start()
+		if !panics(func() { nd.Flush() }) {
+			t.Fatal("coalescing node survived a failed sync at its Flush")
+		}
+		if nd.held == 0 {
+			t.Fatal("the failed Flush released the frames it held")
+		}
+	}
+}
+
+// TestNodeNonCoalescingCommitsPerStep: a non-coalescing node releases at
+// the end of each step, so it commits there — once, however many
+// registers the step dirtied.
+func TestNodeNonCoalescingCommitsPerStep(t *testing.T) {
+	// A coalescing peer packs two keys' WRITE frames into one MultiMsg.
+	writer, err := NewNode(0, Config{N: 3, Coalesce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer.Start("p", 1, proto.OpWrite, proto.Value("p1"))
+	writer.Start("q", 2, proto.OpWrite, proto.Value("q1"))
+	var multi proto.Message
+	for _, s := range writer.Flush().Sends {
+		if s.To == 1 {
+			multi = s.Msg
+		}
+	}
+	if mm, ok := multi.(MultiMsg); !ok || len(mm.Frames) != 2 {
+		t.Fatalf("writer shipped %#v to p1, want a 2-frame MultiMsg", multi)
+	}
+
+	nd, err := NewNode(1, Config{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := storage.NewMemLog()
+	nd.AttachStorage(log)
+	eff := nd.Deliver(0, multi)
+	if got := log.Syncs(); got != 1 {
+		t.Fatalf("a step dirtying two registers cost %d syncs, want 1", got)
+	}
+	if got := log.SyncedLen(); got != 2 {
+		t.Fatalf("%d records durable at step end, want 2", got)
+	}
+	if len(eff.Sends) == 0 || nd.PendingFlush() {
+		t.Fatalf("step released %d sends with PendingFlush=%v, want its echoes out and nothing held",
+			len(eff.Sends), nd.PendingFlush())
+	}
+}
+
+// TestVolatileNodeAllocsUnchanged guards the storage-less path: the commit
+// point costs it one branch per step and no allocation. The pinned counts
+// are the parent commit's.
+func TestVolatileNodeAllocsUnchanged(t *testing.T) {
+	nd, err := NewNode(0, Config{N: 3, Coalesce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := proto.OpID(0)
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Start", 3, func() { op++; nd.Start("k", op, proto.OpRead, nil) }},
+		{"Deliver+Flush", 3, func() {
+			nd.Deliver(1, KeyedMsg{Key: "k", Inner: core.ReadMsg{}})
+			nd.Flush()
+		}},
+		{"idle Flush", 0, func() { nd.Flush() }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.fn); got != tc.want {
+			t.Errorf("%s: %v allocs/run on a storage-less node, parent commit has %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -30,7 +30,11 @@ type Node struct {
 
 	// store, when attached, is the node's stable storage: every hosted
 	// register logs through a key-stamping view of it (see durable.go).
-	store storage.StableStorage
+	// dirty: records appended since the last sync. doneHeld: completions a
+	// coalescing node holds until Flush has synced them.
+	store    storage.StableStorage
+	dirty    bool
+	doneHeld []proto.Completion
 }
 
 // reg is one key's register instance: exactly one of swmr/mw is set,
@@ -111,7 +115,7 @@ func (nd *Node) reg(key string) *reg {
 			r.mw = core.NewMWMR(nd.id, nd.sh.n, core.WithMWWriters(ws))
 		}
 		if nd.store != nil {
-			r.attachStorage(key, nd.store)
+			r.attachStorage(keyStore{key: key, nd: nd})
 		}
 		nd.regs[key] = r
 	}
@@ -132,6 +136,7 @@ func (nd *Node) Start(key string, op proto.OpID, kind proto.OpKind, val proto.Va
 	r := nd.reg(key)
 	r.pending = append(r.pending, pendingOp{op: op, kind: kind, val: val})
 	nd.pump(key, r, proto.Effects{}, &out)
+	nd.endStep(&out)
 	return out
 }
 
@@ -155,6 +160,7 @@ func (nd *Node) Deliver(from int, msg proto.Message) proto.Effects {
 	default:
 		panic(fmt.Sprintf("regmap: process %d received foreign message %T", nd.id, msg))
 	}
+	nd.endStep(&out)
 	return out
 }
 
@@ -196,20 +202,29 @@ func (nd *Node) emit(out *proto.Effects, to int, f KeyedMsg) {
 	nd.held++
 }
 
-// PendingFlush implements proto.Flusher: it reports buffered coalescer
-// frames awaiting a flush tick.
-func (nd *Node) PendingFlush() bool { return nd.held > 0 }
+// PendingFlush implements proto.Flusher: buffered coalescer frames — and,
+// with storage attached, unsynced records and held completions — await a tick.
+func (nd *Node) PendingFlush() bool { return nd.held > 0 || nd.dirty || len(nd.doneHeld) > 0 }
 
-// Flush implements proto.Flusher: per destination (ascending, so the order
-// is deterministic), a lone frame ships bare and a burst ships as MultiMsg
-// chunks of at most MaxMultiFrames subframes, preserving emission order on
-// each link.
+// Flush implements proto.Flusher, and is a durable coalescing node's commit
+// point: sync once if dirty, then release the held completions and frames.
 func (nd *Node) Flush() proto.Effects {
 	out := proto.Effects{Sends: nd.sends[:0]}
-	if nd.held == 0 {
+	if !nd.PendingFlush() {
 		return out
 	}
 	defer func() { nd.sends = out.Sends }()
+	nd.commit()
+	out.Done, nd.doneHeld = nd.doneHeld, nil
+	nd.releaseFrames(&out)
+	return out
+}
+
+// releaseFrames ships the held frames: per destination (ascending, so the
+// order is deterministic), a lone frame ships bare and a burst ships as
+// MultiMsg chunks of at most MaxMultiFrames subframes, preserving emission
+// order on each link.
+func (nd *Node) releaseFrames(out *proto.Effects) {
 	for to := range nd.hold {
 		frames := nd.hold[to]
 		if len(frames) == 0 {
@@ -232,7 +247,6 @@ func (nd *Node) Flush() proto.Effects {
 		nd.hold[to] = nil
 	}
 	nd.held = 0
-	return out
 }
 
 // LocalMemoryBits sums the hosted registers' Table 1 row 4 probes.

@@ -69,6 +69,10 @@ const (
 	// never lands), so an operation on that key stalls or reads stale —
 	// what the schedule explorer must catch under coalescing workloads.
 	FaultDropMultiTail
+	// FaultEarlyRelease breaks a storage-attached coalescing node's commit
+	// point: a step's frames and completions leave as the step returns,
+	// while the sync covering its appends still waits for Flush.
+	FaultEarlyRelease
 )
 
 // Config configures the Node set of one store.

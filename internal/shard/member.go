@@ -36,11 +36,9 @@ type MemberSpec struct {
 	// (regmap.Config.Coalesce); the deployed service runs with it on.
 	Coalesce bool
 	// Storage, if non-nil, is the member's stable storage: its log is
-	// replayed into the store at construction (a fresh log replays
-	// nothing) and every later step is logged to it.
+	// replayed into the store at construction, every later step is logged
+	// to it, and each mailbox burst is synced once before anything leaves.
 	Storage storage.StableStorage
-	// MeshOptions tune the quorum-link transport.
-	MeshOptions []transport.MeshOption
 	// WrapDeliver and WrapHandler, if non-nil, decorate the member's two
 	// inbound seams: the mesh's deliver callback and the client port's
 	// Handler. A harness that must quiesce a whole cluster (regload's
@@ -179,7 +177,7 @@ func bind(spec MemberSpec) (*Member, error) {
 	if spec.WrapDeliver != nil {
 		deliver = spec.WrapDeliver(deliver)
 	}
-	m.mesh, err = transport.NewMesh(spec.ID, spec.N, spec.MeshAddr, wire.Codec{}, deliver, spec.MeshOptions...)
+	m.mesh, err = transport.NewMesh(spec.ID, spec.N, spec.MeshAddr, wire.Codec{}, deliver)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d member %d: %w", spec.Shard, spec.ID, err)
 	}

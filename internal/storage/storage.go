@@ -5,11 +5,13 @@
 //
 // The durability contract is deliberately small. A register process
 // appends one Record per lane append (its own writes AND the values it
-// adopts from other writers' streams), and calls Sync exactly once per
-// protocol step, BEFORE the step's outbound messages — acknowledgements,
-// echoes, freshness answers — are released to the network. Everything a
-// process has told the world is therefore on stable storage; everything
-// still buffered at a crash was never attested and may be lost. Recovery
+// adopts from other writers' streams), and syncs where it releases: Sync
+// returns BEFORE anything the records back — echoes and freshness answers
+// to peers, completions to clients — leaves the process, so everything a
+// process has told a peer or a client is on stable storage and everything
+// still buffered at a crash was never attested. A bare register releases,
+// and syncs, every protocol step; the keyed store (regmap.Node) once per
+// burst of steps — the sync point is the burst boundary. Recovery
 // replays the log in append order and rebuilds the lane histories; the
 // volatile link-synchronisation counters (w_sync columns for peers,
 // r_sync) are NOT persisted — they are re-established by the restart
@@ -146,8 +148,8 @@ func (m *MemLog) Syncs() int { return m.syncs }
 
 // FileWAL is the file-backed append-only write-ahead log. Append encodes
 // the record into an in-memory buffer; Sync writes the buffer to the
-// file and fsyncs it — one write+fsync per protocol step, however many
-// records the step appended. Replay tolerates a torn tail: a final
+// file and fsyncs it — one write+fsync per release point (a step, or a
+// keyed node's burst), whatever it covers. Replay tolerates a torn tail: a final
 // record truncated by a crash mid-write is ignored, matching the
 // durability contract (it was never claimed durable, because its Sync
 // never returned).

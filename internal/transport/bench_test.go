@@ -12,17 +12,17 @@ import (
 
 // benchMeshPair builds two connected meshes for benchmarks, counting b's
 // deliveries.
-func benchMeshPair(b *testing.B, delivered *atomic.Int64, opts ...transport.MeshOption) *transport.Mesh {
+func benchMeshPair(b *testing.B, delivered *atomic.Int64) *transport.Mesh {
 	b.Helper()
-	opts = append(opts, transport.WithQueueCap(1<<16))
-	a, err := transport.NewMesh(0, 2, "127.0.0.1:0", wire.Codec{}, func(int, proto.Message) {}, opts...)
+	queue := transport.WithQueueCap(1 << 16)
+	a, err := transport.NewMesh(0, 2, "127.0.0.1:0", wire.Codec{}, func(int, proto.Message) {}, queue)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { a.Close() })
 	recv, err := transport.NewMesh(1, 2, "127.0.0.1:0", wire.Codec{}, func(int, proto.Message) {
 		delivered.Add(1)
-	}, opts...)
+	}, queue)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,16 +46,16 @@ func benchMeshPair(b *testing.B, delivered *atomic.Int64, opts ...transport.Mesh
 }
 
 // BenchmarkMeshSend measures the TCP send path end to end (Send through
-// delivery on the remote mesh) and reports the batching ratio. The batched
-// and per-frame variants are the E-TCP1 measurement pair: same payloads,
-// same loopback link, the only difference being whether a sender's drain
-// coalesces queued frames into one conn.Write. allocs/op covers both the
-// send path (reused encode buffers) and the receive path (reused frame
-// buffer) — the zero-alloc claims of the pipelined transport.
+// delivery on the remote mesh) and reports the batching ratio: a sender's
+// drain coalesces the frames queued behind the write in flight into one
+// conn.Write, so the ratio rises above 1 only under concurrent senders
+// (E-TCP1). allocs/op covers both the send path (reused encode buffers)
+// and the receive path (reused frame buffer) — the zero-alloc claims of
+// the pipelined transport.
 func BenchmarkMeshSend(b *testing.B) {
-	run := func(b *testing.B, parallel bool, opts ...transport.MeshOption) {
+	run := func(b *testing.B, parallel bool) {
 		var delivered atomic.Int64
-		a := benchMeshPair(b, &delivered, opts...)
+		a := benchMeshPair(b, &delivered)
 		b.ReportAllocs()
 		b.ResetTimer()
 		if parallel {
@@ -86,11 +86,5 @@ func BenchmarkMeshSend(b *testing.B) {
 		b.ReportMetric(st.FramesPerWrite(), "frames/write")
 	}
 	b.Run("serial/batched", func(b *testing.B) { run(b, false) })
-	b.Run("serial/per-frame", func(b *testing.B) {
-		run(b, false, transport.WithPerFrameWrites())
-	})
 	b.Run("burst/batched", func(b *testing.B) { run(b, true) })
-	b.Run("burst/per-frame", func(b *testing.B) {
-		run(b, true, transport.WithPerFrameWrites())
-	})
 }

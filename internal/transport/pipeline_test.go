@@ -354,7 +354,7 @@ func TestTCPSendPolicyBlock(t *testing.T) {
 // TestTCPBatchedWritesUnderConcurrency hammers one link from many
 // goroutines: frames that queue behind the write in flight must coalesce
 // into multi-frame conn.Writes (the writev-style batching), with nothing
-// lost. The per-frame baseline option, by contrast, must never batch.
+// lost.
 func TestTCPBatchedWritesUnderConcurrency(t *testing.T) {
 	t.Parallel()
 	const (
@@ -362,74 +362,36 @@ func TestTCPBatchedWritesUnderConcurrency(t *testing.T) {
 		perSend = 500
 		total   = senders * perSend
 	)
-	run := func(t *testing.T, opts ...transport.MeshOption) transport.MeshStats {
-		var delivered atomic.Int64
-		opts = append(opts, transport.WithQueueCap(2*total))
-		a, _ := meshPair(t, func(int, proto.Message) { delivered.Add(1) }, opts...)
-		var wg sync.WaitGroup
-		for s := 0; s < senders; s++ {
-			s := s
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perSend; i++ {
-					if err := a.Send(1, seqMsg(uint64(s*perSend+i))); err != nil {
-						t.Errorf("send: %v", err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		waitFor(t, "all frames delivered", func() bool { return delivered.Load() == total })
-		st := a.Stats()
-		if st.FramesDropped != 0 {
-			t.Errorf("%d frames dropped on a live link", st.FramesDropped)
-		}
-		if st.DecodeErrors != 0 {
-			t.Errorf("%d decode errors", st.DecodeErrors)
-		}
-		return st
-	}
-	t.Run("batched", func(t *testing.T) {
-		st := run(t)
-		if st.MaxBatch < 2 {
-			t.Errorf("max batch %d under %d concurrent senders — batching never engaged", st.MaxBatch, senders)
-		}
-		if st.ConnWrites >= st.FramesSent {
-			t.Errorf("%d writes for %d frames — no syscall saved", st.ConnWrites, st.FramesSent)
-		}
-		t.Logf("batched: %s", st)
-	})
-	t.Run("per-frame", func(t *testing.T) {
-		st := run(t, transport.WithPerFrameWrites())
-		if st.ConnWrites != st.FramesSent {
-			t.Errorf("per-frame baseline did %d writes for %d frames", st.ConnWrites, st.FramesSent)
-		}
-		t.Logf("per-frame: %s", st)
-	})
-}
-
-// TestTCPFlushWindowBatches checks the socket-level flush window: even a
-// single sequential sender must see multi-frame batches when the sender
-// lingers before draining.
-func TestTCPFlushWindowBatches(t *testing.T) {
-	t.Parallel()
 	var delivered atomic.Int64
-	a, _ := meshPair(t, func(int, proto.Message) { delivered.Add(1) },
-		transport.WithSendFlushWindow(2*time.Millisecond), transport.WithQueueCap(4096))
-	const total = 1000
-	for i := uint64(0); i < total; i++ {
-		if err := a.Send(1, seqMsg(i)); err != nil {
-			t.Fatal(err)
-		}
+	a, _ := meshPair(t, func(int, proto.Message) { delivered.Add(1) }, transport.WithQueueCap(2*total))
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		s := s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSend; i++ {
+				if err := a.Send(1, seqMsg(uint64(s*perSend+i))); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	waitFor(t, "all frames delivered", func() bool { return delivered.Load() == total })
 	st := a.Stats()
-	if st.MaxBatch < 2 {
-		t.Errorf("max batch %d with a 2ms flush window", st.MaxBatch)
-	}
 	if st.FramesDropped != 0 {
-		t.Errorf("%d frames dropped", st.FramesDropped)
+		t.Errorf("%d frames dropped on a live link", st.FramesDropped)
 	}
+	if st.DecodeErrors != 0 {
+		t.Errorf("%d decode errors", st.DecodeErrors)
+	}
+	if st.MaxBatch < 2 {
+		t.Errorf("max batch %d under %d concurrent senders — batching never engaged", st.MaxBatch, senders)
+	}
+	if st.ConnWrites >= st.FramesSent {
+		t.Errorf("%d writes for %d frames — no syscall saved", st.ConnWrites, st.FramesSent)
+	}
+	t.Logf("batched: %s", st)
 }

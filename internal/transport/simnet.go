@@ -51,9 +51,9 @@ type SimNet struct {
 	// exposed for Property P1 assertions in tests.
 	inFlight [][]int
 	// flushWindow, when positive, grants proto.Flusher processes a flush
-	// tick flushWindow after a step leaves frames buffered: frames
-	// coalesce across every delivery that lands inside the window.
-	// flushArmed dedups the pending tick per process.
+	// tick flushWindow after a step leaves anything held (PendingFlush):
+	// frames coalesce across every delivery inside the window, and a
+	// durable process commits there. flushArmed dedups the pending tick.
 	flushWindow float64
 	flushArmed  []bool
 	// fifo, when true, clamps per-link delivery times to be monotone so

@@ -74,10 +74,8 @@ const (
 type meshConfig struct {
 	queueCap    int
 	policy      SendPolicy
-	perFrame    bool
 	dialRetries int
 	dialBackoff time.Duration
-	flushWindow time.Duration
 }
 
 // MeshOption customizes NewMesh.
@@ -93,26 +91,10 @@ func WithSendPolicy(p SendPolicy) MeshOption {
 	return func(c *meshConfig) { c.policy = p }
 }
 
-// WithPerFrameWrites disables batched drains: each frame gets its own
-// conn.Write. This is the measurement baseline for the batching win
-// (E-TCP1), not a production mode.
-func WithPerFrameWrites() MeshOption {
-	return func(c *meshConfig) { c.perFrame = true }
-}
-
 // WithDialRetry overrides the per-cycle dial attempt count and base
 // backoff (jitter is applied on top).
 func WithDialRetry(retries int, backoff time.Duration) MeshOption {
 	return func(c *meshConfig) { c.dialRetries, c.dialBackoff = retries, backoff }
-}
-
-// WithSendFlushWindow makes each sender linger up to d after its first
-// pending frame before draining, trading latency for larger batches — the
-// socket-level analogue of the simulator's flush window. Zero (the
-// default) drains immediately; batching then comes only from frames that
-// queued while a write was in flight.
-func WithSendFlushWindow(d time.Duration) MeshOption {
-	return func(c *meshConfig) { c.flushWindow = d }
 }
 
 // Mesh is one process's TCP endpoint in a fully connected cluster running
@@ -378,15 +360,10 @@ func (m *Mesh) KickDial(to int) {
 }
 
 // Close shuts the mesh down and waits for its goroutines. Queued and
-// in-flight frames are discarded.
-//
-// Every peer is marked closed BEFORE m.done closes: a sender whose dial
-// cycle bails on m.done drops its batch and drains the queue again, and
-// while its peer still looked open that freed space for a Block-policy
-// Send, which then enqueued into a queue nobody would write and returned
-// nil. All of it happens under m.mu, which SetPeers holds across its
-// m.done check and its sender starts — so either Close sees the peers
-// SetPeers made, or SetPeers sees the mesh closed and starts none.
+// in-flight frames are discarded. Peers are marked closed BEFORE m.done
+// closes — a sender bailing on m.done re-drains its queue, which freed a
+// still-open peer's space for a Block-policy Send nobody would write —
+// and under m.mu, so SetPeers either ran before or starts nothing.
 func (m *Mesh) Close() error {
 	m.mu.Lock()
 	for _, p := range m.peers {
@@ -452,13 +429,10 @@ type peer struct {
 // write in progress), writes the single frame inline on the caller: the
 // quiescent case keeps synchronous-path latency, while any concurrency
 // falls through to the queue and gets drained in batches. Dialing never
-// happens inline, so a down peer costs its callers nothing. A configured
-// flush window disables the inline path — that option explicitly trades
-// latency for batches, so every frame must ride the lingering drain.
+// happens inline, so a down peer costs its callers nothing.
 func (p *peer) enqueue(msg proto.Message) error {
 	p.mu.Lock()
-	if !p.writing && len(p.queue) == 0 && p.conn != nil && !p.closed &&
-		p.m.cfg.flushWindow == 0 {
+	if !p.writing && len(p.queue) == 0 && p.conn != nil && !p.closed {
 		c := p.conn
 		p.writing = true
 		p.mu.Unlock()
@@ -537,10 +511,7 @@ func (p *peer) close() {
 // take blocks until frames are pending AND the write turn is free, then
 // claims the turn and drains the whole queue into p.batch. Holding the
 // turn from drain to flush keeps the inline fast path from jumping ahead
-// of (or interleaving with) a batch in flight. With a flush window
-// configured it lingers after claiming the turn — the turn blocks inline
-// writes, so a burst in progress accumulates in the queue and lands in
-// one drain.
+// of (or interleaving with) a batch in flight.
 func (p *peer) take() bool {
 	p.mu.Lock()
 	for (len(p.queue) == 0 || p.writing) && !p.closed {
@@ -551,16 +522,6 @@ func (p *peer) take() bool {
 		return false
 	}
 	p.writing = true
-	if w := p.m.cfg.flushWindow; w > 0 {
-		p.mu.Unlock()
-		time.Sleep(w)
-		p.mu.Lock()
-		if p.closed {
-			p.writing = false
-			p.mu.Unlock()
-			return false
-		}
-	}
 	p.batch = append(p.batch[:0], p.queue...)
 	p.takenEpoch = p.epoch
 	for i := range p.queue {
@@ -667,7 +628,7 @@ func (p *peer) backoff() bool {
 
 // writeBatch encodes every frame of p.batch into the reused buffer and
 // ships it in as few conn.Write calls as possible (one, unless the batch
-// exceeds maxBatchBytes or per-frame mode is on). A write error closes the
+// exceeds maxBatchBytes). A write error closes the
 // connection and drops the batch's unwritten remainder — frames are never
 // resent, so a reconnect cannot duplicate or interleave them. Returns the
 // number of frames lost (unwritten or unencodable).
@@ -705,7 +666,7 @@ func (p *peer) writeBatch(c net.Conn) (lost int64) {
 			continue
 		}
 		frames++
-		if len(buf) >= maxBatchBytes || p.m.cfg.perFrame {
+		if len(buf) >= maxBatchBytes {
 			if !flush() {
 				p.encBuf = buf[:0]
 				return lost + int64(len(p.batch)-i-1)
