@@ -77,23 +77,40 @@
 //     bit; the receiver materializes the run locally.
 //
 // Receivers unpack both frames through the same parity-gated reorder
-// buffer, so the protocol logic is untouched. A dominated write's cost
-// becomes gap-independent: the writer sends the freshness round plus one
-// frame per peer (O(n)), and the whole flood settles in O(n^2) frames —
-// the SWMR register's own flood cost — versus O(G·n^2) unbatched
-// (TestMWDominatedWriteCostConstantVsLinear pins 40 messages for n=5 at
+// buffer, so the protocol logic is untouched — with one run-scoped rule on
+// the relay side: Figure 1's line-15 test (wSync[j] == wsn-1) holds only
+// for the first index of a run a relay adopts in one drain, so a relay
+// forwards each further index to the peers it forwarded the previous one
+// to in that same drain (Lane.forwardRun), and a run leaves on every link
+// as the one frame it arrived as. A write's cost is then gap-independent
+// and at its floor: the writer sends the freshness round plus one frame
+// per peer (O(n)), and the flood settles in exactly n(n-1) lane frames —
+// one per ordered pair, the SWMR register's own flood cost — versus
+// O(G·n^2) unbatched (TestMWWriteFramesAtFloor pins 2(n-1) + n(n-1) frames
+// per write for n = 3, 5, 7, padded or not;
+// TestMWDominatedWriteCostConstantVsLinear pins 28 messages for n=5 at
 // G=5 and G=40 alike, against 128 and 828 unbatched;
-// BenchmarkMWMRWriteMessages commits the trajectory to BENCH_mwmr.json).
+// BenchmarkMWMRWriteMessages commits the trajectory to BENCH_mwmr.json;
+// EXPERIMENTS.md E-FL1 has the served-path measurement).
 // The price is stated, not hidden: pipelining gives up the reorder
 // tolerance the one-in-flight pacing paid for, so batched processes
 // declare proto.FIFOLinks — TCP and the cluster mailboxes are FIFO
 // already, and the simulator clamps per-link delivery order (head-of-line
-// blocking included) when the declaration is present. The unbatched
-// register stays registered ("twobit-mwmr-unbatched") as the differential
-// baseline and keeps the paper's unordered-channel model. Under pipelining
+// blocking included) when the declaration is present. Under pipelining
 // Properties P1/P2 are deliberately relaxed and replaced by a per-link
 // conservation invariant (processed + parked <= sender's holdings);
 // Lemmas 2-4 are framing-independent and still checked.
+//
+// Batching is also what makes a padded write atomic to readers: the run is
+// adopted in one step, from one frame, so no reader ever fixes its vector
+// on one of the write's intermediate indices. The unbatched register
+// ("twobit-mwmr-unbatched") publishes them one round trip at a time, each
+// carrying the new value at a timestamp below the write's final one, and
+// is NOT atomic: a read can return the new value early, a later read a
+// concurrent write ordered between the intermediate and the final index,
+// and a third the new value again. It stays registered as the message-cost
+// baseline only, outside every list of correct algorithms, with two
+// committed failing schedules (explore.TestUnbatchedPaddingWitnesses).
 //
 // # The keyed multi-writer store and cross-key coalescing
 //
@@ -166,9 +183,11 @@
 // never head-of-line-blocks frames to live peers; its queue overflow is
 // absorbed by a declared policy (DropNewest by default, Block opt-in),
 // which is exactly the paper's crash model: reliable FIFO links between
-// live processes, loss toward crashed ones. Receive reuses one frame
-// buffer per connection (wire.Codec.Decode copies what it keeps), and
-// MeshStats exports the counters — frames per conn.Write is the measured
+// live processes, loss toward crashed ones. Receive goes through one
+// buffered transport.FrameReader per connection — hello included — so a
+// burst of frames costs one read of the socket, and the codec copies what
+// it keeps out of that buffer; the client protocol's two ends read the
+// same way. MeshStats exports the counters — frames per conn.Write is the measured
 // batching ratio. cmd/regload is the closed-loop load harness over this
 // stack (internal/regload + internal/metrics latency histograms):
 // configurable clients/keys/read-fraction drive a real TCP cluster and
@@ -239,7 +258,7 @@
 //   - twobit-oracle — the seqnum-ablation oracle (explicit sequence numbers)
 //   - twobit-fastread — the one-round fast-path read variant
 //   - twobit-mwmr — the multi-writer lane-engine register (batched frames)
-//   - twobit-mwmr-unbatched — its pre-batching baseline, unordered channels
+//   - twobit-mwmr-unbatched — its pre-batching cost baseline (not atomic)
 //   - regmap-mwmr — the 50-key coalescing keyed store
 //   - regmap-mwmr-wide — the 200-key acceptance configuration
 //   - regmap-mwmr-restricted — per-key writer sets with rejected writes
@@ -258,6 +277,7 @@
 //   - mut-mwmr-stale — stale read cache on the MWMR ABD baseline
 //   - mut-twobit-mwmr — multi-writer write skips its freshness round
 //   - mut-lane-batch — receiver tears batched lane frames
+//   - mut-lane-resend — relay forwards a run's index twice on one link
 //   - mut-regmap-frame — receiver drops cross-key multi-frame tails
 //   - mut-wal-skipsync — WAL appends never sync, a crash empties the log
 //   - mut-wal-earlyrelease — keyed store releases a step before its sync

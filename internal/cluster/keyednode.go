@@ -212,15 +212,18 @@ func (nd *KeyedNode) enqueue(ev keyedEvent) error {
 // nextBatch blocks until events are available and takes the whole mailbox:
 // the batch is the coalescing burst — every keyed frame its events produce
 // toward one peer ships as one multi-frame when the store coalesces. On a
-// halt it returns the verdict and whatever was still queued.
-func (nd *KeyedNode) nextBatch() ([]keyedEvent, error) {
+// halt it returns the verdict and whatever was still queued. spent is the
+// previous batch, handed back to become the next mailbox: the two slices
+// swap, so a burst never re-grows its queue from nothing.
+func (nd *KeyedNode) nextBatch(spent []keyedEvent) ([]keyedEvent, error) {
+	clear(spent) // drop the processed messages and reply channels
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	for len(nd.queue) == 0 && nd.halted == nil {
 		nd.cond.Wait()
 	}
 	batch := nd.queue
-	nd.queue = nil
+	nd.queue = spent[:0]
 	return batch, nd.halted
 }
 
@@ -248,8 +251,10 @@ func (nd *KeyedNode) run() {
 		}
 	}
 
+	var batch []keyedEvent
 	for {
-		batch, halted := nd.nextBatch()
+		var halted error
+		batch, halted = nd.nextBatch(batch)
 		if halted != nil {
 			// Fail started and still-queued operations alike, so no
 			// client blocks forever.

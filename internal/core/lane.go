@@ -45,6 +45,9 @@ type Lane struct {
 	// maxPending records the observed maximum so tests can verify the bound.
 	pending    [][]WriteMsg
 	maxPending int
+	// parked counts the WRITEs held in pending across all peers, so an owner
+	// hosting many lanes skips the ones with nothing to drain (Parked).
+	parked int
 
 	// Pipelined mode (EnablePipelining — the batched multi-writer register).
 	// sent[j] is the highest stream index shipped on the link to p_j. The
@@ -59,6 +62,17 @@ type Lane struct {
 	// but a gap of any size crosses a link in one frame.
 	pipelined bool
 	sent      []int
+	// runFwd[j] is the highest index forwarded to p_j by an adoption in the
+	// current Drain (0: none — index 0 is v0, never forwarded, and whoever
+	// adopts index 1 still has every wSync[j] at 0). A relay adopting
+	// consecutive indices in one Drain — a padded run that arrived as one
+	// frame — extends the forward to the peers that received the run's
+	// previous index, so the run leaves on each link as the one frame it
+	// arrived as (forwardRun).
+	runFwd []int
+	// resendRuns is the mut-lane-resend bug: a run's second index is
+	// forwarded without advancing sent (see MWFaultRunResend).
+	resendRuns bool
 
 	// onAppend, when set, observes every history append (index, value) —
 	// the durability hook: a durable owner logs each append to stable
@@ -95,7 +109,8 @@ func (l *Lane) EnablePipelining() {
 		panic("core: pipelined lanes are incompatible with the explicit-seqnum ablation")
 	}
 	l.pipelined = true
-	l.sent = make([]int, l.n)
+	cursors := make([]int, 2*l.n) // one allocation: a keyed store hosts a lane per (key, writer)
+	l.sent, l.runFwd = cursors[:l.n:l.n], cursors[l.n:]
 }
 
 // Pipelined reports whether EnablePipelining was called.
@@ -213,13 +228,21 @@ func (l *Lane) ShipBacklog(to int, emit emitFn) {
 // processes whatever has become processable.
 func (l *Lane) Enqueue(from int, m WriteMsg) {
 	l.pending[from] = append(l.pending[from], m)
+	l.parked++
 }
+
+// Parked returns the number of WRITEs currently parked behind the line-11
+// guard, over all peers. Drain on a lane with none is a no-op.
+func (l *Lane) Parked() int { return l.parked }
 
 // Drain runs one full pass over the per-peer reorder buffers, processing
 // every parked WRITE whose line-11 guard has become true (lines 12-18). It
 // returns whether any message was processed; callers loop it to a fixpoint
 // together with their own guards.
 func (l *Lane) Drain(emit emitFn) bool {
+	for j := range l.runFwd {
+		l.runFwd[j] = 0 // runs are scoped to one Drain
+	}
 	progress := false
 	for j := 0; j < l.n; j++ {
 		for {
@@ -248,6 +271,7 @@ func (l *Lane) nextFromPending(j int) (WriteMsg, bool) {
 			copy(queue[k:], queue[k+1:])
 			queue[len(queue)-1] = WriteMsg{}
 			l.pending[j] = queue[:len(queue)-1]
+			l.parked--
 			return m, true
 		}
 	}
@@ -274,7 +298,11 @@ func (l *Lane) processWrite(from int, m WriteMsg, emit emitFn) {
 		// the alternating-bit acknowledgement.
 		l.wSync[l.self] = wsn
 		l.appendHistory(wsn, m.Val.Clone())
-		l.Forward(wsn, emit)
+		if l.pipelined {
+			l.forwardRun(wsn, emit)
+		} else {
+			l.Forward(wsn, emit)
+		}
 	case wsn < l.wSync[l.self]:
 		// Line 16 (Rule R2): the sender lags by at least two values. The
 		// strict protocol sends the single next value it is missing (one
@@ -292,6 +320,32 @@ func (l *Lane) processWrite(from int, m WriteMsg, emit emitFn) {
 	}
 	// Line 18.
 	l.wSync[from] = wsn
+}
+
+// forwardRun is the line-15 forward of a pipelined lane. Figure 1 tests
+// wSync[j] == wsn-1 per index, which a relay adopting a whole run in one
+// Drain satisfies only for the run's first index (and for the sender, whose
+// column advances entry by entry): every other peer would get the head now
+// and the tail one echo later, through Rule R2 — two frames on a link where
+// the run arrived as one. So the test is run-scoped: a peer forwarded wsn-1
+// by this same Drain gets wsn too (send ships from sent[j], which that
+// forward left at wsn-1), and the batching emitter renders the run as one
+// frame per link. Pacing between Drains is unchanged — a run's first index
+// still waits for the peer's acknowledgement of everything before it, so a
+// frozen peer is owed at most one unacknowledged frame per lane — and so is
+// the exactly-once contract, which send keeps in sent[].
+func (l *Lane) forwardRun(wsn int, emit emitFn) {
+	for j := 0; j < l.n; j++ {
+		if j == l.self || (l.wSync[j] != wsn-1 && l.runFwd[j] != wsn-1) {
+			continue
+		}
+		if l.resendRuns && l.wSync[j] == wsn-2 {
+			l.emitOne(j, wsn, emit) // the mutant: sent[j] stays at the run's head
+		} else {
+			l.send(j, wsn, emit)
+		}
+		l.runFwd[j] = wsn
+	}
 }
 
 // CountEq returns the number of processes j with wSync[j] == x (the line-3
@@ -382,6 +436,7 @@ func (l *Lane) ResetLink(j int) {
 	for k := range l.pending[j] {
 		l.pending[j][k] = WriteMsg{}
 	}
+	l.parked -= len(l.pending[j])
 	l.pending[j] = l.pending[j][:0]
 }
 
@@ -428,6 +483,9 @@ func (l *Lane) Compact(floor int) {
 // P1 probe. It must be called at drain fixpoints only: transient depths
 // while messages are being processed do not count against the bound.
 func (l *Lane) NoteQuiesced() {
+	if l.parked == 0 {
+		return
+	}
 	for _, q := range l.pending {
 		if len(q) > l.maxPending {
 			l.maxPending = len(q)

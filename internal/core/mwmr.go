@@ -208,6 +208,17 @@ const (
 	// last-writer-wins misordering) under multi-writer schedules whose
 	// padding gaps produce batches of three or more.
 	MWFaultTornBatch
+	// MWFaultRunResend breaks the exactly-once-per-link contract of
+	// run-scoped forwarding (Lane.forwardRun): a relay forwards a run's
+	// second index to the peers of its first without advancing sent[], so
+	// that index crosses the link twice — again in the same frame when the
+	// run goes on (send fills in from the stale cursor), or on the peer's
+	// echo of the head (Rule R2 re-ships it) when the run ends there. The
+	// receiver counts the duplicate as a fresh index: its view of the relay
+	// overtakes what the relay holds (conservation, Lemma 2), or it adopts
+	// a repeated value as the lane's next entry. Needs padded runs, i.e.
+	// concurrent writer streams.
+	MWFaultRunResend
 )
 
 // WithMWFault builds the broken variant f. Mutation testing only.
@@ -255,6 +266,7 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 		if !o.unbatched {
 			p.lanes[k].EnablePipelining()
 		}
+		p.lanes[k].resendRuns = o.fault == MWFaultRunResend
 	}
 	if !o.unbatched {
 		p.batcher = &laneBatcher{}
@@ -582,7 +594,9 @@ func (p *MWProc) drain(eff *proto.Effects) {
 	for progress := true; progress; {
 		progress = false
 		for k, l := range p.lanes {
-			if l.Drain(p.emitLane(p.writers[k], eff)) {
+			// A delivery parks on one lane; the rest have nothing to drain
+			// and are skipped before their emit closure is built.
+			if l.Parked() > 0 && l.Drain(p.emitLane(p.writers[k], eff)) {
 				progress = true
 			}
 		}

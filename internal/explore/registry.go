@@ -43,10 +43,9 @@ func buildRegistry() map[string]proto.Algorithm {
 		"abd-mwmr":        abd.MWMRAlgorithm(),
 		"twobit-mwmr":     core.MWMRAlgorithm(),
 		// The pre-batching multi-writer register: one WRITE per padded
-		// index per link round trip. Kept as the differential baseline for
-		// the batched frames and as the message-cost comparison point
-		// (BenchmarkMWMRWriteMessages); unlike the batched register it
-		// needs no FIFO links.
+		// index per link round trip. NOT a correct algorithm (see
+		// costBaselines): registered as the message-cost comparison point
+		// (BenchmarkMWMRWriteMessages, E-BL1) only.
 		"twobit-mwmr-unbatched": proto.Alg("twobit-mwmr-unbatched",
 			core.MWMRAlgorithm(core.WithMWBatching(false)).New),
 		// The keyed multi-writer store: every process runs a regmap node
@@ -129,6 +128,14 @@ func buildRegistry() map[string]proto.Algorithm {
 		// liveness check) once padding gaps produce frames of three or
 		// more entries, i.e. under concurrent writer streams.
 		"mut-lane-batch": proto.Alg("mut-lane-batch", core.MWMRAlgorithm(core.WithMWFault(core.MWFaultTornBatch)).New),
+		// The twice-crossed-link bug of run-scoped forwarding: a relay
+		// forwards the second index of an adopted run without advancing the
+		// link's send cursor (core.MWFaultRunResend), so that index crosses
+		// the link again — with the rest of the run, or on the peer's echo.
+		// The receiver's count of the relay overtakes the relay's holdings —
+		// the conservation probe — as soon as a padded run is relayed, i.e.
+		// under concurrent writer streams.
+		"mut-lane-resend": proto.Alg("mut-lane-resend", core.MWMRAlgorithm(core.WithMWFault(core.MWFaultRunResend)).New),
 		// The lost-cross-key-frame bug of the coalescing keyed store: a
 		// receiver silently drops the last subframe of every cross-key
 		// multi-frame (regmap.FaultDropMultiTail). The key that subframe
@@ -165,9 +172,31 @@ var mwmrCapableSet = map[string]bool{
 	"mut-mwmr-stale":         true,
 	"mut-twobit-mwmr":        true,
 	"mut-lane-batch":         true,
+	"mut-lane-resend":        true,
 	"mut-regmap-frame":       true,
 	"mut-wal-earlyrelease":   true,
 }
+
+// costBaselines marks registered algorithms that are kept for their cost
+// figures and are known NOT to be atomic, without being seeded mutants:
+// they are left out of the correct-algorithm lists (and so out of every
+// default sweep) and judged by committed failing witnesses instead.
+//
+// twobit-mwmr-unbatched publishes a padded write one index per round trip,
+// so the written value sits at several (index, writer) timestamps in turn
+// and a read can pin an intermediate one: a reader returns the new value,
+// a later reader returns a concurrent write whose timestamp falls between
+// the intermediate and the final index, and a third returns the new value
+// again — a new-old inversion (TestUnbatchedPaddingWitnesses holds the
+// two tokens). Batched lanes adopt a padded run in one step, from one
+// frame, which is what makes the run atomic to readers.
+var costBaselines = map[string]bool{
+	"twobit-mwmr-unbatched": true,
+}
+
+// judgedCorrect reports whether name is claimed atomic: neither a seeded
+// mutant nor a cost baseline.
+func judgedCorrect(name string) bool { return !isMutant(name) && !costBaselines[name] }
 
 // MWMRCapable reports whether the named algorithm supports concurrent
 // writers (and may therefore be explored with Schedule.Writers >= 2).
@@ -178,7 +207,7 @@ func MWMRCapable(name string) bool { return mwmrCapable()[name] }
 func MWMRAlgorithmNames() []string {
 	var out []string
 	for name := range mwmrCapable() {
-		if _, ok := registry()[name]; ok && !isMutant(name) {
+		if _, ok := registry()[name]; ok && judgedCorrect(name) {
 			out = append(out, name)
 		}
 	}
@@ -196,7 +225,7 @@ func ByName(name string) (proto.Algorithm, bool) {
 func AlgorithmNames() []string {
 	var out []string
 	for name := range registry() {
-		if !isMutant(name) {
+		if judgedCorrect(name) {
 			out = append(out, name)
 		}
 	}

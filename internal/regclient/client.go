@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"twobitreg/internal/shard"
+	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
 
@@ -113,14 +114,13 @@ func (s *Session) fail(reason error) {
 }
 
 func (s *Session) readLoop() {
-	var buf []byte
+	fr := transport.NewFrameReader(s.conn, wire.MaxClientFrame)
 	for {
-		body, err := wire.ReadClientFrame(s.conn, buf)
+		body, err := fr.Next()
 		if err != nil {
 			s.fail(fmt.Errorf("%w: %v", ErrSessionClosed, err))
 			return
 		}
-		buf = body[:0]
 		resp, err := wire.DecodeClientResponse(body)
 		if err != nil {
 			s.fail(fmt.Errorf("regclient: malformed response: %w", err))

@@ -1,6 +1,7 @@
 package regclient
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"twobitreg/internal/shard"
+	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
 
@@ -207,6 +209,115 @@ func TestSessionServerDeathFailsWaiters(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter still parked after server close")
+	}
+}
+
+// TestSessionResponsesInOneSegment drives a session against a scripted
+// node: responses written in one conn.Write are all matched to their
+// waiters, a response cut across two writes reassembles, and Close still
+// fails a waiter while the session's reader is parked inside its buffer on
+// half a frame.
+func TestSessionResponsesInOneSegment(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const reqs = 8
+	halfSent := make(chan struct{})
+	nodeDone := make(chan error, 1)
+	go func() {
+		nodeDone <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			// Collect every request, then answer them all at once: the
+			// first reqs whole, the last one cut in two — and then half of a
+			// response nobody completes.
+			frame := func(id uint64) []byte {
+				var fw wire.ClientFrameWriter
+				var b bytes.Buffer
+				if err := fw.WriteResponse(&b, wire.ClientResponse{ID: id, Status: wire.StatusOK, Val: []byte(fmt.Sprint("v", id))}); err != nil {
+					t.Error(err)
+				}
+				return b.Bytes()
+			}
+			fr := transport.NewFrameReader(conn, wire.MaxClientFrame)
+			var burst []byte
+			var last []byte
+			for i := 0; i <= reqs; i++ {
+				body, err := fr.Next()
+				if err != nil {
+					return err
+				}
+				req, err := wire.DecodeClientRequest(body)
+				if err != nil {
+					return err
+				}
+				if i < reqs {
+					burst = append(burst, frame(req.ID)...)
+				} else {
+					last = frame(req.ID)
+				}
+			}
+			for _, part := range [][]byte{append(burst, last[:6]...), last[6:]} {
+				if _, err := conn.Write(part); err != nil {
+					return err
+				}
+			}
+			body, err := fr.Next() // the request that will be left hanging
+			if err != nil {
+				return err
+			}
+			req, err := wire.DecodeClientRequest(body)
+			if err != nil {
+				return err
+			}
+			if _, err := conn.Write(frame(req.ID)[:6]); err != nil {
+				return err
+			}
+			close(halfSent)
+			fr.Next() // parks until the session hangs up (EOF or a reset)
+			return nil
+		}()
+	}()
+
+	sess, err := DialNode(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	var wg sync.WaitGroup
+	for i := 0; i <= reqs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sess.Get("k"); err != nil {
+				t.Errorf("get answered in a shared segment: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	hung := make(chan error, 1)
+	go func() {
+		_, err := sess.Get("hung")
+		hung <- err
+	}()
+	<-halfSent
+	sess.Close()
+	select {
+	case err := <-hung:
+		if !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("waiter behind half a response failed with %v, want ErrSessionClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still parked after Close with half a response buffered")
+	}
+	if err := <-nodeDone; err != nil {
+		t.Fatalf("scripted node: %v", err)
 	}
 }
 

@@ -557,7 +557,8 @@ func TestNodeNonCoalescingCommitsPerStep(t *testing.T) {
 
 // TestVolatileNodeAllocsUnchanged guards the storage-less path: the commit
 // point costs it one branch per step and no allocation. The pinned counts
-// are the parent commit's.
+// are those of the commit that introduced it, less the hold buffer that
+// releaseFrames used to drop and every burst re-grew.
 func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 	nd, err := NewNode(0, Config{N: 3, Coalesce: true})
 	if err != nil {
@@ -570,14 +571,14 @@ func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 		fn   func()
 	}{
 		{"Start", 3, func() { op++; nd.Start("k", op, proto.OpRead, nil) }},
-		{"Deliver+Flush", 3, func() {
+		{"Deliver+Flush", 2, func() {
 			nd.Deliver(1, KeyedMsg{Key: "k", Inner: core.ReadMsg{}})
 			nd.Flush()
 		}},
 		{"idle Flush", 0, func() { nd.Flush() }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.fn); got != tc.want {
-			t.Errorf("%s: %v allocs/run on a storage-less node, parent commit has %v", tc.name, got, tc.want)
+			t.Errorf("%s: %v allocs/run on a storage-less node, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -244,7 +244,10 @@ func (nd *Node) releaseFrames(out *proto.Effects) {
 			}
 			off = end
 		}
-		nd.hold[to] = nil
+		// Every frame left by value (a MultiMsg chunk is its own copy), so
+		// the backing array is kept for the next burst.
+		clear(frames)
+		nd.hold[to] = frames[:0]
 	}
 	nd.held = 0
 }

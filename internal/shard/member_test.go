@@ -152,7 +152,7 @@ func TestMemberCloseOrder(t *testing.T) {
 	if got := members[0].SendErrors(); got != 0 {
 		t.Errorf("%d sends found the mesh closed: it must outlive the node", got)
 	}
-	if body, err := wire.ReadClientFrame(conn, nil); err == nil {
+	if body, err := readFrame(conn); err == nil {
 		// The response may be cut off by the session closing; if it made
 		// it out, it must tell the client to fail over.
 		if resp, err := wire.DecodeClientResponse(body); err != nil || resp.Status != wire.StatusUnavailable {

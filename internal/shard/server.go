@@ -14,6 +14,7 @@ import (
 	"net"
 	"sync"
 
+	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
 
@@ -136,13 +137,12 @@ func (c *session) run() {
 		c.srv.mu.Unlock()
 		c.srv.wg.Done()
 	}()
-	var buf []byte
+	fr := transport.NewFrameReader(c.conn, wire.MaxClientFrame)
 	for {
-		body, err := wire.ReadClientFrame(c.conn, buf)
+		body, err := fr.Next()
 		if err != nil {
 			return // disconnect, malformed framing, or server shutdown
 		}
-		buf = body[:0]
 		req, err := wire.DecodeClientRequest(body)
 		if err != nil {
 			// A structurally valid frame with bad contents (unknown op,

@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -31,9 +35,22 @@ func sendReq(t *testing.T, conn net.Conn, req wire.ClientRequest) {
 	}
 }
 
+// readFrame reads exactly one length-prefixed frame and not a byte more,
+// so tests can interleave it with other reads of the same connection (the
+// production ends read through a buffered wire.FrameReader instead).
+func readFrame(conn net.Conn) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return nil, err
+	}
+	body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+	_, err := io.ReadFull(conn, body)
+	return body, err
+}
+
 func readResp(t *testing.T, conn net.Conn) wire.ClientResponse {
 	t.Helper()
-	body, err := wire.ReadClientFrame(conn, nil)
+	body, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +214,7 @@ func TestServerDropsMalformedSession(t *testing.T) {
 	if resp := readResp(t, bad); resp.Status != wire.StatusErr {
 		t.Fatalf("malformed frame: %+v", resp)
 	}
-	if _, err := wire.ReadClientFrame(bad, nil); err == nil {
+	if _, err := readFrame(bad); err == nil {
 		t.Fatal("session survived a malformed frame")
 	}
 	waitSessions(t, srv, 0)
@@ -275,5 +292,59 @@ func TestStartLocalSmoke(t *testing.T) {
 	}
 	if resp := get(1, 1, keys[1]); resp.Status != wire.StatusOK || string(resp.Val) != "v2" {
 		t.Fatalf("shard 1 read after kill: %+v", resp)
+	}
+}
+
+// TestServerRequestsInOneSegment: a pipelining client's requests routinely
+// share a segment. Every request written in one conn.Write is served, a
+// request cut across two writes reassembles, and Close still returns while
+// the session's reader is parked inside its buffer on half a frame.
+func TestServerRequestsInOneSegment(t *testing.T) {
+	srv := serveTest(t, 0, 1, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
+		return []byte(key), nil
+	})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const reqs = 32
+	var burst []byte
+	frame := func(id uint64) []byte {
+		var fw wire.ClientFrameWriter
+		var b bytes.Buffer
+		if err := fw.WriteRequest(&b, wire.ClientRequest{ID: id, Op: wire.ClientGet, Key: fmt.Sprintf("k%d", id)}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for id := uint64(1); id <= reqs; id++ {
+		burst = append(burst, frame(id)...)
+	}
+	split := frame(reqs + 1)
+	for _, part := range [][]byte{append(burst, split[:5]...), split[5:], split[:5]} {
+		if _, err := conn.Write(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Responses return in completion order; match them by id.
+	seen := make(map[uint64]bool)
+	for i := 0; i <= reqs; i++ {
+		resp := readResp(t, conn)
+		if resp.Status != wire.StatusOK || string(resp.Val) != fmt.Sprintf("k%d", resp.ID) || seen[resp.ID] {
+			t.Fatalf("response %d: %+v", i, resp)
+		}
+		seen[resp.ID] = true
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hangs on a session reader parked mid-frame")
+	}
+	if got := srv.ActiveSessions(); got != 0 {
+		t.Fatalf("%d sessions survive Close", got)
 	}
 }

@@ -139,8 +139,11 @@ type Mesh struct {
 	ln      net.Listener
 	cfg     meshConfig
 
-	mu       sync.Mutex
-	peers    []*peer               // index = process id, nil for self; set once by SetPeers
+	// peers is the send-side table (index = process id, nil for self),
+	// published once by SetPeers and read lock-free on every Send.
+	peers atomic.Pointer[[]*peer]
+
+	mu       sync.Mutex            // orders SetPeers against Close; guards the fields below
 	inbound  map[net.Conn]struct{} // accepted, closed on shutdown
 	seenFrom []bool                // senders that have completed a handshake once
 
@@ -211,7 +214,7 @@ func (m *Mesh) SetPeers(addrs []string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.peers != nil {
+	if m.peers.Load() != nil {
 		return errors.New("transport: SetPeers called twice")
 	}
 	select {
@@ -219,7 +222,7 @@ func (m *Mesh) SetPeers(addrs []string) error {
 		return errors.New("transport: mesh closed")
 	default:
 	}
-	m.peers = make([]*peer, m.n)
+	peers := make([]*peer, m.n)
 	for id, addr := range addrs {
 		if id == m.self {
 			continue
@@ -227,11 +230,22 @@ func (m *Mesh) SetPeers(addrs []string) error {
 		p := &peer{m: m, id: id, addr: addr, kick: make(chan struct{}, 1)}
 		p.cond = sync.NewCond(&p.mu)
 		p.rng = rand.New(rand.NewSource(int64(m.self)<<16 ^ int64(id) ^ time.Now().UnixNano()))
-		m.peers[id] = p
+		peers[id] = p
 		m.wg.Add(1)
 		go p.run()
 	}
+	m.peers.Store(&peers)
 	return nil
+}
+
+// peer returns the send-side state for process `to`, or nil before SetPeers
+// and for self or an id out of range.
+func (m *Mesh) peer(to int) *peer {
+	peers := m.peers.Load()
+	if peers == nil || to < 0 || to >= len(*peers) {
+		return nil
+	}
+	return (*peers)[to]
 }
 
 // Send enqueues msg for peer `to` and returns without waiting for the
@@ -245,12 +259,7 @@ func (m *Mesh) Send(to int, msg proto.Message) error {
 	if to == m.self || to < 0 || to >= m.n {
 		return fmt.Errorf("transport: bad destination %d", to)
 	}
-	m.mu.Lock()
-	p := (*peer)(nil)
-	if m.peers != nil {
-		p = m.peers[to]
-	}
-	m.mu.Unlock()
+	p := m.peer(to)
 	if p == nil {
 		return errors.New("transport: Send before SetPeers")
 	}
@@ -261,16 +270,15 @@ func (m *Mesh) Send(to int, msg proto.Message) error {
 // over all peers.
 func (m *Mesh) Stats() MeshStats {
 	var s MeshStats
-	m.mu.Lock()
-	peers := m.peers
-	m.mu.Unlock()
-	for _, p := range peers {
-		if p == nil {
-			continue
+	if peers := m.peers.Load(); peers != nil {
+		for _, p := range *peers {
+			if p == nil {
+				continue
+			}
+			p.mu.Lock()
+			s.Add(p.stats)
+			p.mu.Unlock()
 		}
-		p.mu.Lock()
-		s.Add(p.stats)
-		p.mu.Unlock()
 	}
 	s.FramesReceived = m.framesRecv.Load()
 	s.DecodeErrors = m.decodeErrs.Load()
@@ -284,12 +292,7 @@ func (m *Mesh) Stats() MeshStats {
 // is fault injection for tests and chaos drills — the mid-stream
 // connection-drop scenario — not part of normal operation.
 func (m *Mesh) DropConn(to int) bool {
-	m.mu.Lock()
-	p := (*peer)(nil)
-	if m.peers != nil && to >= 0 && to < len(m.peers) {
-		p = m.peers[to]
-	}
-	m.mu.Unlock()
+	p := m.peer(to)
 	if p == nil {
 		return false
 	}
@@ -311,12 +314,7 @@ func (m *Mesh) DropConn(to int) bool {
 // redials the revived peer's fresh listener. The caller then runs the
 // protocol half (storage.Recoverable.PeerRestarted on both sides).
 func (m *Mesh) PeerRestarted(to int) {
-	m.mu.Lock()
-	p := (*peer)(nil)
-	if m.peers != nil && to >= 0 && to < len(m.peers) {
-		p = m.peers[to]
-	}
-	m.mu.Unlock()
+	p := m.peer(to)
 	if p == nil {
 		return
 	}
@@ -344,12 +342,7 @@ func (m *Mesh) PeerRestarted(to int) {
 // sender is not currently backing off; the buffered signal then shortens
 // the next backoff, which is harmless.
 func (m *Mesh) KickDial(to int) {
-	m.mu.Lock()
-	p := (*peer)(nil)
-	if m.peers != nil && to >= 0 && to < len(m.peers) {
-		p = m.peers[to]
-	}
-	m.mu.Unlock()
+	p := m.peer(to)
 	if p == nil {
 		return
 	}
@@ -366,9 +359,11 @@ func (m *Mesh) KickDial(to int) {
 // and under m.mu, so SetPeers either ran before or starts nothing.
 func (m *Mesh) Close() error {
 	m.mu.Lock()
-	for _, p := range m.peers {
-		if p != nil {
-			p.close()
+	if peers := m.peers.Load(); peers != nil {
+		for _, p := range *peers {
+			if p != nil {
+				p.close()
+			}
 		}
 	}
 	select {
@@ -747,11 +742,15 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		delete(m.inbound, conn)
 		m.mu.Unlock()
 	}()
-	var hs [1]byte
-	if _, err := conn.Read(hs[:]); err != nil {
+	// The hello and the frames share one buffered reader: the sender writes
+	// its first batch right behind the hello, and a read that took both
+	// must not lose the frames.
+	fr := NewFrameReader(conn, maxFrame)
+	hello, err := fr.ReadByte()
+	if err != nil {
 		return
 	}
-	from := int(hs[0])
+	from := int(hello)
 	if from < 0 || from >= m.n || from == m.self {
 		return
 	}
@@ -764,9 +763,15 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		m.seenFrom[from] = true
 	}
 	m.mu.Unlock()
-	fr := frameReader{r: conn, codec: m.codec}
 	for {
-		msg, err := fr.next()
+		// The codec copies every byte it keeps (values, keys) out of the
+		// frame during Decode, so the reader's buffer is free to be
+		// overwritten by the next frame.
+		var msg proto.Message
+		body, err := fr.Next()
+		if err == nil {
+			msg, err = m.codec.Decode(body)
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
 				m.decodeErrs.Add(1)
@@ -788,35 +793,4 @@ func (m *Mesh) serveConn(conn net.Conn) {
 func isConnReset(err error) bool {
 	var ne *net.OpError
 	return errors.As(err, &ne) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// frameReader reads length-prefixed frames through one reused buffer: the
-// codec copies every byte it keeps (values, keys) out of the input during
-// Decode, so the buffer is safe to overwrite on the next frame and the
-// steady-state read path performs no per-frame allocation beyond the
-// decoded message itself.
-type frameReader struct {
-	r     io.Reader
-	codec Codec
-	hdr   [4]byte
-	buf   []byte
-}
-
-// next reads and decodes one frame.
-func (fr *frameReader) next() (proto.Message, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(fr.hdr[:])
-	if size == 0 || size > maxFrame {
-		return nil, fmt.Errorf("transport: bad frame size %d", size)
-	}
-	if cap(fr.buf) < int(size) {
-		fr.buf = make([]byte, size)
-	}
-	body := fr.buf[:size]
-	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return nil, err
-	}
-	return fr.codec.Decode(body)
 }

@@ -267,27 +267,7 @@ func (fw *ClientFrameWriter) flush(w io.Writer) error {
 	return nil
 }
 
-// ReadClientFrame reads one length-prefixed frame body from r, reusing buf
-// when it is large enough. The returned slice is only valid until the next
-// call with the same buffer; decoders copy what they keep.
-func ReadClientFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, ErrTruncated
-	}
-	if n > MaxValueLen+1024 {
-		return nil, fmt.Errorf("wire: client frame of %d bytes exceeds limit", n)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read client frame body: %w", err)
-	}
-	return body, nil
-}
+// MaxClientFrame bounds a client frame's body — the largest value plus
+// headroom for the header and key. Both ends of a session read their
+// connection through transport.NewFrameReader(conn, MaxClientFrame).
+const MaxClientFrame = MaxValueLen + 1024

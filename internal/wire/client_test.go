@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"twobitreg/internal/transport"
 )
 
 func TestClientRequestRoundTrip(t *testing.T) {
@@ -146,13 +148,12 @@ func TestClientFrameWriterAndReader(t *testing.T) {
 	if err := fw.WriteResponse(&buf, ClientResponse{ID: 2, Status: StatusOK, Val: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	var scratch []byte
+	fr := transport.NewFrameReader(&buf, MaxClientFrame)
 	for _, want := range wantReqs {
-		body, err := ReadClientFrame(&buf, scratch)
+		body, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch = body[:0]
 		got, err := DecodeClientRequest(body)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +162,7 @@ func TestClientFrameWriterAndReader(t *testing.T) {
 			t.Fatalf("frame stream: got %+v want %+v", got, want)
 		}
 	}
-	body, err := ReadClientFrame(&buf, scratch)
+	body, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestClientFrameWriterAndReader(t *testing.T) {
 	if resp.ID != 2 || resp.Status != StatusOK {
 		t.Fatalf("response frame: %+v", resp)
 	}
-	if _, err := ReadClientFrame(&buf, nil); err != io.EOF {
+	if _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 }
