@@ -40,7 +40,7 @@ package core
 // false and degrade to plain crash-stop under the restart adversary:
 // explicit-seqnum lanes cannot pipeline, GC'd histories cannot replay
 // from index 1, and the unbatched multi-writer register keeps strict
-// lanes as the differential baseline.
+// lanes as the cost baseline.
 
 import (
 	"fmt"

@@ -35,8 +35,11 @@ import (
 //  2. Lane indices must stay consecutive for the alternating bit, so the
 //     writer cannot jump its index to 1+max directly; instead it appends the
 //     new value at EVERY index from its current top up to the dominating
-//     one. The extra entries all carry the same client value, so reads are
-//     unaffected; they are the message-cost price of two-bit timestamps.
+//     one. The extra entries all carry the same client value; they are the
+//     message-cost price of two-bit timestamps. Reads are unaffected only
+//     if no reader ever fixes its vector on an intermediate entry — the
+//     value would then be readable at a timestamp below the write's own —
+//     so a process must adopt the whole run in one step (a batched frame).
 //
 // Unbatched (WithMWBatching(false), the original protocol), that price is
 // steep: padded entries cross each link one alternating-bit round trip at a
@@ -49,10 +52,11 @@ import (
 // padding runs, LaneCompactMsg frames (head+tail summary re-anchoring the
 // alternating bit — the lane-compaction rule). Receivers unpack both
 // through the same parity-gated reorder buffer, so the protocol logic is
-// untouched; only the framing changes. Amortized write cost becomes
-// independent of the padding gap: the writer sends O(n) frames per write
-// and the whole flood settles in O(n^2) frames — the SWMR register's own
-// flood cost — regardless of skew.
+// untouched; only the framing changes — and a relay forwards a run it
+// adopted in one drain as one run (Lane.forwardRun), so it reaches every
+// process whole. Write cost becomes independent of the padding gap: the
+// writer sends O(n) frames per write and the whole flood settles in exactly
+// n(n-1) frames — the SWMR register's own flood cost — regardless of skew.
 //
 // Reads generalize Figure 1's lines 5-10 with the same per-writer vector:
 // the freshness phase (lines 5-7), then fixing a vector sn of lane tops
@@ -154,8 +158,12 @@ func WithMWInitial(v proto.Value) MWOption {
 // default: pipelined lanes, backlog shipping, LaneBatch/LaneCompact
 // coalescing — amortized O(n) writer frames per write regardless of skew)
 // and the original unbatched protocol (false: one WRITE per padded index
-// per link round trip, byte-identical to the pre-batching register, kept
-// for differential testing and as the cost baseline).
+// per link round trip, byte-identical to the pre-batching register). The
+// unbatched protocol is kept as the message-cost baseline only: it is NOT
+// atomic — a padded write's intermediate indices are published one round
+// trip at a time, each carrying the new value, and a read can return one
+// (explore.TestUnbatchedPaddingWitnesses) — whereas a batched run is
+// adopted in one step from one frame.
 func WithMWBatching(enabled bool) MWOption {
 	return func(o *mwOptions) { o.unbatched = !enabled }
 }
