@@ -11,7 +11,8 @@
 //
 //	regexplore [-algs twobit,abd] [-strategies slowquorum,pct] [-n 5]
 //	           [-ops 30] [-reads 0.6] [-crashes 1] [-writers 1] [-pct d]
-//	           [-skew k] [-budget 100] [-seed0 1] [-workers w] [-shrink] [-json]
+//	           [-skew k] [-clients c] [-budget 100] [-seed0 1] [-workers w]
+//	           [-shrink] [-json]
 //	regexplore -replay <token> [-json]
 //
 // -writers 2..4 sweeps true multi-writer workloads (concurrent writer
@@ -21,7 +22,10 @@
 // upgrades the pct strategy to a true d-bounded PCT (per-process
 // priorities with d seeded change points; the depth travels in a 10th
 // token field). -skew k gives writer 0 k times each peer's write rate (an
-// 11th token field; requires -writers >= 2). The sweep exits non-zero if
+// 11th token field; requires -writers >= 2). -clients c lets only pids
+// 0..c-1 invoke operations (a 12th token field; c >= -writers): the other
+// processes relay and never send a READ, which is where the lanes' lazy
+// links live. The sweep exits non-zero if
 // any schedule failed; -shrink additionally minimizes each failing
 // descriptor before reporting it.
 package main
@@ -44,6 +48,7 @@ type config struct {
 	crashes, budget   int
 	writers, pct      int
 	skew, workers     int
+	clients           int
 	seed0             int64
 	jsonOut, doShrink bool
 	replay            string
@@ -60,6 +65,7 @@ func main() {
 	flag.IntVar(&cfg.writers, "writers", 1, "concurrent writers; >= 2 sweeps multi-writer workloads over MWMR-capable algorithms")
 	flag.IntVar(&cfg.pct, "pct", 0, "priority change points for the pct strategy (d-bounded PCT); 0 keeps the legacy random-tie mode")
 	flag.IntVar(&cfg.skew, "skew", 0, "hot-writer skew: writer 0 writes this multiple of each peer's rate (>= 2; needs -writers >= 2)")
+	flag.IntVar(&cfg.clients, "clients", 0, "processes that invoke operations (pids 0..clients-1; the rest only relay); 0 means all")
 	flag.IntVar(&cfg.budget, "budget", 100, "total runs in the sweep")
 	flag.IntVar(&cfg.workers, "workers", 1, "sweep worker goroutines; negative uses GOMAXPROCS; output is identical at any count")
 	flag.Int64Var(&cfg.seed0, "seed0", 1, "first seed")
@@ -81,7 +87,7 @@ func run(cfg config, out io.Writer) error {
 	spec := explore.SweepSpec{
 		Algs: csv(cfg.algs), Strategies: csv(cfg.strategies),
 		N: cfg.n, Ops: cfg.ops, ReadFrac: cfg.reads, Crashes: cfg.crashes,
-		Writers: cfg.writers, PCT: cfg.pct, Skew: cfg.skew,
+		Writers: cfg.writers, PCT: cfg.pct, Skew: cfg.skew, Clients: cfg.clients,
 		Budget: cfg.budget, Seed0: cfg.seed0, Workers: cfg.workers,
 	}
 	res, err := explore.Sweep(spec)

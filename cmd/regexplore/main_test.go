@@ -97,3 +97,27 @@ func TestRunReplayToken(t *testing.T) {
 		t.Fatal("garbage token accepted")
 	}
 }
+
+// TestRunSweepIdleProcesses: -clients reaches every schedule of the sweep —
+// the cold-read mutant, which only processes without operations expose,
+// passes the all-clients sweep and fails the same sweep with two clients,
+// with the client count in the reported tokens' 12th field.
+func TestRunSweepIdleProcesses(t *testing.T) {
+	cfg := config{algs: "mut-lane-coldread", strategies: "uniform,race", n: 5, ops: 30,
+		reads: 0.5, crashes: 1, writers: 2, budget: 8, seed0: 1}
+	var buf bytes.Buffer
+	if err := run(cfg, &buf); err != nil {
+		t.Fatalf("with every process a client the cold-read mutant should pass: %v\n%s", err, buf.String())
+	}
+	buf.Reset()
+	cfg.clients = 2
+	if err := run(cfg, &buf); err == nil {
+		t.Fatalf("sweep with idle processes reported success:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), ":2:0:0:2\n") || !strings.Contains(buf.String(), "stalled") {
+		t.Fatalf("failure report carries no 12-field token or no stalled operation:\n%s", buf.String())
+	}
+	if err := run(config{algs: "twobit-mwmr", n: 5, ops: 10, writers: 3, clients: 2, budget: 1, seed0: 1}, &buf); err == nil {
+		t.Fatal("a sweep with more writers than clients ran")
+	}
+}

@@ -84,14 +84,34 @@
 // to in that same drain (Lane.forwardRun), and a run leaves on every link
 // as the one frame it arrived as. A write's cost is then gap-independent
 // and at its floor: the writer sends the freshness round plus one frame
-// per peer (O(n)), and the flood settles in exactly n(n-1) lane frames —
+// per peer (O(n)), and the flood settles in at most n(n-1) lane frames —
 // one per ordered pair, the SWMR register's own flood cost — versus
-// O(G·n^2) unbatched (TestMWWriteFramesAtFloor pins 2(n-1) + n(n-1) frames
-// per write for n = 3, 5, 7, padded or not;
-// TestMWDominatedWriteCostConstantVsLinear pins 28 messages for n=5 at
-// G=5 and G=40 alike, against 128 and 828 unbatched;
+// O(G·n^2) unbatched.
+//
+// And the echo goes only where someone waits for it. Every wait in Figure 1
+// belongs to a process with an operation of its own: line 3 counts echoes
+// to the writer, the line-20 guard echoes from the requester, line 9 echoes
+// to the reader. So a relay forwards an adopted index at once to the lane's
+// owner, to every peer that has sent it a READ on this register, and to
+// everyone once it has started an operation itself (MWProc.Serving); toward
+// every other peer the index is owed (MWProc.LaneOwed): the link's send
+// cursor stays behind and the run leaves as one frame in the step that
+// delivers that peer's first READ, that starts this process's own first
+// operation, that resets the link (PeerRestarted), that answers a lagging
+// sender (Rule R2), or — so a lazy link never owes more than one frame —
+// just before the run would outgrow MaxBatchEntries. An echo held at its
+// sender is an echo delayed in the channel, which an asynchronous system
+// already allows, so no execution's safety and no operation's termination
+// changes; a write costs 2(n-1) + n(n-1) - c(c-1) frames with c members
+// that serve no client, and with c = 0 exactly the all-to-all flood
+// (TestMWWriteFramesAtFloor pins the formula for n = 3, 5, 7 and c = 0, 2,
+// n-2, padded or not, c = 0 being 10 / 28 / 54;
+// TestMWDominatedWriteCostConstantVsLinear pins 22 messages for n=5 with
+// two writers at G=5 and G=40 alike, against 128 and 828 unbatched;
 // BenchmarkMWMRWriteMessages commits the trajectory to BENCH_mwmr.json;
-// EXPERIMENTS.md E-FL1 has the served-path measurement).
+// EXPERIMENTS.md E-FL1 and E-LZ1 have the served-path measurements).
+// Serving is monotone per incarnation — nothing on a two-bit wire says "my
+// operation is over" — so a member that stops serving a key stays eager.
 // The price is stated, not hidden: pipelining gives up the reorder
 // tolerance the one-in-flight pacing paid for, so batched processes
 // declare proto.FIFOLinks — TCP and the cluster mailboxes are FIFO
@@ -278,6 +298,7 @@
 //   - mut-twobit-mwmr — multi-writer write skips its freshness round
 //   - mut-lane-batch — receiver tears batched lane frames
 //   - mut-lane-resend — relay forwards a run's index twice on one link
+//   - mut-lane-coldread — a READ does not turn the link to its sender eager
 //   - mut-regmap-frame — receiver drops cross-key multi-frame tails
 //   - mut-wal-skipsync — WAL appends never sync, a crash empties the log
 //   - mut-wal-earlyrelease — keyed store releases a step before its sync
@@ -324,7 +345,12 @@
 // default judge for large histories. The pct strategy optionally runs as a
 // true d-bounded PCT (Schedule.PCT / regexplore -pct, token field 10):
 // per-process delivery priorities with d seeded priority change points
-// instead of the legacy per-event random tie-break. A nightly CI workflow
+// instead of the legacy per-event random tie-break. Schedule.Clients
+// (regexplore -clients, token field 12) lets only pids 0..Clients-1 invoke
+// operations: the rest relay, crash and restart but never send a READ,
+// which keeps relay-to-relay links lazy for a whole run (the default lets
+// every process read, so each link turns eager at its ends' first
+// operation). A nightly CI workflow
 // (.github/workflows/nightly.yml) sweeps every registered algorithm —
 // single- and multi-writer, plus a depth-3 pct pass — on a budget and
 // archives the JSON sweep reports; a benchmark job tracks checker cost

@@ -199,6 +199,12 @@ func (p *MWProc) RecoverRecord(rec storage.Record) error {
 	if rec.Lane < 0 || rec.Lane >= p.n || p.laneIdx[rec.Lane] < 0 {
 		return fmt.Errorf("core: process %d replaying record for unknown lane %d (writer set %v)", p.id, rec.Lane, p.writers)
 	}
+	// A register with a past has forgotten who was waiting on it, so none
+	// of its links starts out lazy: what it recovered is the restart
+	// protocol's to re-ship (PeerRestarted), not an owed run.
+	for j := range p.serving {
+		p.serving[j] = j != p.id
+	}
 	return p.lanes[p.laneIdx[rec.Lane]].RecoverAppend(rec.Index, rec.Val)
 }
 
@@ -221,6 +227,12 @@ func (p *MWProc) PeerRestarted(peer int) proto.Effects {
 	for _, l := range p.lanes {
 		l.ResetLink(peer)
 	}
+	// Whoever waited on this link in the peer's previous incarnation may
+	// still be waiting, and the READ that said so went to an incarnation
+	// that is gone: the link is forwarded on from here. (The revived end
+	// watches every link of a register it recovered — RecoverRecord — and
+	// this one when the register is born after the restart.)
+	p.serving[peer] = true
 	kept := p.pendingSyncs[:0]
 	for _, ps := range p.pendingSyncs {
 		if ps.from == peer {

@@ -74,6 +74,17 @@ type Lane struct {
 	// forwarded without advancing sent (see MWFaultRunResend).
 	resendRuns bool
 
+	// owner is the stream's writer and serving the host's view of who has an
+	// operation of its own on this register (ForwardWhereServed): serving[j]
+	// — p_j has sent this process a READ; serving[self] — this process has
+	// started one. Every wait in Figure 1 belongs to such a process, so a
+	// relay forwards an adopted index only on links where someone waits for
+	// it and owes it on the rest (lazy, forwardRun). The slice is the
+	// host's, shared by all its lanes; nil means the host tracks nobody and
+	// every link is forwarded on (the SWMR Proc).
+	owner   int
+	serving []bool
+
 	// onAppend, when set, observes every history append (index, value) —
 	// the durability hook: a durable owner logs each append to stable
 	// storage through it. Recovery replays install it only after the
@@ -115,6 +126,43 @@ func (l *Lane) EnablePipelining() {
 
 // Pipelined reports whether EnablePipelining was called.
 func (l *Lane) Pipelined() bool { return l.pipelined }
+
+// ForwardWhereServed hands a pipelined lane its host's view of who waits on
+// this stream's echoes: owner is the stream's writer (its line-3 wait), and
+// serving — owned and updated by the host, see the field — marks the
+// processes with an operation of their own. Links to everyone else are
+// lazy from then on.
+func (l *Lane) ForwardWhereServed(owner int, serving []bool) {
+	if !l.pipelined {
+		panic("core: ForwardWhereServed on a non-pipelined lane")
+	}
+	l.owner, l.serving = owner, serving
+}
+
+// lazy reports whether nobody can be waiting on this lane's echoes over the
+// link to p_j: p_j is not the stream's writer (line 3 counts echoes to the
+// writer), has sent this process no READ (line 9 counts echoes to a
+// reader), and this process has no operation of its own (the line-20 guard
+// counts echoes from the requester). An index adopted meanwhile is owed to
+// p_j, not sent: sent[j] stays behind and the link's next ShipBacklog
+// carries the whole run as one frame. In an asynchronous system that is a
+// message delayed in the channel until the first of those three turns true
+// — and the host ships what is owed in the very step that turns it.
+func (l *Lane) lazy(j int) bool {
+	return l.serving != nil && j != l.self && j != l.owner && !l.serving[j] && !l.serving[l.self]
+}
+
+// Owed returns how many indices this process holds that p_j neither was
+// sent nor has shown to hold: Top - max(sent[j], wSync[j]), pipelined lanes
+// only. On a lazy link that is the run waiting for the next ShipBacklog
+// (at most MaxBatchEntries, see Drain); on the others it is what pacing
+// withholds until p_j's next echo.
+func (l *Lane) Owed(j int) int {
+	if !l.pipelined || j == l.self {
+		return 0
+	}
+	return max(0, l.Top()-max(l.sent[j], l.wSync[j]))
+}
 
 // Top returns this process's own most recent stream index (wSync[self]).
 func (l *Lane) Top() int { return l.wSync[l.self] }
@@ -239,9 +287,19 @@ func (l *Lane) Parked() int { return l.parked }
 // every parked WRITE whose line-11 guard has become true (lines 12-18). It
 // returns whether any message was processed; callers loop it to a fixpoint
 // together with their own guards.
+//
+// On a pipelined lane it first settles what this Drain could push past a
+// frame on a lazy link: every parked WRITE may become an adopted index, so
+// a link whose unsent run would outgrow MaxBatchEntries ships it now, while
+// it still ends where a step ended. A lazy link therefore never owes more
+// than one frame, and no frame boundary falls inside a run adopted in one
+// step.
 func (l *Lane) Drain(emit emitFn) bool {
 	for j := range l.runFwd {
 		l.runFwd[j] = 0 // runs are scoped to one Drain
+		if l.lazy(j) && l.Top()-l.sent[j]+l.parked > MaxBatchEntries {
+			l.ShipBacklog(j, emit)
+		}
 	}
 	progress := false
 	for j := 0; j < l.n; j++ {
@@ -334,9 +392,13 @@ func (l *Lane) processWrite(from int, m WriteMsg, emit emitFn) {
 // still waits for the peer's acknowledgement of everything before it, so a
 // frozen peer is owed at most one unacknowledged frame per lane — and so is
 // the exactly-once contract, which send keeps in sent[].
+//
+// All of that is for links where someone waits on the echo. On a lazy link
+// (see lazy) the index is owed instead: nothing leaves, sent[j] stays where
+// it was, and the run ships whole with the link's next ShipBacklog.
 func (l *Lane) forwardRun(wsn int, emit emitFn) {
 	for j := 0; j < l.n; j++ {
-		if j == l.self || (l.wSync[j] != wsn-1 && l.runFwd[j] != wsn-1) {
+		if j == l.self || (l.wSync[j] != wsn-1 && l.runFwd[j] != wsn-1) || l.lazy(j) {
 			continue
 		}
 		if l.resendRuns && l.wSync[j] == wsn-2 {

@@ -88,6 +88,15 @@ type MWProc struct {
 	// line-20 guard: for every lane u, w_sync_u[from] >= sn[u].
 	pendingSyncs []pendingSync
 
+	// serving marks the processes that have an operation of their own on
+	// this register, as far as this incarnation knows: serving[j] — p_j has
+	// sent this process a READ; serving[id] — this process has started an
+	// operation. Monotone, never cooled (nothing on a two-bit wire says "my
+	// operation is over"). The pipelined lanes share the slice and forward
+	// adopted indices only where it says someone waits (Lane.lazy); serve
+	// ships what a link was owed in the step that sets its flag.
+	serving []bool
+
 	// cur is the in-flight client operation; processes are sequential.
 	cur *mwOp
 
@@ -227,6 +236,13 @@ const (
 	// a repeated value as the lane's next entry. Needs padded runs, i.e.
 	// concurrent writer streams.
 	MWFaultRunResend
+	// MWFaultColdRead breaks the rule that turns a lazy link eager: a READ
+	// does not mark its sender serving, so a relay with no operation of its
+	// own goes on owing the reader every index it adopts. The reader then
+	// sits in its line-9 wait on echoes nobody sends — a stalled read, as
+	// soon as fewer than a quorum of processes serve the register. Needs
+	// processes that never invoke an operation (Schedule.Clients).
+	MWFaultColdRead
 )
 
 // WithMWFault builds the broken variant f. Mutation testing only.
@@ -264,6 +280,7 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 		laneIdx: make([]int, n),
 		lanes:   make([]*Lane, len(writers)),
 		rSync:   make([]int, n),
+		serving: make([]bool, n),
 	}
 	for i := range p.laneIdx {
 		p.laneIdx[i] = -1
@@ -273,6 +290,7 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 		p.lanes[k] = NewLane(id, n, o.initial, false)
 		if !o.unbatched {
 			p.lanes[k].EnablePipelining()
+			p.lanes[k].ForwardWhereServed(w, p.serving)
 		}
 		p.lanes[k].resendRuns = o.fault == MWFaultRunResend
 	}
@@ -437,6 +455,28 @@ func sameValue(vals []proto.Value) bool {
 	return true
 }
 
+// serve records that p_j — or, for j == id, this process — has an operation
+// of its own on this register, and ships what the newly watched links were
+// owed: every lane's backlog to p_j, or to everyone once this process
+// serves. It runs in the step that delivers p_j's first READ, or that sends
+// this process's own, so an owed run is never more than one step behind the
+// first wait that could count it. Strict (unbatched) lanes forward
+// everywhere and owe nothing.
+func (p *MWProc) serve(j int, eff *proto.Effects) {
+	if p.serving[j] || p.batcher == nil {
+		return
+	}
+	p.serving[j] = true
+	for k, l := range p.lanes {
+		emit := p.emitLane(p.writers[k], eff)
+		for to := 0; to < p.n; to++ {
+			if to != p.id && (to == j || j == p.id) {
+				l.ShipBacklog(to, emit)
+			}
+		}
+	}
+}
+
 // broadcastSync starts a freshness round (line 5-6 analog, shared by reads
 // and writes) and returns its round number.
 func (p *MWProc) broadcastSync(eff *proto.Effects) int {
@@ -463,6 +503,7 @@ func (p *MWProc) StartWrite(op proto.OpID, v proto.Value) proto.Effects {
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
+	p.serve(p.id, &eff)
 	if p.opts.fault == MWFaultSkipWriteSync {
 		p.cur = &mwOp{op: op, kind: proto.OpWrite, phase: mwWritePropagate, val: v.Clone()}
 		p.appendDominating(p.ownLane().Top()+1, &eff)
@@ -515,6 +556,7 @@ func (p *MWProc) StartRead(op proto.OpID) proto.Effects {
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
+	p.serve(p.id, &eff)
 	rsn := p.broadcastSync(&eff)
 	p.cur = &mwOp{op: op, kind: proto.OpRead, phase: mwReadSync, rsn: rsn}
 	p.drain(&eff)
@@ -556,6 +598,11 @@ func (p *MWProc) Deliver(from int, msg proto.Message) proto.Effects {
 			l.Enqueue(from, WriteMsg{Bit: p.tornBit(m.Bit, i, m.Count), Val: m.Val})
 		}
 	case ReadMsg:
+		// The requester has an operation of its own: from here on it may be
+		// counting this process's echoes (line 9), so they stop being owed.
+		if p.opts.fault != MWFaultColdRead {
+			p.serve(from, &eff)
+		}
 		// Line 19 analog: capture the freshness bar on every lane.
 		sn := p.getSN()
 		for u, l := range p.lanes {
@@ -828,6 +875,18 @@ func (p *MWProc) RequiresFIFOLinks() bool { return p.batcher != nil }
 // LaneSent returns the highest index this process has shipped to peer j on
 // writer w's lane (batched mode only; 0 otherwise).
 func (p *MWProc) LaneSent(w, j int) int { return p.lane(w).Sent(j) }
+
+// Serving reports whether, to this incarnation's knowledge, p_j has an
+// operation of its own on this register: it has sent this process a READ
+// (or the link to it was reset, PeerRestarted), or — for j == ID() — this
+// process has started one. Links to serving peers, and every link of a
+// serving process, are forwarded on at once; see LaneOwed for the rest.
+func (p *MWProc) Serving(j int) bool { return p.serving[j] }
+
+// LaneOwed returns how many indices of writer w's lane this process holds
+// that peer j neither was sent nor has shown to hold (Lane.Owed: LaneTop -
+// max(LaneSent, LaneWSync), batched mode only).
+func (p *MWProc) LaneOwed(w, j int) int { return p.lane(w).Owed(j) }
 
 // Idle reports whether the process has no in-flight client operation.
 func (p *MWProc) Idle() bool { return p.cur == nil }

@@ -126,13 +126,22 @@ func TestMWBatchedWriteCostBoundedUnderSkew(t *testing.T) {
 // crosses each link as one compact frame, and the writer's own sends stay
 // O(n): the freshness round plus one frame per peer. Unbatched, every
 // padded index pays its own flood round, so the cost grows linearly in G.
+//
+// Two of the five processes write and nobody else has an operation, so the
+// batched floor is the one for c = n - 2 idle members: the three relays owe
+// each other the run instead of sending it. The cold writer reads once
+// before the hot one starts, so that its links are already watched when the
+// measured write begins (a first operation also ships what those links
+// were owed — TestMWIdleProcessFirstOperation counts that).
 func TestMWDominatedWriteCostConstantVsLinear(t *testing.T) {
 	t.Parallel()
-	const n = 5
+	const n, writers = 5, 2
 	// coldCost returns (system-wide, writer-own) messages for one write by
 	// writer 1 after writer 0 has completed G writes.
 	coldCost := func(batched bool, gap int) (int, int) {
 		h := newMWHarness(t, n, WithMWBatching(batched))
+		h.read(1, proto.OpID(999))
+		h.deliverAll()
 		for k := 1; k <= gap; k++ {
 			h.write(0, proto.OpID(k), val(fmt.Sprintf("hot-%d", k)))
 			h.deliverAll()
@@ -159,9 +168,10 @@ func TestMWDominatedWriteCostConstantVsLinear(t *testing.T) {
 		batSmallSys, batSmallOwn, batBigSys, batBigOwn, unbSmallSys, unbBigSys)
 
 	// Batched: the floor whatever the gap — 2(n-1) freshness frames plus one
-	// lane frame per ordered pair system-wide, of which the writer's own are
-	// the freshness broadcast (n-1) plus one frame per peer.
-	if want := 2*(n-1) + n*(n-1); batSmallSys != want || batBigSys != want {
+	// lane frame per ordered pair with a writer at either end, of which the
+	// writer's own are the freshness broadcast (n-1) plus one frame per peer.
+	const idle = n - writers
+	if want := 2*(n-1) + n*(n-1) - idle*(idle-1); batSmallSys != want || batBigSys != want {
 		t.Fatalf("batched dominated write cost %d (G=5) and %d (G=40) messages, want the floor %d for both", batSmallSys, batBigSys, want)
 	}
 	if want := 2 * (n - 1); batSmallOwn != want || batBigOwn != want {

@@ -17,9 +17,10 @@ import (
 // the rejoiner converges in O(1) shipped values — O(n) total work for the
 // rejoin instead of O(n * gap) bytes.
 //
-// Scenario (the shape a crashwrite schedule produces): p2 freezes before
-// writer 0's stream starts; p0's frames toward it are lost, p1's relay
-// forward for index 1 is delayed in flight. Five writes by p0 complete on
+// Scenario (the shape a crashwrite schedule produces): p2 reads once — so
+// its peers forward to it rather than owe it — and freezes before writer
+// 0's stream starts; p0's frames toward it are lost, p1's relay forward for
+// index 1 is delayed in flight. Five writes by p0 complete on
 // the {p0,p1} majority. When p2 thaws, the delayed index-1 frame arrives,
 // p2 adopts it and echoes — and p1, seeing p2 lag by a whole backlog that
 // is stable at a quorum, re-anchors indices 2..5 with one compact frame.
@@ -48,6 +49,10 @@ func TestMWRejoinCatchUpReplaysCompactReAnchor(t *testing.T) {
 			h.absorb(q.to, h.procs[q.to].Deliver(q.from, q.msg))
 		}
 	}
+
+	h.read(2, proto.OpID(100))
+	h.deliverAll()
+	h.mustComplete(proto.OpID(100))
 
 	for k := 1; k <= writes; k++ {
 		h.write(0, proto.OpID(k), val(fmt.Sprintf("v%d", k)))

@@ -191,18 +191,29 @@ func TestMWForeignMessagePanics(t *testing.T) {
 	p.Deliver(1, fakeMsg{})
 }
 
-// TestMWControlBitsCensus: lane WRITEs carry exactly two protocol bits plus
-// the one-byte writer id; READ and PROCEED stay at two bits.
+// TestMWControlBitsCensus: lane WRITEs carry exactly two protocol bits per
+// entry plus the one-byte writer id (and, batched, the one-byte count); READ
+// and PROCEED stay at two bits. The reader here has no operation before its
+// read, so what the relays owed it arrives as batched frames — those are
+// walked entry by entry like any other.
 func TestMWControlBitsCensus(t *testing.T) {
 	t.Parallel()
 	seen := map[string]bool{}
 	walk := func(m proto.Message) {
 		seen[m.TypeName()] = true
-		switch m.(type) {
+		switch mm := m.(type) {
 		case LaneMsg:
+			censusTwoBits(t, mm, 1)
 			if got := m.ControlBits(); got != 2+WriterIDBits {
 				t.Fatalf("%s control bits = %d, want %d", m.TypeName(), got, 2+WriterIDBits)
 			}
+		case LaneBatchMsg:
+			censusTwoBits(t, mm, len(mm.Vals))
+			if got := m.ControlBits(); got != 2*len(mm.Vals)+WriterIDBits+BatchLenBits {
+				t.Fatalf("%s control bits = %d for %d entries, want 2 each + %d", m.TypeName(), got, len(mm.Vals), WriterIDBits+BatchLenBits)
+			}
+		case LaneCompactMsg:
+			censusTwoBits(t, mm, 2) // head + tail
 		case ReadMsg, ProceedMsg:
 			if got := m.ControlBits(); got != 2 {
 				t.Fatalf("%s control bits = %d, want 2", m.TypeName(), got)
@@ -211,22 +222,28 @@ func TestMWControlBitsCensus(t *testing.T) {
 			t.Fatalf("unexpected message type %T on the multi-writer wire", m)
 		}
 	}
-	h2 := newMWHarness(t, 3)
-	drainWalking := func() {
-		for len(h2.queue) > 0 {
-			q := h2.queue[0]
-			h2.queue = h2.queue[1:]
-			walk(q.msg)
-			h2.absorb(q.to, h2.procs[q.to].Deliver(q.from, q.msg))
+	// At n = 3 the owed run's top is already known at a quorum when it
+	// ships, so it travels re-anchored (WRITEC); at n = 5 it is not, and
+	// travels as the values it holds (WRITEB).
+	for _, n := range []int{3, 5} {
+		h2 := newMWHarness(t, n)
+		drainWalking := func() {
+			for len(h2.queue) > 0 {
+				q := h2.queue[0]
+				h2.queue = h2.queue[1:]
+				walk(q.msg)
+				h2.absorb(q.to, h2.procs[q.to].Deliver(q.from, q.msg))
+			}
 		}
+		h2.write(1, 1, val("v"))
+		drainWalking()
+		h2.write(1, 2, val("w")) // second index, opposite parity
+		drainWalking()
+		h2.read(2, 3) // the reader's first operation: it and the idle relays ship each other the owed run
+		drainWalking()
+		h2.mustComplete(3)
 	}
-	h2.write(1, 1, val("v"))
-	drainWalking()
-	h2.write(1, 2, val("w")) // second index, opposite parity
-	drainWalking()
-	h2.read(2, 3)
-	drainWalking()
-	for _, want := range []string{"WRITE0", "WRITE1", "READ", "PROCEED"} {
+	for _, want := range []string{"WRITE0", "WRITE1", "WRITEB", "WRITEC", "READ", "PROCEED"} {
 		if !seen[want] {
 			t.Fatalf("message census %v never saw %s", seen, want)
 		}

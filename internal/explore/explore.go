@@ -19,7 +19,8 @@
 // Schedules with Writers >= 2 run true multi-writer workloads against
 // MWMR-capable algorithms (MWMRAlgorithmNames): pids 0..Writers-1 issue
 // concurrent writer streams with per-writer tagged distinct values, every
-// process reads, and the history is judged by the near-linear
+// client process reads (all of them unless Schedule.Clients says fewer), and
+// the history is judged by the near-linear
 // Gibbons–Korach cluster checker (check.CheckMWMR) instead of the paper's
 // single-writer characterisation — the exhaustive Wing–Gong search remains
 // the differential oracle on small histories.
@@ -28,9 +29,9 @@
 //
 // Every run is described completely by a Schedule — algorithm, strategy,
 // seed, and sizes — which serializes to a one-line colon-separated token of
-// 8 to 11 fields:
+// 8 to 12 fields:
 //
-//	xb1:<alg>:<strategy>:<seed>:<n>:<ops>:<readfrac>:<crashes>[:<writers>[:<pct>[:<skew>]]]
+//	xb1:<alg>:<strategy>:<seed>:<n>:<ops>:<readfrac>:<crashes>[:<writers>[:<pct>[:<skew>[:<clients>]]]]
 //
 // The fields, in order:
 //
@@ -64,7 +65,15 @@
 //     without the field); in the 11-field form the pct column
 //     rides along, possibly as its default 0, so skew lands in
 //     a fixed position.
+//  12. clients   — OPTIONAL. Processes that invoke operations (pids
+//     0..clients-1; the rest only relay, and may still crash).
+//     Requires writers <= clients <= n and clients >= 1; 0 (and
+//     clients = n, which Run canonicalizes) means every process
+//     and serializes without the field. In the 12-field form the
+//     writers, pct and skew columns ride along as their defaults
+//     (1, 0, 0) where unused.
 //
+
 // Worked example:
 //
 //	xb1:regmap-mwmr:slowquorum:42:5:60:0.9:0:3:0:10
@@ -257,6 +266,9 @@ func Run(s Schedule) (Result, error) {
 	if s.Skew == 1 {
 		s.Skew = 0 // canonical balanced form, token-compatible
 	}
+	if s.Clients == s.N {
+		s.Clients = 0 // canonical all-clients form, token-compatible
+	}
 	if err := s.validate(); err != nil {
 		return Result{}, err
 	}
@@ -348,14 +360,19 @@ func Run(s Schedule) (Result, error) {
 
 	// Single-writer schedules keep the original derivation byte for byte so
 	// historical tokens replay unchanged; multi-writer schedules make pids
-	// 0..Writers-1 concurrent writer streams and let every process read.
+	// 0..Writers-1 concurrent writer streams and let every client read.
+	// Processes from Clients up invoke nothing: they relay, and may crash.
+	clients := s.Clients
+	if clients == 0 {
+		clients = s.N
+	}
 	wspec := workload.Spec{
 		Seed: s.Seed, Ops: s.Ops, ReadFraction: s.ReadFrac,
-		Writer: 0, Readers: readers(s.N), ValueSize: 8,
+		Writer: 0, Readers: readers(clients), ValueSize: 8,
 	}
 	if mwmr {
 		wspec.Writers = pids(s.Writers)
-		wspec.Readers = pids(s.N)
+		wspec.Readers = pids(clients)
 		if err := proto.ValidateWriters(s.N, wspec.Writers); err != nil {
 			return Result{}, err
 		}

@@ -14,20 +14,25 @@ const mutationBudget = 140
 // under the workload that exposes their bug class — three concurrent writer
 // streams (mut-twobit-mwmr in particular is CORRECT under a single writer:
 // its skipped freshness phase only loses writes when another writer's lane
-// is ahead).
+// is ahead), and mut-lane-coldread with only the writers invoking operations:
+// its bug lives on links toward processes that serve no client, and a process
+// with an operation of its own has none.
 func TestMutantsAreCaughtWithinBudget(t *testing.T) {
 	t.Parallel()
 	for _, mutant := range MutantNames() {
 		mutant := mutant
 		t.Run(mutant, func(t *testing.T) {
 			t.Parallel()
-			writers := 0
+			writers, clients := 0, 0
 			if MWMRCapable(mutant) {
 				writers = 3
 			}
+			if mutant == "mut-lane-coldread" {
+				clients = writers
+			}
 			sw, err := Sweep(SweepSpec{
 				Algs: []string{mutant}, N: 5, Ops: 30, ReadFrac: 0.6,
-				Crashes: 1, Writers: writers, Budget: mutationBudget, Seed0: 1, StopEarly: true,
+				Crashes: 1, Writers: writers, Clients: clients, Budget: mutationBudget, Seed0: 1, StopEarly: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -136,6 +136,12 @@ func buildRegistry() map[string]proto.Algorithm {
 		// the conservation probe — as soon as a padded run is relayed, i.e.
 		// under concurrent writer streams.
 		"mut-lane-resend": proto.Alg("mut-lane-resend", core.MWMRAlgorithm(core.WithMWFault(core.MWFaultRunResend)).New),
+		// The cold-read bug of lazy links: a READ does not mark its sender
+		// serving (core.MWFaultColdRead), so relays that invoke nothing go
+		// on owing the reader what it waits for at line 9 — a stalled read.
+		// Only schedules that leave processes idle (Schedule.Clients) expose
+		// it: a process with an operation of its own forwards everywhere.
+		"mut-lane-coldread": proto.Alg("mut-lane-coldread", core.MWMRAlgorithm(core.WithMWFault(core.MWFaultColdRead)).New),
 		// The lost-cross-key-frame bug of the coalescing keyed store: a
 		// receiver silently drops the last subframe of every cross-key
 		// multi-frame (regmap.FaultDropMultiTail). The key that subframe
@@ -173,6 +179,7 @@ var mwmrCapableSet = map[string]bool{
 	"mut-twobit-mwmr":        true,
 	"mut-lane-batch":         true,
 	"mut-lane-resend":        true,
+	"mut-lane-coldread":      true,
 	"mut-regmap-frame":       true,
 	"mut-wal-earlyrelease":   true,
 }

@@ -31,6 +31,9 @@ type SweepSpec struct {
 	// Skew >= 2 gives writer 0 that multiple of each peer's write rate
 	// (see Schedule.Skew); it requires Writers >= 2.
 	Skew int `json:"skew,omitempty"`
+	// Clients > 0 leaves processes Clients..N-1 without operations (see
+	// Schedule.Clients); it must be at least Writers.
+	Clients int `json:"clients,omitempty"`
 	// Budget is the total number of runs; it defaults to 100.
 	Budget int `json:"budget"`
 	// Seed0 is the first seed; round k uses Seed0+k.
@@ -167,7 +170,7 @@ func sweepJobs(spec SweepSpec) []Schedule {
 					Alg: alg, Strategy: st, Seed: spec.Seed0 + round,
 					N: spec.N, Ops: spec.Ops, ReadFrac: spec.ReadFrac,
 					Crashes: spec.Crashes, Writers: spec.Writers,
-					Skew: spec.Skew,
+					Skew: spec.Skew, Clients: spec.Clients,
 				}
 				if st == "pct" {
 					sched.PCT = spec.PCT
@@ -242,6 +245,11 @@ func shrinkCandidates(s Schedule) []Schedule {
 	if s.Writers > 2 {
 		c := s
 		c.Writers = s.Writers - 1
+		add(c)
+	}
+	if s.Clients > max(s.Writers, 1) {
+		c := s
+		c.Clients = s.Clients - 1 // one more process that only relays
 		add(c)
 	}
 	return out

@@ -56,13 +56,23 @@ type Schedule struct {
 	// pre-Skew tokens; >= 2 requires Writers >= 2 and serializes as an 11th
 	// token field.
 	Skew int `json:"skew,omitempty"`
+	// Clients is the number of processes that invoke operations: pids
+	// 0..Clients-1 read (and, up to Writers, write), the rest only relay —
+	// they never start an operation, so they never send a READ, which is
+	// the kind of member the lanes' lazy links exist for. Writers must fit
+	// (Writers <= Clients). 0 means every process, byte-identical to
+	// pre-Clients tokens (Run canonicalizes Clients == N to 0); a positive
+	// value serializes as a 12th token field.
+	Clients int `json:"clients,omitempty"`
 }
 
 // Token serializes s to its one-line replay token. Single-writer schedules
 // keep the original 8-field form, so historical tokens stay canonical;
 // multi-writer schedules append the writer count as a 9th field. A positive
 // PCT depth appends a 10th field (and forces the 9th: single-writer
-// schedules with a depth carry the canonical writer count 1 there).
+// schedules with a depth carry the canonical writer count 1 there). A client
+// count appends a 12th, with the three columns before it riding along as
+// their defaults where unused.
 func (s Schedule) Token() string {
 	parts := []string{
 		tokenVersion,
@@ -75,6 +85,8 @@ func (s Schedule) Token() string {
 		strconv.Itoa(s.Crashes),
 	}
 	switch {
+	case s.Clients > 0:
+		parts = append(parts, strconv.Itoa(max(s.Writers, 1)), strconv.Itoa(s.PCT), strconv.Itoa(s.Skew), strconv.Itoa(s.Clients))
 	case s.Skew > 1:
 		// Skew implies a multi-writer schedule; the PCT field rides along
 		// (possibly as its default 0) so the skew lands in a fixed column.
@@ -95,8 +107,8 @@ func (s Schedule) Token() string {
 // that the algorithm and strategy names resolve.
 func ParseToken(tok string) (Schedule, error) {
 	parts := strings.Split(strings.TrimSpace(tok), ":")
-	if len(parts) < 8 || len(parts) > 11 {
-		return Schedule{}, fmt.Errorf("explore: token needs 8 to 11 fields, got %d in %q", len(parts), tok)
+	if len(parts) < 8 || len(parts) > 12 {
+		return Schedule{}, fmt.Errorf("explore: token needs 8 to 12 fields, got %d in %q", len(parts), tok)
 	}
 	if parts[0] != tokenVersion {
 		return Schedule{}, fmt.Errorf("explore: token version %q, this explorer speaks %q", parts[0], tokenVersion)
@@ -128,8 +140,9 @@ func ParseToken(tok string) (Schedule, error) {
 	}
 	if len(parts) >= 10 {
 		// The 10th field exists for a positive PCT depth, or as the fixed
-		// PCT column of an 11-field skew token (where it may be 0); writer
-		// count 1 is the canonical single-writer marker in these forms.
+		// PCT column of an 11-field skew or 12-field clients token (where it
+		// may be 0); writer count 1 is the canonical single-writer marker in
+		// these forms.
 		if s.Writers < 1 {
 			return Schedule{}, fmt.Errorf("explore: %d-field token carries writer count %d, need >= 1", len(parts), s.Writers)
 		}
@@ -143,12 +156,23 @@ func ParseToken(tok string) (Schedule, error) {
 			return Schedule{}, fmt.Errorf("explore: negative pct depth %d in token", s.PCT)
 		}
 	}
-	if len(parts) == 11 {
+	if len(parts) >= 11 {
 		if s.Skew, err = strconv.Atoi(parts[10]); err != nil {
 			return Schedule{}, fmt.Errorf("explore: bad skew in token: %w", err)
 		}
-		if s.Skew < 2 {
+		if len(parts) == 11 && s.Skew < 2 {
 			return Schedule{}, fmt.Errorf("explore: 11-field token carries skew %d; skew-free tokens have at most 10 fields", s.Skew)
+		}
+		if s.Skew == 1 || s.Skew < 0 {
+			return Schedule{}, fmt.Errorf("explore: token carries skew %d; the balanced draw is 0", s.Skew)
+		}
+	}
+	if len(parts) == 12 {
+		if s.Clients, err = strconv.Atoi(parts[11]); err != nil {
+			return Schedule{}, fmt.Errorf("explore: bad client count in token: %w", err)
+		}
+		if s.Clients < 1 {
+			return Schedule{}, fmt.Errorf("explore: 12-field token carries client count %d; all-client tokens have at most 11 fields", s.Clients)
 		}
 	}
 	return s, nil
@@ -185,6 +209,12 @@ func (s Schedule) validate() error {
 	}
 	if s.Skew > 1 && s.Writers < 2 {
 		return fmt.Errorf("explore: skew %d requires a multi-writer schedule (writers >= 2, got %d)", s.Skew, s.Writers)
+	}
+	if s.Clients < 0 || s.Clients > s.N {
+		return fmt.Errorf("explore: %d clients among %d processes", s.Clients, s.N)
+	}
+	if s.Clients > 0 && s.Writers > s.Clients {
+		return fmt.Errorf("explore: %d writers exceed %d clients (writers are pids 0..writers-1, clients 0..clients-1)", s.Writers, s.Clients)
 	}
 	if strings.Contains(s.Alg, ":") || strings.Contains(s.Strategy, ":") {
 		return fmt.Errorf("explore: names must not contain ':' (alg %q, strategy %q)", s.Alg, s.Strategy)

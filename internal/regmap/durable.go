@@ -133,6 +133,10 @@ func (nd *Node) PeerRestarted(peer int) proto.Effects {
 	}
 	out := proto.Effects{Sends: nd.sends[:0]}
 	defer func() { nd.sends = out.Sends }()
+	if nd.reset == nil {
+		nd.reset = make([]bool, nd.sh.n)
+	}
+	nd.reset[peer] = true // registers created later start from the reset link too
 	for _, key := range nd.Keys() {
 		r := nd.regs[key]
 		nd.pump(key, r, r.peerRestarted(peer), &out)

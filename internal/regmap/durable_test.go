@@ -582,3 +582,62 @@ func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeRestartCoversKeysCreatedLater: a link reset is the node's, not
+// only the registers' it happened to host. A key the revived node never
+// logged is created there by the first frame that names it — after
+// PeerRestarted ran — and must start from the reset link like the others:
+// forwarded on at once in both directions, because whoever was waiting on
+// the previous incarnation for that key's echoes is still waiting.
+func TestNodeRestartCoversKeysCreatedLater(t *testing.T) {
+	const n, victim = 5, 4
+	cfg := Config{N: n, DefaultWriters: []int{0, 1, 2, 3, 4}}
+	nodes := make([]*Node, n)
+	logs := make([]*storage.MemLog, n)
+	for i := range nodes {
+		nd, err := NewNode(i, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = storage.NewMemLog()
+		nd.AttachStorage(logs[i])
+		nodes[i] = nd
+	}
+	m := newKeyedMesh(t, nodes)
+	m.start(0, "old", 1, proto.OpWrite, proto.Value("o1"))
+
+	m.crash(victim)
+	logs[victim].DropUnsynced()
+	fresh, err := NewNode(victim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Recover(logs[victim]); err != nil {
+		t.Fatal(err)
+	}
+	m.revive(victim, fresh)
+	if fresh.MW("new") != nil {
+		t.Fatal("the revived node hosts a key nobody has named yet")
+	}
+
+	// Only p0 has an operation on "new"; p2 and the revived node relay.
+	m.start(0, "new", 2, proto.OpWrite, proto.Value("n1"))
+	born := fresh.MW("new")
+	if born == nil {
+		t.Fatal("the write never reached the revived node")
+	}
+	for j := 0; j < victim; j++ {
+		if !born.Serving(j) {
+			t.Fatalf("register created after the restart treats the link to p%d as lazy", j)
+		}
+		if got := born.LaneSent(0, j); got != 1 {
+			t.Fatalf("revived node sent p%d %d of 1 indices of the new key", j, got)
+		}
+	}
+	if got := nodes[2].MW("new").LaneSent(0, victim); got != 1 {
+		t.Fatalf("p2 sent the revived node %d of 1 indices of the new key", got)
+	}
+	if got := nodes[2].MW("new").LaneSent(0, 3); got != 0 {
+		t.Fatalf("p2 -> p3 saw no restart yet carried %d indices", got)
+	}
+}

@@ -283,3 +283,58 @@ func runKeyedSim(t *testing.T, p simParams) (int64, int) {
 }
 
 func key(k int) string { return fmt.Sprintf("key-%03d", k) }
+
+// TestNodeOwedSumsLazyLinks: Node.Owed is the per-peer sum, over keys and
+// lanes, of what the lanes hold back on links where nobody waits — and a
+// READ on one key settles that key only.
+func TestNodeOwedSumsLazyLinks(t *testing.T) {
+	t.Parallel()
+	const n, keys = 4, 3
+	nodes := make([]*regmap.Node, n)
+	for i := range nodes {
+		nd, err := regmap.NewNode(i, regmap.Config{N: n, DefaultWriters: []int{0, 1, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = nd
+	}
+	type frame struct {
+		from, to int
+		msg      proto.Message
+	}
+	var queue []frame
+	run := func(pid int, eff proto.Effects) {
+		for _, s := range eff.Sends {
+			queue = append(queue, frame{pid, s.To, s.Msg})
+		}
+		for len(queue) > 0 {
+			f := queue[0]
+			queue = queue[1:]
+			for _, s := range nodes[f.to].Deliver(f.from, f.msg).Sends {
+				queue = append(queue, frame{f.to, s.To, s.Msg})
+			}
+		}
+	}
+	op := proto.OpID(0)
+	for k := 0; k < keys; k++ {
+		for i := 0; i < 2; i++ {
+			op++
+			run(0, nodes[0].Start(fmt.Sprintf("k%d", k), op, proto.OpWrite, proto.Value(fmt.Sprintf("v%d", op))))
+		}
+	}
+	// p0 wrote two indices on each of three keys; p2 and p3 only relayed.
+	if got := nodes[2].Owed(3); got != 2*keys {
+		t.Fatalf("p2 owes p3 %d indices, want %d", got, 2*keys)
+	}
+	if got := nodes[2].Owed(0) + nodes[0].Owed(2); got != 0 {
+		t.Fatalf("the writer's links owe %d indices", got)
+	}
+	op++
+	run(3, nodes[3].Start("k1", op, proto.OpRead, nil))
+	if got := nodes[2].Owed(3); got != 2*(keys-1) {
+		t.Fatalf("after p3 read one key p2 owes it %d indices, want %d", got, 2*(keys-1))
+	}
+	if got := nodes[3].Owed(2); got != 2*(keys-1) {
+		t.Fatalf("after its read p3 owes p2 %d indices, want %d", got, 2*(keys-1))
+	}
+}

@@ -35,6 +35,11 @@ type Node struct {
 	store    storage.StableStorage
 	dirty    bool
 	doneHeld []proto.Completion
+
+	// reset[j]: the link to p_j was reset in this incarnation
+	// (PeerRestarted). A register created afterwards inherits the reset: the
+	// restart is the node's, whichever keys it hosted at the time.
+	reset []bool
 }
 
 // reg is one key's register instance: exactly one of swmr/mw is set,
@@ -116,6 +121,11 @@ func (nd *Node) reg(key string) *reg {
 		}
 		if nd.store != nil {
 			r.attachStorage(keyStore{key: key, nd: nd})
+			for peer, was := range nd.reset {
+				if was {
+					r.peerRestarted(peer) // nothing to re-ship yet: only marks the link
+				}
+			}
 		}
 		nd.regs[key] = r
 	}
@@ -283,6 +293,23 @@ func (nd *Node) MW(key string) *core.MWProc {
 		return r.mw
 	}
 	return nil
+}
+
+// Owed sums, over every multi-writer key and lane this node hosts, the
+// indices it holds that peer neither was sent nor has shown to hold
+// (core.MWProc.LaneOwed) — on a link where nobody waits, the runs the next
+// READ, restart or full frame will carry. Introspection for tests.
+func (nd *Node) Owed(peer int) int {
+	owed := 0
+	for _, r := range nd.regs {
+		if r.mw == nil {
+			continue
+		}
+		for _, w := range r.writers {
+			owed += r.mw.LaneOwed(w, peer)
+		}
+	}
+	return owed
 }
 
 // Idle reports whether no client operation is in flight or queued on any
