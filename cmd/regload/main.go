@@ -10,7 +10,7 @@
 //
 //	regload -procs 3 -clients 16 -keys 64 -read-frac 0.6 -duration 5s
 //	regload -procs 6 -shards 2 -clients 16 -duration 5s   # two independent quorum groups
-//	regload -procs 5 -clients 32 -keys 200 -ops 20000 -coalesce=false -json
+//	regload -procs 5 -clients 32 -keys 200 -ops 20000 -json
 //	regload -procs 3 -clients 8 -duration 5s -dead 2   # dead-peer scenario
 //	regload -procs 3 -clients 8 -duration 5s -restart 2@1.5   # kill p2 at 1.5s, revive from its log
 //
@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		duration = fs.Duration("duration", 5*time.Second, "wall-clock run length (set -ops to bound by count instead)")
 		ops      = fs.Int64("ops", 0, "total operation budget (overrides -duration when positive)")
 		valSize  = fs.Int("value-size", 16, "written payload bytes")
-		coalesce = fs.Bool("coalesce", true, "cross-key frame coalescing in the keyed store")
 		seed     = fs.Int64("seed", 1, "workload seed (same spec + seed = same op mix)")
 		dead     = fs.String("dead", "", "comma-separated process ids to kill before load (dead-peer scenario)")
 		restart  = fs.String("restart", "", "comma-separated proc@seconds kill-and-revive faults, e.g. 2@1.5 (revived from the durable log after the default downtime)")
@@ -74,7 +73,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		Keys:      *keys,
 		ReadFrac:  *readFrac,
 		ValueSize: *valSize,
-		Coalesce:  *coalesce,
 		Seed:      *seed,
 		Dead:      deadList,
 		Restart:   restarts,

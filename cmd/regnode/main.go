@@ -33,6 +33,12 @@
 // one shard by hash (shard.ShardOfKey); requests for foreign keys answer
 // StatusWrongShard.
 //
+// With -data <dir> the process logs to a write-ahead log under dir, and
+// the same command line again — after a clean stop or a kill -9 — recovers
+// from it and rejoins by itself: the mesh handshake shows the peers a new
+// incarnation and both ends of every link reset. Without -data the process
+// is volatile and must not be restarted into a running cluster.
+//
 // SIGINT or SIGTERM shuts the process down in order (shard.Member.Close):
 // the node stops, so requests in flight end as unavailable and clients
 // fail over; the client server closes once those requests have returned;
@@ -47,9 +53,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"twobitreg/internal/shard"
+	"twobitreg/internal/storage"
 )
 
 func main() {
@@ -58,11 +66,12 @@ func main() {
 	clients := flag.String("clients", "", "client address table, same shape as -peers")
 	shardIdx := flag.Int("shard", 0, "this process's shard index")
 	id := flag.Int("id", 0, "this process's index within its shard")
+	dataDir := flag.String("data", "", "directory for this process's write-ahead log (empty: volatile, not restartable)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *configPath, *peers, *clients, *shardIdx, *id); err != nil {
+	if err := run(ctx, *configPath, *peers, *clients, *shardIdx, *id, *dataDir); err != nil {
 		var cerr *shard.ConfigError
 		if errors.As(err, &cerr) {
 			fmt.Fprintf(os.Stderr, "regnode: bad configuration at %s: %s\n", cerr.Field, cerr.Reason)
@@ -73,8 +82,9 @@ func main() {
 	}
 }
 
-// run serves one shard member until ctx is cancelled.
-func run(ctx context.Context, configPath, peers, clients string, shardIdx, id int) error {
+// run serves one shard member until ctx is cancelled. dataDir, if set,
+// holds its write-ahead log (a file per slot: processes may share it).
+func run(ctx context.Context, configPath, peers, clients string, shardIdx, id int, dataDir string) error {
 	cfg, err := loadConfig(configPath, peers, clients)
 	if err != nil {
 		return err
@@ -83,13 +93,28 @@ func run(ctx context.Context, configPath, peers, clients string, shardIdx, id in
 	if err != nil {
 		return err
 	}
+	durability := "volatile"
+	if dataDir != "" {
+		if err := os.MkdirAll(dataDir, 0o755); err != nil {
+			return err
+		}
+		path := filepath.Join(dataDir, fmt.Sprintf("shard%d-proc%d.wal", shardIdx, id))
+		wal, err := storage.OpenFileWAL(path)
+		if err != nil {
+			return err
+		}
+		// After the member: its last burst syncs before the file goes.
+		defer wal.Close()
+		spec.Storage = wal
+		durability = "log " + path
+	}
 	m, err := shard.StartMember(spec, meshAddrs)
 	if err != nil {
 		return err
 	}
 	defer m.Close()
-	log.Printf("shard %d/%d process %d/%d up: mesh %s, clients %s",
-		spec.Shard, spec.Shards, spec.ID, spec.N, m.MeshAddr(), m.ClientAddr())
+	log.Printf("shard %d/%d process %d/%d up: mesh %s, clients %s, %s",
+		spec.Shard, spec.Shards, spec.ID, spec.N, m.MeshAddr(), m.ClientAddr(), durability)
 	<-ctx.Done()
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestRunServesAndShutsDownCleanly(t *testing.T) {
 	done := make(chan error, 3)
 	for id := 0; id < 3; id++ {
 		id := id
-		go func() { done <- run(ctx, "", peersFlag, clientsFlag, 0, id) }()
+		go func() { done <- run(ctx, "", peersFlag, clientsFlag, 0, id, "") }()
 	}
 
 	cfg, err := shard.ParseTopology("", clientsFlag)
@@ -96,10 +97,111 @@ func TestRunRejectsOutOfRangeSlot(t *testing.T) {
 		shard, id int
 		field     string
 	}{{2, 0, "shard"}, {-1, 0, "shard"}, {0, 3, "id"}, {0, -1, "id"}} {
-		err := run(context.Background(), "", "a:1,b:1,c:1", "d:1,e:1,f:1", tc.shard, tc.id)
+		err := run(context.Background(), "", "a:1,b:1,c:1", "d:1,e:1,f:1", tc.shard, tc.id, "")
 		var cerr *shard.ConfigError
 		if !errors.As(err, &cerr) || cerr.Field != tc.field {
 			t.Errorf("-shard %d -id %d: %v, want a *shard.ConfigError at %q", tc.shard, tc.id, err, tc.field)
 		}
+	}
+}
+
+// TestRunRestartsFromData is the operator's restart: three processes run
+// with -data, one stops, the survivors take a write, and the same command
+// line starts it again. Nothing else is done for it, and every
+// acknowledged value must read back through its own client port.
+func TestRunRestartsFromData(t *testing.T) {
+	mesh, clients := freeAddrs(t, 3), freeAddrs(t, 3)
+	peersFlag, clientsFlag := strings.Join(mesh, ","), strings.Join(clients, ",")
+	dir := t.TempDir()
+
+	type proc struct {
+		cancel context.CancelFunc
+		done   chan error
+	}
+	start := func(id int) proc {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := proc{cancel: cancel, done: make(chan error, 1)}
+		go func() { p.done <- run(ctx, "", peersFlag, clientsFlag, 0, id, dir) }()
+		return p
+	}
+	stop := func(p proc) {
+		t.Helper()
+		p.cancel()
+		select {
+		case err := <-p.done:
+			if err != nil {
+				t.Errorf("run returned %v after cancel, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("run did not return after cancel")
+		}
+	}
+	procs := []proc{start(0), start(1), start(2)}
+	defer func() {
+		for _, p := range procs {
+			stop(p)
+		}
+	}()
+
+	cfg, err := shard.ParseTopology("", clientsFlag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := regclient.New(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	put := func(key, val string) {
+		t.Helper()
+		// Only "nobody is up yet" needs a retry; see the test above.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			err := cl.Put(key, []byte(val))
+			if err == nil {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("put %s: %v", key, err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	put("before", "1")
+	stop(procs[2])
+	put("during", "2")
+	put("before", "3")
+	procs[2] = start(2)
+
+	var sess *regclient.Session
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if sess, err = regclient.DialNode(clients[2]); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the restarted process never opened its client port: %v", err)
+		}
+	}
+	defer sess.Close()
+	read := make(chan error, 1)
+	go func() {
+		for key, want := range map[string]string{"before": "3", "during": "2"} {
+			if got, err := sess.Get(key); err != nil || string(got) != want {
+				read <- fmt.Errorf("get %s through the restarted process: %q, %v; want %s", key, got, err, want)
+				return
+			}
+		}
+		read <- sess.Put("after", []byte("4"))
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the restarted process cannot finish an operation")
+	}
+	if got, err := cl.Get("after"); err != nil || string(got) != "4" {
+		t.Fatalf("a write through the restarted process reads back %q, %v", got, err)
 	}
 }

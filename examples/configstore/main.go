@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	lc, err := shard.StartLocal(2, 3)
+	lc, err := shard.StartLocal(2, 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -217,13 +217,6 @@ func (p *MWProc) PeerRestarted(peer int) proto.Effects {
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
-	// Under a flush window the batcher holds frames across steps; runs
-	// queued for the peer were addressed to its previous incarnation and
-	// the re-shipped backlog covers their content — flushing them after
-	// the revival would deliver duplicates past the incarnation fence.
-	if p.batcher != nil {
-		p.batcher.dropPeer(peer)
-	}
 	for _, l := range p.lanes {
 		l.ResetLink(peer)
 	}

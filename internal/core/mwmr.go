@@ -148,11 +148,10 @@ type mwOp struct {
 
 // mwOptions configures an MWProc.
 type mwOptions struct {
-	initial     proto.Value
-	fault       MWFault
-	unbatched   bool
-	writers     []int
-	flushWindow bool
+	initial   proto.Value
+	fault     MWFault
+	unbatched bool
+	writers   []int
 }
 
 // MWOption configures the multi-writer register.
@@ -187,16 +186,6 @@ func WithMWBatching(enabled bool) MWOption {
 // errors).
 func WithMWWriters(writers []int) MWOption {
 	return func(o *mwOptions) { o.writers = append([]int(nil), writers...) }
-}
-
-// WithMWFlushWindow holds batched lane frames across drain fixpoints
-// instead of flushing them at the end of every drain: the process
-// accumulates coalescing runs until its runtime grants a flush tick
-// (proto.Flusher — the simulator's transport.WithFlushWindow, or a cluster
-// mailbox going idle). Under bursty clients this lets lone-index writes
-// arriving in separate drains share one frame per link. Requires batching.
-func WithMWFlushWindow() MWOption {
-	return func(o *mwOptions) { o.flushWindow = true }
 }
 
 // MWFault selects a deliberately broken variant of the multi-writer
@@ -255,9 +244,6 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 	var o mwOptions
 	for _, op := range opts {
 		op(&o)
-	}
-	if o.flushWindow && o.unbatched {
-		panic("core: WithMWFlushWindow requires batched lanes")
 	}
 	writers := o.writers
 	if len(writers) == 0 {
@@ -363,25 +349,6 @@ func (b *laneBatcher) add(w, to, wsn int, val proto.Value) {
 		}
 	}
 	b.runs = append(b.runs, batchRun{w: w, to: to, start: wsn, vals: b.newVals(val)})
-}
-
-// dropPeer discards the runs held for one link. A restarted peer's queued
-// frames were addressed to its previous incarnation (see PeerRestarted) —
-// the re-shipped backlog covers their content, so shipping them too would
-// deliver duplicates the receiver's parity guard can only park.
-func (b *laneBatcher) dropPeer(peer int) {
-	kept := b.runs[:0]
-	for _, r := range b.runs {
-		if r.to == peer {
-			for i := range r.vals {
-				r.vals[i] = nil
-			}
-			b.free = append(b.free, r.vals[:0])
-			continue
-		}
-		kept = append(kept, r)
-	}
-	b.runs = kept
 }
 
 // newVals returns a recycled (or fresh) one-element value slice.
@@ -662,19 +629,14 @@ func (p *MWProc) drain(eff *proto.Effects) {
 			progress = true
 		}
 	}
-	// With a flush window the coalesced runs stay buffered across drains and
-	// ship on the runtime's flush tick (Flush); otherwise every drain
-	// fixpoint flushes.
-	if p.batcher != nil && !p.opts.flushWindow {
+	// Every drain fixpoint flushes the coalesced runs.
+	if p.batcher != nil {
 		p.batcher.flush(p, eff)
 	}
 	for _, l := range p.lanes {
 		l.NoteQuiesced()
 	}
 	// Durability point: appends stabilize before the step's frames release.
-	// Note this covers the flush-window mode too — frames may ship on a
-	// later tick, but their entries were synced when this drain appended
-	// them, which is earlier, hence still sync-before-attest.
 	p.syncStorage()
 }
 
@@ -818,24 +780,6 @@ func (p *MWProc) LocalMemoryBits() int {
 		bits += l.MemoryBits()
 	}
 	return bits
-}
-
-// PendingFlush implements proto.Flusher: with a flush window configured it
-// reports whether coalesced lane frames are buffered awaiting a tick.
-func (p *MWProc) PendingFlush() bool {
-	return p.opts.flushWindow && p.batcher != nil && len(p.batcher.runs) > 0
-}
-
-// Flush implements proto.Flusher: it ships the buffered coalescing runs.
-// Runtimes call it on their flush tick (see WithMWFlushWindow); without a
-// flush window it is a no-op, since every drain already flushed.
-func (p *MWProc) Flush() proto.Effects {
-	eff := proto.Effects{Sends: p.sends[:0]}
-	if p.opts.flushWindow && p.batcher != nil {
-		p.batcher.flush(p, &eff)
-	}
-	p.sends = eff.Sends
-	return eff
 }
 
 // --- introspection for tests and invariant checkers ---

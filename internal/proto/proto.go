@@ -187,8 +187,7 @@ type FIFOLinks interface {
 }
 
 // Flusher is implemented by processes that can buffer outgoing frames
-// across steps for coalescing (the batched multi-writer register's
-// cross-drain flush window, the keyed store's cross-key frame coalescer).
+// across steps for coalescing (the keyed store's cross-key frame coalescer).
 // Runtimes that support it grant a flush tick some bounded time after a
 // step leaves frames buffered: the simulator schedules a virtual-time flush
 // event (transport.WithFlushWindow), the goroutine runtimes flush when a

@@ -17,7 +17,7 @@ import (
 func BenchmarkTCPRegload(b *testing.B) {
 	const ops = 400
 	base := regload.Spec{
-		Procs: 3, Clients: 8, Keys: 64, ReadFrac: 0.6, Ops: ops, Seed: 1, Coalesce: true,
+		Procs: 3, Clients: 8, Keys: 64, ReadFrac: 0.6, Ops: ops, Seed: 1,
 	}
 	cases := []struct {
 		name   string

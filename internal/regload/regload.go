@@ -15,14 +15,11 @@ package regload
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"twobitreg/internal/metrics"
@@ -31,7 +28,6 @@ import (
 	"twobitreg/internal/shard"
 	"twobitreg/internal/storage"
 	"twobitreg/internal/transport"
-	"twobitreg/internal/wire"
 )
 
 // Spec configures one load run. Validate reports the first problem as a
@@ -60,8 +56,6 @@ type Spec struct {
 	Ops      int64
 	// ValueSize is the written payload size in bytes (0 = 16).
 	ValueSize int
-	// Coalesce enables regmap's cross-key frame coalescing.
-	Coalesce bool
 	// Seed drives the clients' read/write and key choice; runs with the
 	// same spec issue the same operation mix.
 	Seed int64
@@ -80,10 +74,10 @@ type Spec struct {
 // Restart schedules one kill-and-revive fault: global process Proc is
 // crashed (node stopped, mesh, connections and client server closed
 // mid-stream) After into the run and revived Down later (0 = 250ms).
-// Revival replays the victim's stable-storage log into a fresh process —
-// regload arms an in-memory log per process whenever restarts are
-// scheduled — rebinds its original addresses, and runs the bilateral
-// PeerRestarted reset with every live shard peer. Just before the kill
+// Revival is a new process on the victim's addresses and stable-storage
+// log — regload arms an in-memory log per process whenever restarts are
+// scheduled — and nothing else: the mesh handshake shows the peers its new
+// incarnation, and both ends of each link reset. Just before the kill
 // the harness issues one write through the victim's client port (a key
 // placed on its shard); if acknowledged, it must still be in the durable
 // log after the crash drops the unsynced tail (Report.LostAckWrites
@@ -201,7 +195,6 @@ type Report struct {
 	Clients  int     `json:"clients"`
 	Keys     int     `json:"keys"`
 	ReadFrac float64 `json:"read_frac"`
-	Coalesce bool    `json:"coalesce"`
 	Dead     []int   `json:"dead,omitempty"`
 	// Restarted lists the processes that were killed mid-run and came
 	// back; RestartErrs counts revivals whose recovery or post-revival
@@ -261,8 +254,8 @@ func (r *Report) WriteHistogram() *metrics.Histogram { return &r.writeHist }
 
 // String renders the human-readable report.
 func (r *Report) String() string {
-	s := fmt.Sprintf("regload: n=%d shards=%d clients=%d keys=%d reads=%.0f%% coalesce=%v",
-		r.Procs, r.Shards, r.Clients, r.Keys, 100*r.ReadFrac, r.Coalesce)
+	s := fmt.Sprintf("regload: n=%d shards=%d clients=%d keys=%d reads=%.0f%%",
+		r.Procs, r.Shards, r.Clients, r.Keys, 100*r.ReadFrac)
 	if len(r.Dead) > 0 {
 		s += fmt.Sprintf(" dead=%v", r.Dead)
 	}
@@ -305,7 +298,7 @@ func Run(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.close()
+	defer h.lc.Close()
 	pool, err := h.clientPool()
 	if err != nil {
 		return nil, err
@@ -323,103 +316,50 @@ func Run(spec Spec) (*Report, error) {
 	return h.report(stats, elapsed, faults), nil
 }
 
-// harness is the cluster under load: shards×per shard.Members in a flat,
-// globally numbered grid. A nil slot is a crashed process — frames
-// addressed to it drop, its client port refuses — and restarts swap a
-// revived member back in at the original addresses.
+// harness is the cluster under load: a shard.LocalCluster, its processes
+// numbered globally (slot).
 type harness struct {
-	spec        Spec
-	shards, per int
-	members     []atomic.Pointer[shard.Member]
-	// Fixed for the run: the peers' tables and the clients' routing config
-	// keep pointing here, so a revived member rebinds its own.
-	meshAddrs, clientAddrs []string
+	spec Spec
+	per  int
+	lc   *shard.LocalCluster
 	// logs arms an in-memory log per process when restarts are scheduled,
-	// so a victim can be rebuilt from its durable state; plain runs skip
+	// so a victim can come back from its durable state; plain runs skip
 	// the logging overhead (the BENCH_tcp trajectory measures the unlogged
 	// path).
 	logs []*storage.MemLog
-	// gate sequences a revival against inbound deliveries and client ops
-	// on every member: while a revival holds it exclusively they wait
-	// (frames are delayed, not dropped) and first see the revived node
-	// with its link resets already enqueued ahead of them.
-	gate sync.RWMutex
 	// sendErrs keeps the count of members that have since been killed.
 	sendErrs atomic.Int64
 }
 
-func (h *harness) shardOf(pid int) int { return pid / h.per }
-func (h *harness) localOf(pid int) int { return pid % h.per }
-
-// shardPIDs returns the global ids of pid's shard siblings, pid excluded.
-func (h *harness) shardPIDs(pid int) []int {
-	var out []int
-	for j := h.shardOf(pid) * h.per; j < (h.shardOf(pid)+1)*h.per; j++ {
-		if j != pid {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// memberSpec is process pid's shard.MemberSpec at the given addresses: the
-// run's store and transport options, its log if restarts are scheduled,
-// and the gate on both inbound seams.
-func (h *harness) memberSpec(pid int, meshAddr, clientAddr string) shard.MemberSpec {
-	ms := shard.MemberSpec{
-		Shard: h.shardOf(pid), Shards: h.shards, ID: h.localOf(pid), N: h.per,
-		MeshAddr: meshAddr, ClientAddr: clientAddr, Coalesce: h.spec.Coalesce,
-		WrapDeliver: func(deliver func(int, proto.Message)) func(int, proto.Message) {
-			return func(from int, msg proto.Message) {
-				h.gate.RLock()
-				h.gate.RUnlock()
-				deliver(from, msg)
-			}
-		},
-		WrapHandler: func(handle shard.Handler) shard.Handler {
-			return func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-				h.gate.RLock()
-				h.gate.RUnlock()
-				return handle(op, key, val)
-			}
-		},
-	}
-	if h.logs != nil {
-		ms.Storage = h.logs[pid]
-	}
-	return ms
-}
-
 // startCluster boots the grid on ephemeral loopback ports.
 func startCluster(spec Spec) (*harness, error) {
-	n, shards := spec.Procs, spec.shardCount()
-	h := &harness{
-		spec: spec, shards: shards, per: n / shards,
-		members:   make([]atomic.Pointer[shard.Member], n),
-		meshAddrs: make([]string, n), clientAddrs: make([]string, n),
-	}
+	shards := spec.shardCount()
+	h := &harness{spec: spec, per: spec.Procs / shards}
+	var logs func(s, i int) storage.StableStorage
 	if len(spec.Restart) > 0 {
-		h.logs = make([]*storage.MemLog, n)
+		h.logs = make([]*storage.MemLog, spec.Procs)
 		for i := range h.logs {
 			h.logs[i] = storage.NewMemLog()
 		}
+		logs = func(s, i int) storage.StableStorage { return h.logs[s*h.per+i] }
 	}
-	specs := make([][]shard.MemberSpec, shards)
-	for pid := 0; pid < n; pid++ {
-		specs[h.shardOf(pid)] = append(specs[h.shardOf(pid)], h.memberSpec(pid, "127.0.0.1:0", "127.0.0.1:0"))
-	}
-	grid, err := shard.StartMembers(specs)
-	if err != nil {
+	var err error
+	if h.lc, err = shard.StartLocal(shards, h.per, logs); err != nil {
 		return nil, fmt.Errorf("regload: %w", err)
 	}
-	for s, row := range grid {
-		for i, m := range row {
-			pid := s*h.per + i
-			h.members[pid].Store(m)
-			h.meshAddrs[pid], h.clientAddrs[pid] = m.MeshAddr(), m.ClientAddr()
-		}
-	}
 	return h, nil
+}
+
+// slot returns process pid's shard and its index within it.
+func (h *harness) slot(pid int) (s, i int) { return pid / h.per, pid % h.per }
+
+// member returns process pid, nil if it is down.
+func (h *harness) member(pid int) *shard.Member { return h.lc.Member(h.slot(pid)) }
+
+// clientAddr returns process pid's client port.
+func (h *harness) clientAddr(pid int) string {
+	s, i := h.slot(pid)
+	return h.lc.Config.Shards[s].Procs[i].Client
 }
 
 // clientPool returns the routing clients: one Client per shard-member
@@ -427,14 +367,9 @@ func startCluster(spec Spec) (*harness, error) {
 // sessions are connection-multiplexed, so many goroutines pipelining
 // requests over one conn per node is the intended shape.
 func (h *harness) clientPool() ([]*regclient.Client, error) {
-	cfg := &shard.ClusterConfig{Shards: make([]shard.Shard, h.shards)}
-	for pid, addr := range h.clientAddrs {
-		s := h.shardOf(pid)
-		cfg.Shards[s].Procs = append(cfg.Shards[s].Procs, shard.Proc{Client: addr})
-	}
 	pool := make([]*regclient.Client, 0, h.per)
 	for j := 0; j < h.per; j++ {
-		cl, err := regclient.New(cfg, j)
+		cl, err := regclient.New(h.lc.Config, j)
 		if err != nil {
 			closePool(pool)
 			return nil, err
@@ -450,92 +385,28 @@ func closePool(pool []*regclient.Client) {
 	}
 }
 
-// kill crashes one process (shard.Member.Close) and nils its slot.
+// kill crashes one process, keeping its refused-send count.
 func (h *harness) kill(pid int) {
-	if m := h.members[pid].Swap(nil); m != nil {
-		m.Close()
+	if m := h.member(pid); m != nil {
+		h.lc.KillProc(h.slot(pid))
 		h.sendErrs.Add(m.SendErrors())
 	}
 }
 
-func (h *harness) close() {
-	for pid := range h.members {
-		h.kill(pid)
+// revive restarts a killed process from its durable log and proves it
+// serves: one client-protocol read through its own port says it recovered,
+// reconnected, and reaches a quorum.
+func (h *harness) revive(pid int, probe string) error {
+	if err := h.lc.ReviveProc(h.slot(pid)); err != nil {
+		return err
 	}
-}
-
-// revive rebuilds a killed process from its durable log: reset every live
-// shard peer's link to it, start a member that replays the log at the
-// original addresses (the peers' tables and the clients' routing config
-// are fixed) with its own link resets queued first, and prove it serves.
-func (h *harness) revive(pid int) error {
-	local := h.localOf(pid)
-	// Every live shard peer resets its link to the victim while the
-	// victim's listener is still down: the purge of frames queued for the
-	// dead incarnation runs inside the peer's reset step, so once the
-	// listener returns, the peer's queue holds nothing older than the
-	// re-shipped backlog, in FIFO order behind the dial retry. The
-	// listener must stay down until the steps have run — hence the wait,
-	// bounded in case a peer is stopped out from under it by an
-	// overlapping restart.
-	//
-	// The gate closes over the whole reset-to-start window, not just the
-	// swap: everything a peer emits toward the victim after its purge is
-	// addressed to the live incarnation and must not be lost, but the
-	// victim cannot drain its bounded transport queue until the listener
-	// is back. Quiescing deliveries and new client ops caps what
-	// accumulates in that window at the re-shipped backlog plus whatever
-	// the event loops had in flight — comfortably inside the queue bound —
-	// where free-running load could overflow it and wedge the cluster on
-	// the silently dropped frames (lanes never resend: a sent cursor only
-	// moves forward).
-	h.gate.Lock()
-	defer h.gate.Unlock()
-	var (
-		live   []int // shard-local ids of the peers that reset their links
-		resets sync.WaitGroup
-	)
-	for _, j := range h.shardPIDs(pid) {
-		resets.Add(1)
-		if pm := h.members[j].Load(); pm != nil && pm.PeerRestarted(local, resets.Done) {
-			live = append(live, h.localOf(j))
-		} else {
-			resets.Done()
-		}
+	sess, err := regclient.DialNode(h.clientAddr(pid))
+	if err != nil {
+		return err
 	}
-	done := make(chan struct{})
-	go func() { resets.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-	}
-	sh := h.shardOf(pid)
-	spec := h.memberSpec(pid, h.meshAddrs[pid], h.clientAddrs[pid])
-	var m *shard.Member
-	for try := 0; ; try++ {
-		var err error
-		m, err = shard.StartMember(spec, h.meshAddrs[sh*h.per:(sh+1)*h.per], live...)
-		if err == nil {
-			break
-		}
-		// Only a port the dead incarnation has not released yet is worth
-		// waiting for.
-		if !errors.Is(err, syscall.EADDRINUSE) || try >= 200 {
-			return fmt.Errorf("restart p%d: %w", pid, err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	h.members[pid].Store(m)
-	// The dial kicks break the peers' senders out of their reconnect
-	// backoff now that the listener is provably up: the re-shipped
-	// backlogs (queued since the purge) start draining in milliseconds,
-	// before the post-gate load resumes and contends for queue space.
-	for _, j := range h.shardPIDs(pid) {
-		if pm := h.members[j].Load(); pm != nil {
-			pm.Mesh().KickDial(local)
-		}
-	}
-	return nil
+	defer sess.Close()
+	_, err = sess.Get(probe)
+	return err
 }
 
 // restartLog is what the scheduled kill-and-revive faults leave behind.
@@ -550,9 +421,7 @@ type restartLog struct {
 // scheduleRestarts arms the kill-and-revive faults. Each victim gets a
 // final acknowledged write through its client port just before the kill;
 // losing it across the crash is the durability violation the harness
-// exists to catch. After revival the process must serve again: one
-// client-protocol read through its own port proves it recovered,
-// reconnected, and reaches a quorum.
+// exists to catch. After revival the process must serve again.
 func (h *harness) scheduleRestarts() *restartLog {
 	rl := &restartLog{}
 	for _, rs := range h.spec.Restart {
@@ -561,17 +430,14 @@ func (h *harness) scheduleRestarts() *restartLog {
 		go func() {
 			defer rl.wg.Done()
 			time.Sleep(rs.After)
-			addr := h.clientAddrs[rs.Proc]
-			probe := probeKey(rs.Proc, h.shardOf(rs.Proc), h.shards)
+			probe := probeKey(rs.Proc, rs.Proc/h.per, h.spec.shardCount())
 			marker := []byte(fmt.Sprintf("ack-probe-p%d", rs.Proc))
 			acked := false
-			if sess, err := regclient.DialNode(addr); err == nil {
+			if sess, err := regclient.DialNode(h.clientAddr(rs.Proc)); err == nil {
 				acked = sess.Put(probe, marker) == nil
 				sess.Close()
 			}
-			debugf("marker write p%d acked=%v", rs.Proc, acked)
 			h.kill(rs.Proc)
-			debugf("killed p%d", rs.Proc)
 			h.logs[rs.Proc].DropUnsynced() // the crash: the unsynced tail vanishes
 			if acked && !logContains(h.logs[rs.Proc], marker) {
 				rl.lostAcks.Add(1)
@@ -581,20 +447,10 @@ func (h *harness) scheduleRestarts() *restartLog {
 				down = 250 * time.Millisecond
 			}
 			time.Sleep(down)
-			err := h.revive(rs.Proc)
-			if err == nil {
-				var sess *regclient.Session
-				if sess, err = regclient.DialNode(addr); err == nil {
-					_, err = sess.Get(probe)
-					sess.Close()
-				}
-			}
-			if err != nil {
-				debugf("revive p%d failed: %v", rs.Proc, err)
+			if err := h.revive(rs.Proc, probe); err != nil {
 				rl.errs.Add(1)
 				return
 			}
-			debugf("revived p%d", rs.Proc)
 			rl.mu.Lock()
 			rl.restarted = append(rl.restarted, rs.Proc)
 			rl.mu.Unlock()
@@ -610,7 +466,6 @@ type clientStats struct {
 	readLat, writeLat metrics.Histogram
 	reads, writes     int64
 	errors            int64
-	inflight          atomic.Int64 // debug: op start unixnano (negated for writes), 0 = idle
 }
 
 // runClients drives the closed-loop clients, each through its pooled
@@ -657,9 +512,7 @@ func (h *harness) runClients(pool []*regclient.Client) ([]clientStats, time.Dura
 				key := keyName(rng.Intn(spec.Keys))
 				if rng.Float64() < spec.ReadFrac {
 					t0 := time.Now()
-					st.inflight.Store(t0.UnixNano())
 					_, err := cl.Get(key)
-					st.inflight.Store(0)
 					if err != nil {
 						st.errors++
 						continue
@@ -668,9 +521,7 @@ func (h *harness) runClients(pool []*regclient.Client) ([]clientStats, time.Dura
 					st.reads++
 				} else {
 					t0 := time.Now()
-					st.inflight.Store(-t0.UnixNano())
 					err := cl.Put(key, payload)
-					st.inflight.Store(0)
 					if err != nil {
 						st.errors++
 						continue
@@ -681,46 +532,8 @@ func (h *harness) runClients(pool []*regclient.Client) ([]clientStats, time.Dura
 			}
 		}()
 	}
-	if os.Getenv("REGLOAD_DEBUG") != "" {
-		watchStop := make(chan struct{})
-		defer close(watchStop)
-		go h.watchStuck(stats, watchStop)
-	}
 	wg.Wait()
 	return stats, time.Since(start)
-}
-
-// watchStuck is the REGLOAD_DEBUG watchdog: every two seconds it names
-// the clients stuck in one operation for over a second and dumps every
-// live mesh's counters.
-func (h *harness) watchStuck(stats []clientStats, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-time.After(2 * time.Second):
-		}
-		for c := range stats {
-			v := stats[c].inflight.Load()
-			if v == 0 {
-				continue
-			}
-			kind, ts := "read", v
-			if v < 0 {
-				kind, ts = "write", -v
-			}
-			if age := time.Since(time.Unix(0, ts)); age > time.Second {
-				debugf("client %d stuck in %s for %s (reads=%d writes=%d errs=%d)",
-					c, kind, age.Round(time.Millisecond),
-					stats[c].reads, stats[c].writes, stats[c].errors)
-			}
-		}
-		for pid := range h.members {
-			if m := h.members[pid].Load(); m != nil {
-				debugf("mesh %d: %s", pid, m.Mesh().Stats())
-			}
-		}
-	}
 }
 
 // report merges the clients' tallies, the fault log and the live members'
@@ -730,11 +543,10 @@ func (h *harness) report(stats []clientStats, elapsed time.Duration, faults *res
 	sort.Ints(faults.restarted)
 	rep := &Report{
 		Procs:         spec.Procs,
-		Shards:        h.shards,
+		Shards:        spec.shardCount(),
 		Clients:       spec.Clients,
 		Keys:          spec.Keys,
 		ReadFrac:      spec.ReadFrac,
-		Coalesce:      spec.Coalesce,
 		Dead:          append([]int(nil), spec.Dead...),
 		Restarted:     faults.restarted,
 		RestartErrs:   faults.errs.Load(),
@@ -754,8 +566,8 @@ func (h *harness) report(stats []clientStats, elapsed time.Duration, faults *res
 	if elapsed > 0 {
 		rep.OpsPerSec = float64(rep.Ops) / elapsed.Seconds()
 	}
-	for pid := range h.members {
-		if m := h.members[pid].Load(); m != nil {
+	for pid := 0; pid < spec.Procs; pid++ {
+		if m := h.member(pid); m != nil {
 			rep.Mesh.Add(m.Mesh().Stats())
 			rep.SendErrs += m.SendErrors()
 		}
@@ -777,13 +589,6 @@ func logContains(log storage.StableStorage, want []byte) bool {
 		return nil
 	})
 	return found
-}
-
-func debugf(format string, args ...any) {
-	if os.Getenv("REGLOAD_DEBUG") != "" {
-		fmt.Fprintf(os.Stderr, "regload[%s]: "+format+"\n",
-			append([]any{time.Now().Format("15:04:05.000")}, args...)...)
-	}
 }
 
 func contains(xs []int, x int) bool {

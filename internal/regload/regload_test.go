@@ -114,7 +114,7 @@ func TestSpecValidate(t *testing.T) {
 // 3-process TCP cluster, a handful of ops, a coherent report.
 func TestRunShortLoad(t *testing.T) {
 	rep, err := regload.Run(regload.Spec{
-		Procs: 3, Clients: 4, Keys: 8, ReadFrac: 0.5, Ops: 60, Seed: 7, Coalesce: true,
+		Procs: 3, Clients: 4, Keys: 8, ReadFrac: 0.5, Ops: 60, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestRunDeadPeer(t *testing.T) {
 // process down in each shard.
 func TestRunSharded(t *testing.T) {
 	rep, err := regload.Run(regload.Spec{
-		Procs: 6, Shards: 2, Clients: 4, Keys: 16, ReadFrac: 0.5, Ops: 80, Seed: 7, Coalesce: true,
+		Procs: 6, Shards: 2, Clients: 4, Keys: 16, ReadFrac: 0.5, Ops: 80, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestRunSharded(t *testing.T) {
 // the other shard keeps serving — the fault stays contained.
 func TestRunShardedRestart(t *testing.T) {
 	rep, err := regload.Run(regload.Spec{
-		Procs: 6, Shards: 2, Clients: 6, Keys: 16, ReadFrac: 0.5, Seed: 7, Coalesce: true,
+		Procs: 6, Shards: 2, Clients: 6, Keys: 16, ReadFrac: 0.5, Seed: 7,
 		Duration: 1200 * time.Millisecond,
 		Restart:  []regload.Restart{{Proc: 4, After: 200 * time.Millisecond, Down: 200 * time.Millisecond}},
 	})
@@ -235,7 +235,7 @@ func TestRunShardedRestart(t *testing.T) {
 // have counted the victim's reconnect.
 func TestRunRestart(t *testing.T) {
 	rep, err := regload.Run(regload.Spec{
-		Procs: 3, Clients: 6, Keys: 8, ReadFrac: 0.5, Seed: 7, Coalesce: true,
+		Procs: 3, Clients: 6, Keys: 8, ReadFrac: 0.5, Seed: 7,
 		Duration: 1200 * time.Millisecond,
 		Restart:  []regload.Restart{{Proc: 2, After: 200 * time.Millisecond, Down: 200 * time.Millisecond}},
 	})

@@ -3,8 +3,8 @@ package shard
 // member.go is the one assembly of the served stack: a shard member is a
 // transport.Mesh toward its quorum group, a regmap.Node on the runtime's
 // event loop (cluster.KeyedNode), and a client-protocol Server, wired the
-// same way wherever it runs — cmd/regnode is one Member, LocalCluster and
-// regload are grids of them.
+// same way wherever it runs — cmd/regnode is one Member, LocalCluster a
+// grid of them.
 
 import (
 	"errors"
@@ -32,19 +32,12 @@ type MemberSpec struct {
 	// MeshAddr and ClientAddr are the quorum-link and client-protocol
 	// listen addresses; port 0 binds an ephemeral one.
 	MeshAddr, ClientAddr string
-	// Coalesce enables the keyed store's cross-key frame coalescing
-	// (regmap.Config.Coalesce); the deployed service runs with it on.
-	Coalesce bool
 	// Storage, if non-nil, is the member's stable storage: its log is
 	// replayed into the store at construction, every later step is logged
 	// to it, and each mailbox burst is synced once before anything leaves.
+	// A member started on the storage and addresses of one that died is
+	// that member, restarted.
 	Storage storage.StableStorage
-	// WrapDeliver and WrapHandler, if non-nil, decorate the member's two
-	// inbound seams: the mesh's deliver callback and the client port's
-	// Handler. A harness that must quiesce a whole cluster (regload's
-	// revival gate) hooks in here.
-	WrapDeliver func(deliver func(from int, msg proto.Message)) func(from int, msg proto.Message)
-	WrapHandler func(Handler) Handler
 }
 
 // MemberSpec returns the spec of shard s's process i and the shard's mesh
@@ -66,7 +59,7 @@ func (c *ClusterConfig) MemberSpec(s, i int) (MemberSpec, []string, error) {
 	}
 	return MemberSpec{
 		Shard: s, Shards: len(c.Shards), ID: i, N: len(procs),
-		MeshAddr: procs[i].Mesh, ClientAddr: procs[i].Client, Coalesce: true,
+		MeshAddr: procs[i].Mesh, ClientAddr: procs[i].Client,
 	}, peers, nil
 }
 
@@ -75,12 +68,18 @@ func (c *ClusterConfig) MemberSpec(s, i int) (MemberSpec, []string, error) {
 // afterwards: bind builds the store (recovering it from Storage) and opens
 // both listeners; start wires the peers, starts the event loop and serves
 // clients. Frames that peers deliver in between are held, not dropped.
+//
+// Restart needs no call on anybody: the mesh's handshake tells each side
+// when the other is a new incarnation, and a member with Storage answers
+// with the restart protocol's link reset (peerRestarted). The restarted
+// member resets its own links as it starts.
 type Member struct {
-	spec  MemberSpec
-	store *regmap.Node
-	mesh  *transport.Mesh
-	ln    net.Listener // the client port, served from start on
-	srv   *Server
+	spec      MemberSpec
+	store     *regmap.Node
+	recovered bool // the log had something in it: peers may hold link state from a previous incarnation
+	mesh      *transport.Mesh
+	ln        net.Listener // the client port, served from start on
+	srv       *Server
 
 	// node is nil before start and after Close: a nil slot is a process
 	// that is not there — its handler answers unavailable.
@@ -98,16 +97,13 @@ type heldFrame struct {
 }
 
 // StartMember runs one member at fixed addresses: peers is its shard's
-// mesh address table (index = process id). reset lists the peers whose
-// links the node resets (storage.Recoverable.PeerRestarted) before it sees
-// any inbound frame — the live peers of a member revived from its log,
-// none at first boot. Callers must Close the member.
-func StartMember(spec MemberSpec, peers []string, reset ...int) (*Member, error) {
+// mesh address table (index = process id). Callers must Close the member.
+func StartMember(spec MemberSpec, peers []string) (*Member, error) {
 	m, err := bind(spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.start(peers, reset...); err != nil {
+	if err := m.start(peers); err != nil {
 		m.Close()
 		return nil, err
 	}
@@ -163,7 +159,7 @@ func bind(spec MemberSpec) (*Member, error) {
 	for i := range writers {
 		writers[i] = i
 	}
-	store, err := regmap.NewNode(spec.ID, regmap.Config{N: spec.N, DefaultWriters: writers, Coalesce: spec.Coalesce})
+	store, err := regmap.NewNode(spec.ID, regmap.Config{N: spec.N, DefaultWriters: writers, Coalesce: true})
 	if err != nil {
 		return nil, err
 	}
@@ -172,14 +168,13 @@ func bind(spec MemberSpec) (*Member, error) {
 			return nil, fmt.Errorf("shard %d member %d: recover: %w", spec.Shard, spec.ID, err)
 		}
 	}
-	m := &Member{spec: spec, store: store}
-	deliver := m.deliver
-	if spec.WrapDeliver != nil {
-		deliver = spec.WrapDeliver(deliver)
-	}
-	m.mesh, err = transport.NewMesh(spec.ID, spec.N, spec.MeshAddr, wire.Codec{}, deliver)
+	m := &Member{spec: spec, store: store, recovered: len(store.Keys()) > 0}
+	m.mesh, err = transport.NewMesh(spec.ID, spec.N, spec.MeshAddr, wire.Codec{}, m.deliver)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d member %d: %w", spec.Shard, spec.ID, err)
+	}
+	if spec.Storage != nil { // only a durable store can reset a link
+		m.mesh.OnPeerRestart(m.peerRestarted)
 	}
 	if m.ln, err = net.Listen("tcp", spec.ClientAddr); err != nil {
 		m.mesh.Close()
@@ -188,9 +183,9 @@ func bind(spec MemberSpec) (*Member, error) {
 	return m, nil
 }
 
-// start wires the peers, starts the event loop with its own link resets
-// queued ahead of every held frame, and opens the client port.
-func (m *Member) start(peers []string, reset ...int) error {
+// start wires the peers, starts the event loop — a recovered store's link
+// resets queued ahead of every held frame — and opens the client port.
+func (m *Member) start(peers []string) error {
 	if err := m.mesh.SetPeers(peers); err != nil {
 		return err
 	}
@@ -204,8 +199,10 @@ func (m *Member) start(peers []string, reset ...int) error {
 	// The order matters because lanes never resend: a frame consumed
 	// against link state the reset is about to discard is lost for good
 	// and wedges quorum counts.
-	for _, peer := range reset {
-		node.PeerRestarted(peer)
+	for peer := 0; m.recovered && peer < m.spec.N; peer++ {
+		if peer != m.spec.ID {
+			node.PeerRestarted(peer)
+		}
 	}
 	for _, f := range m.held {
 		node.Deliver(f.from, f.msg)
@@ -214,11 +211,7 @@ func (m *Member) start(peers []string, reset ...int) error {
 	m.node.Store(node)
 	m.mu.Unlock()
 
-	handler := Handler(m.handle)
-	if m.spec.WrapHandler != nil {
-		handler = m.spec.WrapHandler(handler)
-	}
-	srv, err := Serve(m.ln, m.spec.Shard, m.spec.Shards, handler)
+	srv, err := Serve(m.ln, m.spec.Shard, m.spec.Shards, m.handle)
 	if err != nil {
 		return err
 	}
@@ -267,23 +260,29 @@ func (m *Member) handle(op wire.ClientOp, key string, val []byte) ([]byte, error
 	return out, err
 }
 
-// PeerRestarted runs this member's half of the restart protocol toward a
-// peer that is coming back from its log: in one event-loop step, purge the
-// frames still queued for the peer's dead incarnation and reset the link
-// (the backlog re-ships behind the purge). done, if non-nil, runs on the
-// event loop once the purge has happened. Returns false (done will never
-// run) if the member is not running.
-func (m *Member) PeerRestarted(peer int, done func()) bool {
-	nd := m.node.Load()
-	if nd == nil {
-		return false
+// peerRestarted is the mesh's restart callback: peer has come back as a new
+// incarnation, and nothing of it is delivered, nor anything written to it,
+// until this returns. The answer is one event-loop step — tell the mesh,
+// which lets frames toward the peer through again, then reset the link —
+// so the re-shipped backlog is the first thing the new incarnation reads.
+func (m *Member) peerRestarted(peer int) {
+	reset := func() { m.mesh.PeerRestarted(peer) }
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if nd := m.node.Load(); nd != nil {
+		nd.PeerRestartedFunc(peer, reset)
+		return
 	}
-	return nd.PeerRestartedFunc(peer, func() {
-		m.mesh.PeerRestarted(peer)
-		if done != nil {
-			done()
+	// Not started yet (or closed): nothing has been sent on the link, so
+	// there is only the dead incarnation's held frames to forget.
+	kept := m.held[:0]
+	for _, f := range m.held {
+		if f.from != peer {
+			kept = append(kept, f)
 		}
-	})
+	}
+	m.held = kept
+	reset()
 }
 
 // MeshAddr returns the bound quorum-link address.

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // trio starts one shard of three members on ephemeral ports, each logging
-// to its own MemLog. wrap, if non-nil, decorates member 0's client handler.
-func trio(t *testing.T, wrap func(Handler) Handler) ([]*Member, []*storage.MemLog, []MemberSpec) {
+// to its own MemLog.
+func trio(t *testing.T) ([]*Member, []*storage.MemLog, []MemberSpec) {
 	t.Helper()
 	logs := make([]*storage.MemLog, 3)
 	specs := make([]MemberSpec, 3)
@@ -20,10 +19,9 @@ func trio(t *testing.T, wrap func(Handler) Handler) ([]*Member, []*storage.MemLo
 		logs[i] = storage.NewMemLog()
 		specs[i] = MemberSpec{
 			Shards: 1, ID: i, N: 3, MeshAddr: "127.0.0.1:0", ClientAddr: "127.0.0.1:0",
-			Coalesce: true, Storage: logs[i],
+			Storage: logs[i],
 		}
 	}
-	specs[0].WrapHandler = wrap
 	grid, err := StartMembers([][]MemberSpec{specs})
 	if err != nil {
 		t.Fatal(err)
@@ -48,18 +46,21 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 }
 
 // TestMemberReviveHoldsEarlyFrames kills a member, lets the survivors move
-// on, and revives it from its log at the same addresses. The peers reset
-// their links first, so their re-shipped backlogs reach the victim's new
-// listener between bind and start. Lanes never resend: were those frames
-// dropped, or consumed before the revived node reset its own links, the
+// on, and starts a member on the same addresses and the same log — and
+// that is the whole revival. Nobody tells the peers: the mesh handshake
+// shows each side the other's new incarnation, both reset the link and
+// re-ship before a frame crosses it, and whatever reaches the new listener
+// before its node runs is held, not dropped. Lanes never resend: were a
+// frame lost, or consumed against link state a reset then discarded, the
 // revived member could never catch up and its read would hang.
 func TestMemberReviveHoldsEarlyFrames(t *testing.T) {
-	members, logs, specs := trio(t, nil)
+	members, logs, specs := trio(t)
 	if err := members[0].Node().Put("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	meshAddrs := []string{members[0].MeshAddr(), members[1].MeshAddr(), members[2].MeshAddr()}
-	clientAddr := members[2].ClientAddr()
+	spec := specs[2]
+	spec.MeshAddr, spec.ClientAddr = meshAddrs[2], members[2].ClientAddr()
 
 	members[2].Close()
 	logs[2].DropUnsynced() // the crash: the unsynced tail vanishes
@@ -70,54 +71,33 @@ func TestMemberReviveHoldsEarlyFrames(t *testing.T) {
 		t.Fatalf("write with one member down: %v", err)
 	}
 
-	var resets sync.WaitGroup
-	for _, peer := range members[:2] {
-		resets.Add(1)
-		if !peer.PeerRestarted(2, resets.Done) {
-			t.Fatal("a live peer refused the link reset")
-		}
-	}
-	within(t, 5*time.Second, "the peers' link resets", resets.Wait)
-
-	spec := specs[2]
-	spec.MeshAddr, spec.ClientAddr = meshAddrs[2], clientAddr
-	revived, err := bind(spec)
+	revived, err := StartMember(spec, meshAddrs)
 	if err != nil {
-		t.Fatalf("rebind at the original addresses: %v", err)
+		t.Fatalf("restart at the original addresses: %v", err)
 	}
 	defer revived.Close()
-	for _, peer := range members[:2] {
-		peer.Mesh().KickDial(2)
-	}
-	heldFrames := func() int {
-		revived.mu.Lock()
-		defer revived.mu.Unlock()
-		return len(revived.held)
-	}
-	for deadline := time.Now().Add(5 * time.Second); heldFrames() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("no backlog frame reached the bound, unstarted member")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := revived.start(meshAddrs, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if heldFrames() != 0 {
-		t.Fatal("start left frames held")
-	}
-
 	within(t, 10*time.Second, "the revived member's read", func() {
 		got, err := revived.Node().Get("k")
 		if err != nil || string(got) != "v2" {
 			t.Errorf("revived member read %q, %v; want v2", got, err)
 		}
 	})
-	if err := revived.Node().Put("k", []byte("v3")); err != nil {
-		t.Fatalf("write through the revived member: %v", err)
-	}
+	within(t, 10*time.Second, "the revived member's write", func() {
+		if err := revived.Node().Put("k", []byte("v3")); err != nil {
+			t.Errorf("write through the revived member: %v", err)
+		}
+	})
 	if got, err := members[0].Node().Get("k"); err != nil || string(got) != "v3" {
 		t.Fatalf("peer read %q, %v after the revived member's write; want v3", got, err)
+	}
+	// A survivor that had handshaken with the victim's previous incarnation
+	// saw it replaced; one that never had (links stay lazy until someone
+	// waits, and a quorum of two need not include the third) made a first
+	// contact. Either way the rule runs at most once per restart.
+	for i, m := range members[:2] {
+		if st := m.Mesh().Stats(); st.PeerRestarts > 1 {
+			t.Errorf("survivor %d ran the restart rule %d times for one restart (%v)", i, st.PeerRestarts, st)
+		}
 	}
 }
 
@@ -127,13 +107,18 @@ func TestMemberReviveHoldsEarlyFrames(t *testing.T) {
 // first would wait forever), and the mesh is still open for whatever the
 // node sends on its way down.
 func TestMemberCloseOrder(t *testing.T) {
+	members, _, _ := trio(t)
+	// Observe the request entering the handler. Under the server's lock, so
+	// the session goroutines — started under it, later — see the wrapper.
 	entered := make(chan struct{})
-	members, _, _ := trio(t, func(h Handler) Handler {
-		return func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-			close(entered) // the test sends exactly one request
-			return h(op, key, val)
-		}
-	})
+	srv := members[0].Server()
+	srv.mu.Lock()
+	handle := srv.handle
+	srv.handle = func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
+		close(entered) // the test sends exactly one request
+		return handle(op, key, val)
+	}
+	srv.mu.Unlock()
 	members[1].Close()
 	members[2].Close()
 

@@ -233,7 +233,7 @@ func TestServerDropsMalformedSession(t *testing.T) {
 // StartLocal is the in-process production stack: keyed reads and writes land
 // on the right quorum group and survive the loss of one process per shard.
 func TestStartLocalSmoke(t *testing.T) {
-	lc, err := StartLocal(2, 3)
+	lc, err := StartLocal(2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStartLocalSmoke(t *testing.T) {
 
 	var fw wire.ClientFrameWriter
 	put := func(s, proc int, key, val string) wire.ClientResponse {
-		conn, err := net.Dial("tcp", lc.Server(s, proc).Addr())
+		conn, err := net.Dial("tcp", lc.Member(s, proc).ClientAddr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestStartLocalSmoke(t *testing.T) {
 		return readResp(t, conn)
 	}
 	get := func(s, proc int, key string) wire.ClientResponse {
-		conn, err := net.Dial("tcp", lc.Server(s, proc).Addr())
+		conn, err := net.Dial("tcp", lc.Member(s, proc).ClientAddr())
 		if err != nil {
 			t.Fatal(err)
 		}

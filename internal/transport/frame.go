@@ -20,7 +20,7 @@ const frameBufSize = 16 << 10
 // arrived, so a burst of frames written in one conn.Write costs its reader
 // one syscall rather than two per frame (header, then body), and a frame
 // split across writes reassembles. Anything else read from the stream — the
-// mesh's one-byte hello — must come through the same reader, or bytes
+// mesh's hello — must come through the same reader, or bytes
 // already buffered behind it are lost.
 //
 // Not safe for concurrent use: one reader goroutine per connection.
@@ -36,13 +36,14 @@ func NewFrameReader(src io.Reader, maxFrame uint32) *FrameReader {
 	return &FrameReader{src: src, maxFrame: maxFrame, buf: make([]byte, frameBufSize)}
 }
 
-// ReadByte consumes one byte ahead of the frames.
-func (fr *FrameReader) ReadByte() (byte, error) {
-	if err := fr.fill(1); err != nil {
-		return 0, err
+// Take consumes n bytes ahead of the frames. Like a frame's body, the slice
+// is valid only until the next call.
+func (fr *FrameReader) Take(n int) ([]byte, error) {
+	if err := fr.fill(n); err != nil {
+		return nil, err
 	}
-	fr.r++
-	return fr.buf[fr.r-1], nil
+	fr.r += n
+	return fr.buf[fr.r-n : fr.r], nil
 }
 
 // Next returns the body of the next frame. The slice aliases the reader's

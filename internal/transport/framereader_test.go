@@ -32,6 +32,12 @@ func frameStream(t testing.TB, msgs ...proto.Message) []byte {
 	return buf
 }
 
+// helloBytes is the dialer's half of the handshake, as process id at
+// incarnation inc sends it.
+func helloBytes(id int, inc uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{byte(id)}, inc)
+}
+
 // readFrame is the mesh's receive step: one frame off the buffered reader,
 // through the codec.
 func readFrame(fr *FrameReader) (proto.Message, error) {
@@ -173,10 +179,10 @@ func TestFrameReaderBurstInOneRead(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		want = append(want, core.WriteMsg{Bit: uint8(i % 2), Val: []byte{byte(i)}})
 	}
-	src := &chunkReader{chunks: [][]byte{append([]byte{7}, frameStream(t, want...)...)}}
+	src := &chunkReader{chunks: [][]byte{append(helloBytes(7, 9), frameStream(t, want...)...)}}
 	fr := NewFrameReader(src, maxFrame)
-	if hello, err := fr.ReadByte(); err != nil || hello != 7 {
-		t.Fatalf("hello = %d, %v; want 7", hello, err)
+	if hello, err := fr.Take(helloLen); err != nil || !bytes.Equal(hello, helloBytes(7, 9)) {
+		t.Fatalf("hello = %v, %v; want process 7 at incarnation 9", hello, err)
 	}
 	wantFrames(t, fr, want)
 	if _, err := fr.Next(); err != io.EOF {
@@ -193,12 +199,12 @@ func TestFrameReaderBurstInOneRead(t *testing.T) {
 // come out.
 func TestFrameReaderReassemblesSplitFrames(t *testing.T) {
 	want := testFrames()
-	stream := append([]byte{3}, frameStream(t, want...)...)
+	stream := append(helloBytes(3, 9), frameStream(t, want...)...)
 	check := func(name string, chunks [][]byte) {
 		t.Helper()
 		fr := NewFrameReader(&chunkReader{chunks: chunks}, maxFrame)
-		if hello, err := fr.ReadByte(); err != nil || hello != 3 {
-			t.Fatalf("%s: hello = %d, %v; want 3", name, hello, err)
+		if hello, err := fr.Take(helloLen); err != nil || !bytes.Equal(hello, helloBytes(3, 9)) {
+			t.Fatalf("%s: hello = %v, %v; want process 3 at incarnation 9", name, hello, err)
 		}
 		wantFrames(t, fr, want)
 		if _, err := fr.Next(); err != io.EOF {
@@ -233,7 +239,7 @@ func TestFrameReaderStreamEnd(t *testing.T) {
 	if _, err := NewFrameReader(bytes.NewReader(nil), maxFrame).Next(); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
-	if _, err := NewFrameReader(bytes.NewReader(nil), maxFrame).ReadByte(); err != io.EOF {
+	if _, err := NewFrameReader(bytes.NewReader(nil), maxFrame).Take(helloLen); err != io.EOF {
 		t.Fatalf("empty stream, hello: %v, want io.EOF", err)
 	}
 	src := &chunkReader{chunks: [][]byte{{0xff, 0xff, 0xff, 0xff}, bytes.Repeat([]byte{1}, 64)}}
@@ -271,7 +277,7 @@ func TestMeshHelloAndFramesInOneSegment(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		msgs = append(msgs, core.WriteMsg{Bit: uint8(i % 2), Val: []byte(fmt.Sprintf("v%02d", i))})
 	}
-	if _, err := conn.Write(append([]byte{1}, frameStream(t, msgs...)...)); err != nil {
+	if _, err := conn.Write(append(helloBytes(1, 9), frameStream(t, msgs...)...)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < frames; i++ {
@@ -302,7 +308,7 @@ func TestMeshCloseUnblocksReaderMidFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	frame := frameStream(t, core.WriteMsg{Bit: 1, Val: []byte("split across two writes")})
-	for _, part := range [][]byte{{1}, frame[:7], frame[7:], frame[:7]} {
+	for _, part := range [][]byte{helloBytes(1, 9), frame[:7], frame[7:], frame[:7]} {
 		if _, err := conn.Write(part); err != nil {
 			t.Fatal(err)
 		}

@@ -27,8 +27,16 @@ type MeshStats struct {
 	// already connected once — the receive-side view of peer churn
 	// (a crashed-and-restarted peer, or a dropped connection redialed).
 	Reconnects int64 `json:"reconnects"`
+	// PeerRestarts counts runs of the restart rule: a handshake, in either
+	// direction, that showed a peer at a newer incarnation than the one
+	// held, or made first contact on a link that had already lost frames.
+	PeerRestarts int64 `json:"peer_restarts"`
 	// FramesReceived counts inbound frames decoded and delivered.
 	FramesReceived int64 `json:"frames_received"`
+	// FramesFenced counts inbound frames dropped because the connection
+	// they arrived on handshook with an incarnation the peer has since
+	// replaced.
+	FramesFenced int64 `json:"frames_fenced"`
 	// DecodeErrors counts inbound frames the codec rejected — nonzero
 	// means frame interleaving or corruption on some connection.
 	DecodeErrors int64 `json:"decode_errors"`
@@ -45,7 +53,9 @@ func (s *MeshStats) Add(o MeshStats) {
 	s.FramesDropped += o.FramesDropped
 	s.Redials += o.Redials
 	s.Reconnects += o.Reconnects
+	s.PeerRestarts += o.PeerRestarts
 	s.FramesReceived += o.FramesReceived
+	s.FramesFenced += o.FramesFenced
 	s.DecodeErrors += o.DecodeErrors
 }
 
@@ -61,7 +71,8 @@ func (s MeshStats) FramesPerWrite() float64 {
 // String renders the counters on one line.
 func (s MeshStats) String() string {
 	return fmt.Sprintf(
-		"frames=%d writes=%d (%.2f frames/write, max batch %d) bytes=%d dropped=%d redials=%d reconnects=%d recv=%d decode_errs=%d",
+		"frames=%d writes=%d (%.2f frames/write, max batch %d) bytes=%d dropped=%d redials=%d reconnects=%d peer_restarts=%d recv=%d fenced=%d decode_errs=%d",
 		s.FramesSent, s.ConnWrites, s.FramesPerWrite(), s.MaxBatch,
-		s.BytesSent, s.FramesDropped, s.Redials, s.Reconnects, s.FramesReceived, s.DecodeErrors)
+		s.BytesSent, s.FramesDropped, s.Redials, s.Reconnects, s.PeerRestarts,
+		s.FramesReceived, s.FramesFenced, s.DecodeErrors)
 }

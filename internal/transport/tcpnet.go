@@ -45,6 +45,14 @@ const (
 	DialBackoff = 250 * time.Millisecond
 )
 
+// The handshake: the dialer sends its id and incarnation, the acceptor
+// answers its own, within handshakeTimeout.
+const (
+	helloLen         = 1 + 8
+	replyLen         = 8
+	handshakeTimeout = 5 * time.Second
+)
+
 // DefaultQueueCap is the per-peer outbound queue bound: far above the
 // in-flight frame count a live peer ever accumulates under the closed-loop
 // quorum protocols, so the policy below only ever fires for dead or
@@ -99,13 +107,28 @@ func WithDialRetry(retries int, backoff time.Duration) MeshOption {
 
 // Mesh is one process's TCP endpoint in a fully connected cluster running
 // the two-bit register. Messages travel length-framed in the two-bit wire
-// format (internal/wire); a one-byte handshake identifies the sender of each
-// inbound connection.
+// format (internal/wire) over connections opened by a two-way handshake.
 //
 // Construction is two-phase so clusters can bind ephemeral ports first and
 // exchange the resulting addresses afterwards: NewMesh starts the listener,
 // SetPeers supplies the full address table (and starts one pipelined sender
 // per peer), and only then may Send be used.
+//
+// # The handshake
+//
+// A mesh's incarnation is its boot time in nanoseconds: a process started
+// later on the same address presents a higher one, and nothing need be
+// persisted, since a dead process cannot complete a handshake. The dialer
+// opens a connection with (its id, its incarnation) and the acceptor
+// answers its own, before any frame — connection framing like the sender
+// id, not message control. When either direction learns an incarnation
+// above the one held, the peer has restarted, and before a frame of that
+// connection is delivered or written the mesh fences the old incarnation's
+// connections (what they still buffer is dropped, FramesFenced) and, for a
+// subscriber (OnPeerRestart), voids the send side and runs the callback. A
+// handshake below the incarnation held is a process already replaced, and
+// is refused. First contact is not a restart — except on a link that
+// dropped frames before it learned anything: no lane resends them.
 //
 // # The send path
 //
@@ -134,22 +157,26 @@ func WithDialRetry(retries int, backoff time.Duration) MeshOption {
 type Mesh struct {
 	self    int
 	n       int
+	inc     uint64 // this boot's incarnation, never 0
 	codec   Codec
 	deliver func(from int, msg proto.Message)
 	ln      net.Listener
 	cfg     meshConfig
 
-	// peers is the send-side table (index = process id, nil for self),
-	// published once by SetPeers and read lock-free on every Send.
-	peers atomic.Pointer[[]*peer]
+	// peers (index = process id, nil for self) is fixed at NewMesh: inbound
+	// handshakes need it before SetPeers starts the senders and Send.
+	peers   []*peer
+	started atomic.Bool
 
-	mu       sync.Mutex            // orders SetPeers against Close; guards the fields below
-	inbound  map[net.Conn]struct{} // accepted, closed on shutdown
-	seenFrom []bool                // senders that have completed a handshake once
+	mu        sync.Mutex       // orders SetPeers against Close; guards the fields below
+	inbound   map[net.Conn]int // accepted, closed on shutdown; the sender's id once handshaken, else -1
+	onRestart func(peer int)
 
-	framesRecv atomic.Int64
-	decodeErrs atomic.Int64
-	reconnects atomic.Int64
+	framesRecv   atomic.Int64
+	framesFenced atomic.Int64
+	decodeErrs   atomic.Int64
+	reconnects   atomic.Int64
+	peerRestarts atomic.Int64
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -187,15 +214,25 @@ func NewMesh(self, n int, listenAddr string, codec Codec, deliver func(from int,
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
 	}
 	m := &Mesh{
-		self:     self,
-		n:        n,
-		codec:    codec,
-		deliver:  deliver,
-		ln:       ln,
-		cfg:      cfg,
-		inbound:  make(map[net.Conn]struct{}),
-		seenFrom: make([]bool, n),
-		done:     make(chan struct{}),
+		self:    self,
+		n:       n,
+		inc:     uint64(time.Now().UnixNano()),
+		codec:   codec,
+		deliver: deliver,
+		ln:      ln,
+		cfg:     cfg,
+		peers:   make([]*peer, n),
+		inbound: make(map[net.Conn]int),
+		done:    make(chan struct{}),
+	}
+	for id := range m.peers {
+		if id == self {
+			continue
+		}
+		p := &peer{m: m, id: id, bumped: make(chan struct{}, 1)}
+		p.cond = sync.NewCond(&p.mu)
+		p.rng = rand.New(rand.NewSource(int64(self)<<16 ^ int64(id) ^ int64(m.inc)))
+		m.peers[id] = p
 	}
 	m.wg.Add(1)
 	go m.acceptLoop()
@@ -204,6 +241,17 @@ func NewMesh(self, n int, listenAddr string, codec Codec, deliver func(from int,
 
 // Addr returns the mesh's bound listen address.
 func (m *Mesh) Addr() string { return m.ln.Addr().String() }
+
+// OnPeerRestart subscribes fn to peer restarts; call it before SetPeers.
+// fn runs with the peer's handshakes held back, so it must hand the work
+// on, not wait for this mesh: the subscriber resets its view of the link,
+// then calls PeerRestarted(peer), and until it has, what it sends the peer
+// is dropped. A mesh without a subscriber only counts and fences.
+func (m *Mesh) OnPeerRestart(fn func(peer int)) {
+	m.mu.Lock()
+	m.onRestart = fn
+	m.mu.Unlock()
+}
 
 // SetPeers supplies the cluster's address table (index = process id) and
 // starts the per-peer senders. It must be called exactly once, before the
@@ -214,7 +262,7 @@ func (m *Mesh) SetPeers(addrs []string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.peers.Load() != nil {
+	if m.started.Load() {
 		return errors.New("transport: SetPeers called twice")
 	}
 	select {
@@ -222,30 +270,25 @@ func (m *Mesh) SetPeers(addrs []string) error {
 		return errors.New("transport: mesh closed")
 	default:
 	}
-	peers := make([]*peer, m.n)
-	for id, addr := range addrs {
-		if id == m.self {
+	for id, p := range m.peers {
+		if p == nil {
 			continue
 		}
-		p := &peer{m: m, id: id, addr: addr, kick: make(chan struct{}, 1)}
-		p.cond = sync.NewCond(&p.mu)
-		p.rng = rand.New(rand.NewSource(int64(m.self)<<16 ^ int64(id) ^ time.Now().UnixNano()))
-		peers[id] = p
+		p.addr = addrs[id]
 		m.wg.Add(1)
 		go p.run()
 	}
-	m.peers.Store(&peers)
+	m.started.Store(true)
 	return nil
 }
 
-// peer returns the send-side state for process `to`, or nil before SetPeers
-// and for self or an id out of range.
+// peer returns the link state for process `to`, or nil for self or an id
+// out of range.
 func (m *Mesh) peer(to int) *peer {
-	peers := m.peers.Load()
-	if peers == nil || to < 0 || to >= len(*peers) {
+	if to < 0 || to >= len(m.peers) {
 		return nil
 	}
-	return (*peers)[to]
+	return m.peers[to]
 }
 
 // Send enqueues msg for peer `to` and returns without waiting for the
@@ -259,30 +302,29 @@ func (m *Mesh) Send(to int, msg proto.Message) error {
 	if to == m.self || to < 0 || to >= m.n {
 		return fmt.Errorf("transport: bad destination %d", to)
 	}
-	p := m.peer(to)
-	if p == nil {
+	if !m.started.Load() {
 		return errors.New("transport: Send before SetPeers")
 	}
-	return p.enqueue(msg)
+	return m.peers[to].enqueue(msg)
 }
 
 // Stats returns a snapshot of the mesh's transport counters, aggregated
 // over all peers.
 func (m *Mesh) Stats() MeshStats {
 	var s MeshStats
-	if peers := m.peers.Load(); peers != nil {
-		for _, p := range *peers {
-			if p == nil {
-				continue
-			}
-			p.mu.Lock()
-			s.Add(p.stats)
-			p.mu.Unlock()
+	for _, p := range m.peers {
+		if p == nil {
+			continue
 		}
+		p.mu.Lock()
+		s.Add(p.stats)
+		p.mu.Unlock()
 	}
 	s.FramesReceived = m.framesRecv.Load()
+	s.FramesFenced = m.framesFenced.Load()
 	s.DecodeErrors = m.decodeErrs.Load()
 	s.Reconnects = m.reconnects.Load()
+	s.PeerRestarts = m.peerRestarts.Load()
 	return s
 }
 
@@ -306,49 +348,15 @@ func (m *Mesh) DropConn(to int) bool {
 	return true
 }
 
-// PeerRestarted is the transport half of the crash-restart protocol for
-// peer `to`: every frame still queued for it is purged (counted in
-// FramesDropped — it was addressed to the dead incarnation, and delivering
-// it to the revived one would bypass the restart reset's re-shipped
-// backlog) and the current connection, if up, is closed so the sender
-// redials the revived peer's fresh listener. The caller then runs the
-// protocol half (storage.Recoverable.PeerRestarted on both sides).
+// PeerRestarted declares that the caller has reset its view of the link to
+// peer `to`, so every frame it handed to Send before is void (the reset
+// re-ships what they carried): the queue is purged, counted in
+// FramesDropped; a batch already taken, and a dial in progress, are fenced
+// by the epoch bump; the connection is closed. It is also the subscriber's
+// answer to an OnPeerRestart callback.
 func (m *Mesh) PeerRestarted(to int) {
-	p := m.peer(to)
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.stats.FramesDropped += int64(len(p.queue))
-	for i := range p.queue {
-		p.queue[i] = nil
-	}
-	p.queue = p.queue[:0]
-	p.epoch++ // fence any batch already taken but still unwritten
-	c := p.conn
-	p.cond.Broadcast() // wake a Block-policy enqueue waiting on queue space
-	p.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-// KickDial wakes peer `to`'s sender out of its dial backoff so the next
-// attempt happens immediately. Call it when the peer's listener is known
-// to be up — the revival choreography posts it right after rebinding, so
-// the re-shipped backlog drains within milliseconds instead of waiting
-// out a backoff interval (during which the bounded queue could overflow
-// and drop frames addressed to the live incarnation). A no-op if the
-// sender is not currently backing off; the buffered signal then shortens
-// the next backoff, which is harmless.
-func (m *Mesh) KickDial(to int) {
-	p := m.peer(to)
-	if p == nil {
-		return
-	}
-	select {
-	case p.kick <- struct{}{}:
-	default:
+	if p := m.peer(to); p != nil {
+		p.purge(false)
 	}
 }
 
@@ -359,11 +367,9 @@ func (m *Mesh) KickDial(to int) {
 // and under m.mu, so SetPeers either ran before or starts nothing.
 func (m *Mesh) Close() error {
 	m.mu.Lock()
-	if peers := m.peers.Load(); peers != nil {
-		for _, p := range *peers {
-			if p != nil {
-				p.close()
-			}
+	for _, p := range m.peers {
+		if p != nil {
+			p.close()
 		}
 	}
 	select {
@@ -380,34 +386,46 @@ func (m *Mesh) Close() error {
 	return err
 }
 
-// peer is the send-side state for one destination: a bounded frame queue
-// drained by a dedicated sender goroutine that owns the connection, the
-// dial loop, and the encode buffer.
+// peer is the link to one other process: a bounded frame queue drained by
+// a dedicated sender goroutine that owns the connection, the dial loop and
+// the encode buffer, and what either direction's handshake has learned.
 type peer struct {
 	m    *Mesh
 	id   int
-	addr string
+	addr string // set by SetPeers, before the sender starts
+
+	// hs serializes this peer's handshakes, in and out, and is held across
+	// a restart, so no connection of the new incarnation carries a frame
+	// before the callback has returned.
+	hs      sync.Mutex
+	inc     atomic.Uint64  // the peer's incarnation, 0 = never learned; stored under hs
+	seenIn  bool           // an inbound handshake has completed before; under hs
+	readers sync.WaitGroup // handshaken inbound connections still being read; Add under hs
 
 	mu      sync.Mutex
 	cond    *sync.Cond // frames/space/write-turn availability
 	queue   []proto.Message
 	closed  bool
 	writing bool     // a goroutine (sender or inline Send) owns the conn's write side
-	conn    net.Conn // nil while down; the sender dials, DropConn/close break it
+	conn    net.Conn // nil while down; handshaken under the current epoch
+	dialing net.Conn // the sender's handshake in progress, so a purge or close can break it
 	dialed  bool     // a connection has been established at least once
 	stats   MeshStats
-	// epoch fences batches across PeerRestarted: a batch taken before the
-	// purge (and possibly parked in the dial cycle) must not be written to
-	// the peer's next incarnation. takenEpoch is stamped at drain time and
-	// compared after the connection is (re-)established.
+	// epoch is bumped by every purge. A connection is bound to the epoch it
+	// handshook under and a batch to the one it was taken under
+	// (takenEpoch); neither outlives a bump, so a batch parked in the dial
+	// cycle cannot reach the peer's next incarnation.
 	epoch      uint64
 	takenEpoch uint64
+	// owed counts restart callbacks not yet answered with PeerRestarted:
+	// until then what is sent the peer was built on link state about to be
+	// reset, and is dropped.
+	owed int
 
-	// kick interrupts the sender's dial backoff: a buffered signal posted
-	// when the peer's listener is known to be up right now (a revival just
-	// rebound it), so the reconnect pays milliseconds instead of a full
-	// jittered backoff interval.
-	kick chan struct{}
+	// bumped wakes the sender out of its dial backoff when the epoch moves:
+	// its batch is void, and the frames behind the reset must not wait out
+	// an interval while the queue fills.
+	bumped chan struct{}
 
 	// Sender-goroutine-owned state (no locking needed).
 	rng    *rand.Rand
@@ -427,6 +445,11 @@ type peer struct {
 // happens inline, so a down peer costs its callers nothing.
 func (p *peer) enqueue(msg proto.Message) error {
 	p.mu.Lock()
+	if p.owed > 0 && !p.closed {
+		p.stats.FramesDropped++
+		p.mu.Unlock()
+		return nil
+	}
 	if !p.writing && len(p.queue) == 0 && p.conn != nil && !p.closed {
 		c := p.conn
 		p.writing = true
@@ -496,11 +519,42 @@ func (p *peer) close() {
 	p.closed = true
 	p.stats.FramesDropped += int64(len(p.queue))
 	p.queue = p.queue[:0]
-	if p.conn != nil {
-		p.conn.Close()
-	}
+	closeAll(p.conn, p.dialing)
 	p.cond.Broadcast()
 	p.mu.Unlock()
+}
+
+func closeAll(conns ...net.Conn) {
+	for _, c := range conns {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
+// purge voids everything handed to the link so far. restart marks the
+// mesh's own purge, on learning the peer's new incarnation, which the
+// subscriber owes an answer to; the answer is the other caller.
+func (p *peer) purge(restart bool) {
+	p.mu.Lock()
+	p.stats.FramesDropped += int64(len(p.queue))
+	clear(p.queue)
+	p.queue = p.queue[:0]
+	p.epoch++
+	if restart {
+		p.owed++
+	} else if p.owed > 0 {
+		p.owed--
+	}
+	conn, dialing := p.conn, p.dialing
+	p.conn = nil
+	p.cond.Broadcast() // wake a Block-policy enqueue waiting on queue space
+	p.mu.Unlock()
+	select {
+	case p.bumped <- struct{}{}:
+	default:
+	}
+	closeAll(conn, dialing)
 }
 
 // take blocks until frames are pending AND the write turn is free, then
@@ -534,21 +588,10 @@ func (p *peer) take() bool {
 func (p *peer) run() {
 	defer p.m.wg.Done()
 	for p.take() {
-		var lost int64
-		c := p.ensureConn()
-		p.mu.Lock()
-		stale := p.takenEpoch != p.epoch
-		p.mu.Unlock()
-		switch {
-		case c == nil:
-			// Dial cycle exhausted (or shutdown): this batch is lost.
-			lost = int64(len(p.batch))
-		case stale:
-			// PeerRestarted ran while the batch waited out the dial
-			// cycle: it was addressed to the peer's previous incarnation
-			// and must not reach the next one.
-			lost = int64(len(p.batch))
-		default:
+		// No connection means the dial cycle was exhausted, the mesh is
+		// shutting down, or a purge overtook the batch: it is lost.
+		lost := int64(len(p.batch))
+		if c := p.ensureConn(); c != nil {
 			lost = p.writeBatch(c)
 		}
 		p.mu.Lock()
@@ -558,53 +601,138 @@ func (p *peer) run() {
 	}
 }
 
-// ensureConn returns the peer's connection, dialing with jittered backoff
-// if it is down. Returns nil after a full failed dial cycle or on
-// shutdown.
+// ensureConn returns a connection handshaken under the epoch the batch in
+// hand was taken under, dialing with jittered backoff if the link is down;
+// nil after a full failed dial cycle, on shutdown, or once a purge has
+// voided the batch.
 func (p *peer) ensureConn() net.Conn {
-	p.mu.Lock()
-	c := p.conn
-	p.mu.Unlock()
-	if c != nil {
-		return c
-	}
-	cfg := &p.m.cfg
-	for attempt := 0; attempt < cfg.dialRetries; attempt++ {
+	for attempt := 0; attempt < p.m.cfg.dialRetries; attempt++ {
 		if attempt > 0 && !p.backoff() {
 			return nil
 		}
-		select {
-		case <-p.m.done:
-			return nil
-		default:
-		}
-		c, err := net.Dial("tcp", p.addr)
-		if err != nil {
-			continue
-		}
-		if _, err := c.Write([]byte{byte(p.m.self)}); err != nil {
-			c.Close()
-			continue
-		}
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			c.Close()
+		c, void := p.conn, p.closed || p.epoch != p.takenEpoch
+		p.mu.Unlock()
+		if void {
 			return nil
 		}
+		if c == nil {
+			c = p.dial()
+		}
+		if c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
+// dial makes one attempt: TCP, the handshake, publication as p.conn. A dial
+// that straddles an epoch bump is never kept — it may have reached the
+// incarnation the bump replaced.
+func (p *peer) dial() net.Conn {
+	c, err := net.Dial("tcp", p.addr)
+	if err != nil {
+		return nil
+	}
+	p.mu.Lock()
+	void := p.closed || p.epoch != p.takenEpoch
+	if !void {
+		p.dialing = c
+	}
+	p.mu.Unlock()
+	ok := !void && p.handshake(c)
+	p.mu.Lock()
+	p.dialing = nil
+	if ok = ok && !p.closed && p.epoch == p.takenEpoch; ok {
 		p.conn = c
 		if p.dialed {
 			p.stats.Redials++
 		}
 		p.dialed = true
-		p.mu.Unlock()
-		return c
 	}
-	return nil
+	p.mu.Unlock()
+	if !ok {
+		c.Close()
+		return nil
+	}
+	return c
+}
+
+// handshake runs the dialer's half on c. A peer that accepts but never
+// answers is cut off by the deadline (and by purge and close, through
+// p.dialing).
+func (p *peer) handshake(c net.Conn) bool {
+	var hello [helloLen]byte
+	hello[0] = byte(p.m.self)
+	binary.BigEndian.PutUint64(hello[1:], p.m.inc)
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	if _, err := c.Write(hello[:]); err != nil {
+		return false
+	}
+	if _, err := io.ReadFull(c, hello[:replyLen]); err != nil {
+		return false
+	}
+	c.SetDeadline(time.Time{})
+	return p.learn(binary.BigEndian.Uint64(hello[:replyLen]), nil)
+}
+
+// learn records that a connection handshook with the peer at incarnation
+// inc (in is the connection if inbound, nil for a dial) and reports whether
+// it may carry frames. A restart runs before learn returns, so before the
+// connection carries anything.
+func (p *peer) learn(inc uint64, in net.Conn) bool {
+	p.hs.Lock()
+	defer p.hs.Unlock()
+	held := p.inc.Load()
+	if inc < held || inc == 0 {
+		return false
+	}
+	if inc > held {
+		p.inc.Store(inc) // from here the old incarnation's connections are fenced
+		p.mu.Lock()
+		lossy := p.stats.FramesDropped > 0
+		p.mu.Unlock()
+		if held != 0 || lossy { // first contact is not a restart, unless frames are already lost
+			p.restart()
+		}
+	}
+	if in != nil {
+		if p.seenIn {
+			p.m.reconnects.Add(1)
+		}
+		p.seenIn = true
+		p.readers.Add(1)
+		p.m.mu.Lock()
+		p.m.inbound[in] = p.id
+		p.m.mu.Unlock()
+	}
+	return true
+}
+
+// restart runs the rule for a peer whose new incarnation was just learned
+// (p.hs held, p.inc stored): wait out the old incarnation's readers — each
+// may be one frame past its fence check — then void the send side and tell
+// the subscriber.
+func (p *peer) restart() {
+	m := p.m
+	m.peerRestarts.Add(1)
+	m.mu.Lock()
+	fn := m.onRestart
+	for c, from := range m.inbound {
+		if from == p.id {
+			c.Close()
+		}
+	}
+	m.mu.Unlock()
+	p.readers.Wait()
+	if fn != nil {
+		p.purge(true)
+		fn(p.id)
+	}
 }
 
 // backoff sleeps the jittered inter-attempt delay, interruptible by
-// shutdown or a dial kick; the jitter (50–150% of base) keeps a cluster's
+// shutdown or an epoch bump; the jitter (50–150% of base) keeps a cluster's
 // redial cycles from synchronizing against a restarting peer.
 func (p *peer) backoff() bool {
 	base := p.m.cfg.dialBackoff
@@ -614,7 +742,7 @@ func (p *peer) backoff() bool {
 	select {
 	case <-p.m.done:
 		return false
-	case <-p.kick:
+	case <-p.bumped:
 		return true
 	case <-t.C:
 		return true
@@ -735,40 +863,45 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		return
 	default:
 	}
-	m.inbound[conn] = struct{}{}
+	m.inbound[conn] = -1
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
+		from := m.inbound[conn]
 		delete(m.inbound, conn)
 		m.mu.Unlock()
+		if from >= 0 {
+			m.peers[from].readers.Done()
+		}
 	}()
-	// The hello and the frames share one buffered reader: the sender writes
-	// its first batch right behind the hello, and a read that took both
-	// must not lose the frames.
+	// The hello and the frames share one buffered reader: a read that took
+	// both must not lose the frames.
 	fr := NewFrameReader(conn, maxFrame)
-	hello, err := fr.ReadByte()
+	hello, err := fr.Take(helloLen)
 	if err != nil {
 		return
 	}
-	from := int(hello)
-	if from < 0 || from >= m.n || from == m.self {
+	p, inc := m.peer(int(hello[0])), binary.BigEndian.Uint64(hello[1:])
+	if p == nil {
 		return
 	}
-	// A second handshake from the same sender is peer churn: either its
-	// process restarted or its previous connection dropped and redialed.
-	m.mu.Lock()
-	if m.seenFrom[from] {
-		m.reconnects.Add(1)
-	} else {
-		m.seenFrom[from] = true
+	var reply [replyLen]byte
+	binary.BigEndian.PutUint64(reply[:], m.inc)
+	if _, err := conn.Write(reply[:]); err != nil || !p.learn(inc, conn) {
+		return
 	}
-	m.mu.Unlock()
 	for {
 		// The codec copies every byte it keeps (values, keys) out of the
 		// frame during Decode, so the reader's buffer is free to be
 		// overwritten by the next frame.
-		var msg proto.Message
 		body, err := fr.Next()
+		if err == nil && p.inc.Load() != inc {
+			// What a dead incarnation left in flight must not reach a link
+			// that has been reset.
+			m.framesFenced.Add(1)
+			continue
+		}
+		var msg proto.Message
 		if err == nil {
 			msg, err = m.codec.Decode(body)
 		}
@@ -784,7 +917,7 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		default:
 		}
 		m.framesRecv.Add(1)
-		m.deliver(from, msg)
+		m.deliver(p.id, msg)
 	}
 }
 

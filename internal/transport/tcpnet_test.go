@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +23,8 @@ import (
 type tcpRig struct {
 	nodes  []*cluster.KeyedNode
 	meshes []*transport.Mesh
+	// recv[i][from] counts the frames mesh i has delivered from each peer.
+	recv [][]atomic.Int64
 }
 
 func startTCPRig(t *testing.T, n int) *tcpRig {
@@ -33,6 +36,7 @@ func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 	rig := &tcpRig{
 		nodes:  make([]*cluster.KeyedNode, n),
 		meshes: make([]*transport.Mesh, n),
+		recv:   make([][]atomic.Int64, n),
 	}
 	// Phase 1: bind every listener on an ephemeral port. The deliver
 	// closure indirects through rig.nodes, which is filled in phase 2
@@ -40,7 +44,9 @@ func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
+		rig.recv[i] = make([]atomic.Int64, n)
 		m, err := transport.NewMesh(i, n, "127.0.0.1:0", wire.Codec{}, func(from int, msg proto.Message) {
+			rig.recv[i][from].Add(1)
 			rig.nodes[i].Deliver(from, msg)
 		})
 		if err != nil {
@@ -247,36 +253,39 @@ func TestTCPKeyedStoreCoalescedFrames(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMeshPeerRestartedPurgesAndReconnects exercises the transport half of
-// the crash-restart protocol: PeerRestarted must purge the frames queued
-// for the peer (counted as dropped) and break the connection so the sender
-// redials — and the peer's mesh must count the resulting second handshake
-// in MeshStats.Reconnects.
+// TestMeshPeerRestartedPurgesAndReconnects exercises the subscriber's half
+// of the restart rule on a live link: PeerRestarted must close the
+// connection the link handshook on, so the sender redials — a second
+// handshake, counted on both sides (Redials here, Reconnects at the peer)
+// — and the link must carry traffic again.
 func TestMeshPeerRestartedPurgesAndReconnects(t *testing.T) {
 	t.Parallel()
 	rig := startTCPRig(t, 3)
-	// Drive traffic so every link has handshaken once.
+	// The premise is that the 0→1 link has handshaken once. A Put at p0
+	// completes on any 2 of 3 and need not have used it, so wait for what
+	// is needed: mesh 1 has received from 0.
 	if err := rig.nodes[0].Put("", []byte("w1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.nodes[1].Get(""); err != nil {
-		t.Fatal(err)
-	}
+	waitFor(t, "mesh 1 to receive from 0", func() bool { return rig.recv[1][0].Load() > 0 })
 	base := rig.meshes[1].Stats().Reconnects
 	rig.meshes[0].PeerRestarted(1)
-	// Traffic after the drop forces p0's sender to notice the broken
-	// connection and redial p1's listener (the first frames after the
-	// drop may die with the old connection — at-most-once — so keep
-	// writing until the reconnect lands).
+	// The purge may have voided frames the register never resends, so the
+	// 0→1 lanes can be behind for good; quorums form through p2. Keep
+	// writing until a frame has gone out on the redialed connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for rig.meshes[1].Stats().Reconnects == base {
 		if err := rig.nodes[0].Put("", []byte("w2")); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("mesh 1 never counted the reconnect (stats: %v)", rig.meshes[1].Stats())
+			t.Fatalf("mesh 1 never counted the reconnect (mesh 0: %v; mesh 1: %v)",
+				rig.meshes[0].Stats(), rig.meshes[1].Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if got := rig.meshes[0].Stats().Redials; got == 0 {
+		t.Error("mesh 1 counted a reconnect that mesh 0 never counted as a redial")
 	}
 	got, err := rig.nodes[1].Get("")
 	if err != nil {
