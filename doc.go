@@ -57,11 +57,10 @@
 //
 // # Bounded lanes: batching and compaction
 //
-// Consecutive-index padding has a cost: in the original (now "unbatched")
-// register, every padded index crosses every link one alternating-bit round
-// trip at a time, so one write by a writer whose lane lags G indices costs
-// O(G) flood rounds — unbounded under writer skew. The default batched mode
-// (core.WithMWBatching, on unless disabled) bounds it with two rules:
+// Consecutive-index padding has a cost: sent one alternating-bit round trip
+// at a time, every padded index would cross every link on its own, so one
+// write by a writer whose lane lags G indices would cost O(G) flood rounds —
+// unbounded under writer skew. The register bounds it with two rules:
 //
 //   - Batched lane frames: lanes run pipelined (per-link send dedup via an
 //     explicit shipped-index counter, whole-backlog shipping, bulk Rule-R2
@@ -85,8 +84,8 @@
 // as the one frame it arrived as. A write's cost is then gap-independent
 // and at its floor: the writer sends the freshness round plus one frame
 // per peer (O(n)), and the flood settles in at most n(n-1) lane frames —
-// one per ordered pair, the SWMR register's own flood cost — versus
-// O(G·n^2) unbatched.
+// one per ordered pair, the SWMR register's own flood cost — instead of
+// O(G·n^2).
 //
 // And the echo goes only where someone waits for it. Every wait in Figure 1
 // belongs to a process with an operation of its own: line 3 counts echoes
@@ -107,14 +106,14 @@
 // (TestMWWriteFramesAtFloor pins the formula for n = 3, 5, 7 and c = 0, 2,
 // n-2, padded or not, c = 0 being 10 / 28 / 54;
 // TestMWDominatedWriteCostConstantVsLinear pins 22 messages for n=5 with
-// two writers at G=5 and G=40 alike, against 128 and 828 unbatched;
+// two writers at G=5 and G=40 alike;
 // BenchmarkMWMRWriteMessages commits the trajectory to BENCH_mwmr.json;
 // EXPERIMENTS.md E-FL1 and E-LZ1 have the served-path measurements).
 // Serving is monotone per incarnation — nothing on a two-bit wire says "my
 // operation is over" — so a member that stops serving a key stays eager.
 // The price is stated, not hidden: pipelining gives up the reorder
-// tolerance the one-in-flight pacing paid for, so batched processes
-// declare proto.FIFOLinks — TCP and the cluster mailboxes are FIFO
+// tolerance the one-in-flight pacing paid for, so the multi-writer
+// register declares proto.FIFOLinks — TCP and the cluster mailboxes are FIFO
 // already, and the simulator clamps per-link delivery order (head-of-line
 // blocking included) when the declaration is present. Under pipelining
 // Properties P1/P2 are deliberately relaxed and replaced by a per-link
@@ -123,25 +122,23 @@
 //
 // Batching is also what makes a padded write atomic to readers: the run is
 // adopted in one step, from one frame, so no reader ever fixes its vector
-// on one of the write's intermediate indices. The unbatched register
-// ("twobit-mwmr-unbatched") publishes them one round trip at a time, each
-// carrying the new value at a timestamp below the write's final one, and
-// is NOT atomic: a read can return the new value early, a later read a
-// concurrent write ordered between the intermediate and the final index,
-// and a third the new value again. It stays registered as the message-cost
-// baseline only, outside every list of correct algorithms, with two
-// committed failing schedules (explore.TestUnbatchedPaddingWitnesses).
+// on one of the write's intermediate indices. Published one round trip at
+// a time, each carrying the new value at a timestamp below the write's
+// final one, they would not be: a read could return the new value early, a
+// later read a concurrent write ordered between the intermediate and the
+// final index, and a third the new value again. The pre-batching register
+// did exactly that and was deleted (PR 29); the two schedules that showed
+// it stay clean on this one (explore.TestPaddingWitnessesStayClean).
 //
 // # The keyed multi-writer store and cross-key coalescing
 //
 // internal/regmap multiplexes many named registers over one process set —
 // the read-dominated keyed store the paper's conclusion targets — and is
 // built entirely on the lane engine. Each key carries its own writer set
-// (regmap.Config.Writers per key, or DefaultWriters, validated through
-// proto.ValidateWriters): a one-writer key runs the SWMR register
-// (core.Proc), byte-identical on the wire to the original store, and a
-// multi-writer key runs the two-bit multi-writer register restricted to
-// its writer set (core.WithMWWriters), so a process hosts one lane per
+// (regmap.Config.Writers per key, or DefaultWriters — every process unless
+// set — validated through proto.ValidateWriters), and every key runs the
+// two-bit multi-writer register restricted to its writer set
+// (core.WithMWWriters), one writer or many, so a process hosts one lane per
 // (key, writer) rather than per (key, process). Writes run the
 // READ/PROCEED freshness round per key, and writes through an out-of-set
 // process fail with cluster.ErrNotWriter — per key — at the runtime's
@@ -201,8 +198,8 @@
 // is idle. Dialing — jittered backoff, counted redials — lives on the
 // sender goroutine of the one peer concerned, so a dead peer's dial cycle
 // never head-of-line-blocks frames to live peers; its queue overflow is
-// absorbed by a declared policy (DropNewest by default, Block opt-in),
-// which is exactly the paper's crash model: reliable FIFO links between
+// dropped and counted, never blocking the caller, which is exactly the
+// paper's crash model: reliable FIFO links between
 // live processes, loss toward crashed ones. A connection opens with a
 // two-way handshake — the dialer sends its id and incarnation (the mesh's
 // boot time), the acceptor answers its own — which is connection framing
@@ -285,7 +282,6 @@
 //   - twobit-oracle — the seqnum-ablation oracle (explicit sequence numbers)
 //   - twobit-fastread — the one-round fast-path read variant
 //   - twobit-mwmr — the multi-writer lane-engine register (batched frames)
-//   - twobit-mwmr-unbatched — its pre-batching cost baseline (not atomic)
 //   - regmap-mwmr — the 50-key coalescing keyed store
 //   - regmap-mwmr-wide — the 200-key acceptance configuration
 //   - regmap-mwmr-restricted — per-key writer sets with rejected writes

@@ -2,33 +2,49 @@ package twobitreg_test
 
 import (
 	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"twobitreg/internal/explore"
 )
 
-// TestDocListsAllAlgorithms is the docs lint: every algorithm and mutant
-// registered with the explorer must appear by name in doc.go's registered-
-// algorithms list, so the package documentation can never silently fall
-// behind the registry. CI runs this as a named docs-lint step.
+// TestDocListsAllAlgorithms is the docs lint, both ways: every algorithm
+// and mutant registered with the explorer must appear by name in doc.go's
+// registered-algorithms list, and every entry of that list must name a
+// registered one, so the package documentation can never silently fall
+// behind the registry nor keep a deleted algorithm. CI runs this as a named
+// docs-lint step.
 func TestDocListsAllAlgorithms(t *testing.T) {
 	t.Parallel()
 	doc, err := os.ReadFile("doc.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(doc)
-	var missing []string
-	for _, name := range append(explore.AlgorithmNames(), explore.MutantNames()...) {
-		// Match the name as a list entry ("- <name> —") so a bare substring
-		// of a longer name cannot satisfy the check.
-		if !strings.Contains(text, "//   - "+name+" ") {
+	// A list entry is "//   - <name> — ...": matching the whole entry keeps
+	// a bare substring of a longer name from satisfying the check.
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^//   - (\S+) — `).FindAllStringSubmatch(string(doc), -1) {
+		listed[m[1]] = true
+	}
+	registered := append(explore.AlgorithmNames(), explore.MutantNames()...)
+	var missing, stale []string
+	for _, name := range registered {
+		if !listed[name] {
 			missing = append(missing, name)
 		}
+		delete(listed, name)
 	}
+	for name := range listed {
+		stale = append(stale, name)
+	}
+	sort.Strings(stale)
 	if len(missing) > 0 {
-		t.Fatalf("doc.go's registered-algorithms list is missing %v — add each as a \"//   - <name> — ...\" entry", missing)
+		t.Errorf("doc.go's registered-algorithms list is missing %v — add each as a \"//   - <name> — ...\" entry", missing)
+	}
+	if len(stale) > 0 {
+		t.Errorf("doc.go lists %v, which the registry does not have — remove each entry", stale)
 	}
 }
 

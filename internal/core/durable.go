@@ -38,9 +38,9 @@ package core
 // in-flight frame per link), differing only during catch-up. Variants
 // whose state cannot be replayed or re-shipped report RecoveryEnabled
 // false and degrade to plain crash-stop under the restart adversary:
-// explicit-seqnum lanes cannot pipeline, GC'd histories cannot replay
-// from index 1, and the unbatched multi-writer register keeps strict
-// lanes as the cost baseline.
+// explicit-seqnum lanes cannot pipeline, and GC'd histories cannot replay
+// from index 1. The multi-writer register's lanes are always pipelined,
+// so it always recovers.
 
 import (
 	"fmt"
@@ -156,17 +156,13 @@ func (p *Proc) syncStorage() {
 // --- multi-writer MWProc ---
 
 // RecoveryEnabled implements storage.Recoverable: restart catch-up
-// re-ships whole backlogs, which only the batched (pipelined-lane)
-// register can do.
-func (p *MWProc) RecoveryEnabled() bool { return p.batcher != nil }
+// re-ships whole backlogs, which the register's pipelined lanes always can.
+func (p *MWProc) RecoveryEnabled() bool { return true }
 
 // AttachStorage arms durability logging on every lane: appends to writer
 // w's stream log as Records with Lane w. Must be called before any
 // message flows.
 func (p *MWProc) AttachStorage(s storage.StableStorage) {
-	if !p.RecoveryEnabled() {
-		panic(fmt.Sprintf("core: process %d cannot attach storage (unbatched lanes cannot recover)", p.id))
-	}
 	if p.store != nil {
 		panic(fmt.Sprintf("core: process %d already has storage attached", p.id))
 	}
@@ -237,7 +233,7 @@ func (p *MWProc) PeerRestarted(peer int) proto.Effects {
 	p.pendingSyncs = kept
 	for k, l := range p.lanes {
 		if l.Top() > 0 {
-			l.ShipBacklog(peer, p.emitLane(p.writers[k], &eff))
+			l.ShipBacklog(peer, p.emitLane(p.writers[k]))
 		}
 	}
 	p.drain(&eff)

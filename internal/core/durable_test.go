@@ -320,8 +320,4 @@ func TestAttachStorageRejectsNonRecoverable(t *testing.T) {
 			p.AttachStorage(storage.NewMemLog())
 		}()
 	}
-	mw := NewMWMR(0, 3, WithMWBatching(false))
-	if mw.RecoveryEnabled() {
-		t.Fatal("unbatched MWMR reports RecoveryEnabled")
-	}
 }

@@ -62,9 +62,10 @@ func TestLaneParkedCountTracksReorderBuffer(t *testing.T) {
 // visible to the drain again. Nothing may stay parked at quiescence.
 func TestMWParkedWriteReleasedByLaterDelivery(t *testing.T) {
 	t.Parallel()
-	// Unbatched lanes tolerate reordering; the guard and the count are the
-	// same code on pipelined ones.
-	h := newMWHarness(t, 3, WithMWBatching(false))
+	// The register's lanes assume FIFO links, so the reordering is injected
+	// by hand; the parity guard and the parked count are the same code on
+	// strict lanes, which do see reordering.
+	h := newMWHarness(t, 3)
 	p1 := h.procs[1]
 
 	early := LaneMsg{Writer: 0, M: WriteMsg{Bit: 0, Val: val("v2")}}

@@ -41,12 +41,12 @@ import (
 //     value would then be readable at a timestamp below the write's own —
 //     so a process must adopt the whole run in one step (a batched frame).
 //
-// Unbatched (WithMWBatching(false), the original protocol), that price is
-// steep: padded entries cross each link one alternating-bit round trip at a
-// time, so a write whose lane lags by g costs O(g) flood rounds — O(m)
-// with m balanced writers and unbounded under writer skew. The default
-// batched mode bounds it: lanes run pipelined (Lane.EnablePipelining), the
-// writer ships each peer its whole backlog in one link round, and the
+// Sent one alternating-bit round trip at a time, padded entries would cost
+// a write whose lane lags by g O(g) flood rounds — O(m) with m balanced
+// writers and unbounded under writer skew — and would publish the run one
+// index at a time, which is not atomic (a read can pin an intermediate
+// index). Batching bounds it: lanes run pipelined (Lane.EnablePipelining),
+// the writer ships each peer its whole backlog in one link round, and the
 // coalescing emitter (laneBatcher) packs consecutive-index runs into
 // LaneBatchMsg frames (2 control bits per entry) or, for the same-value
 // padding runs, LaneCompactMsg frames (head+tail summary re-anchoring the
@@ -101,8 +101,8 @@ type MWProc struct {
 	cur *mwOp
 
 	// batcher coalesces consecutive-index lane emissions per link into
-	// LaneBatch/LaneCompact frames (batched mode only; nil when unbatched).
-	batcher *laneBatcher
+	// LaneBatch/LaneCompact frames.
+	batcher laneBatcher
 
 	// snFree recycles per-lane index vectors: every READ delivery captures
 	// one (line 19 analog) and every read fixes one (line 8 analog), so the
@@ -148,10 +148,9 @@ type mwOp struct {
 
 // mwOptions configures an MWProc.
 type mwOptions struct {
-	initial   proto.Value
-	fault     MWFault
-	unbatched bool
-	writers   []int
+	initial proto.Value
+	fault   MWFault
+	writers []int
 }
 
 // MWOption configures the multi-writer register.
@@ -160,20 +159,6 @@ type MWOption func(*mwOptions)
 // WithMWInitial sets v0, the register's initial value (default nil).
 func WithMWInitial(v proto.Value) MWOption {
 	return func(o *mwOptions) { o.initial = v.Clone() }
-}
-
-// WithMWBatching selects between the batched lane frames (true, the
-// default: pipelined lanes, backlog shipping, LaneBatch/LaneCompact
-// coalescing — amortized O(n) writer frames per write regardless of skew)
-// and the original unbatched protocol (false: one WRITE per padded index
-// per link round trip, byte-identical to the pre-batching register). The
-// unbatched protocol is kept as the message-cost baseline only: it is NOT
-// atomic — a padded write's intermediate indices are published one round
-// trip at a time, each carrying the new value, and a read can return one
-// (explore.TestUnbatchedPaddingWitnesses) — whereas a batched run is
-// adopted in one step from one frame.
-func WithMWBatching(enabled bool) MWOption {
-	return func(o *mwOptions) { o.unbatched = !enabled }
 }
 
 // WithMWWriters restricts the register's writer set (default: every
@@ -274,14 +259,9 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 	for k, w := range writers {
 		p.laneIdx[w] = k
 		p.lanes[k] = NewLane(id, n, o.initial, false)
-		if !o.unbatched {
-			p.lanes[k].EnablePipelining()
-			p.lanes[k].ForwardWhereServed(w, p.serving)
-		}
+		p.lanes[k].EnablePipelining()
+		p.lanes[k].ForwardWhereServed(w, p.serving)
 		p.lanes[k].resendRuns = o.fault == MWFaultRunResend
-	}
-	if !o.unbatched {
-		p.batcher = &laneBatcher{}
 	}
 	return p
 }
@@ -301,19 +281,12 @@ func (p *MWProc) ID() int { return p.id }
 
 func (p *MWProc) quorum() int { return proto.QuorumSize(p.n) }
 
-// emitLane returns the emit callback wrapping lane w's WRITEs with the lane
-// id. Unbatched, every emission is one LaneMsg on the wire; batched, it
-// lands in the coalescing batcher and drain flushes the accumulated runs as
-// LaneMsg/LaneBatchMsg/LaneCompactMsg frames.
-func (p *MWProc) emitLane(w int, eff *proto.Effects) emitFn {
-	if p.batcher != nil {
-		return func(to, wsn int, m WriteMsg) {
-			p.batcher.add(w, to, wsn, m.Val)
-		}
-	}
-	return func(to, _ int, m WriteMsg) {
-		eff.AddSend(to, LaneMsg{Writer: w, M: m})
-		p.msgsSent++
+// emitLane returns the emit callback for lane w's WRITEs: each lands in the
+// coalescing batcher, and drain flushes the accumulated runs as
+// LaneMsg/LaneBatchMsg/LaneCompactMsg frames tagged with the lane id.
+func (p *MWProc) emitLane(w int) emitFn {
+	return func(to, wsn int, m WriteMsg) {
+		p.batcher.add(w, to, wsn, m.Val)
 	}
 }
 
@@ -427,15 +400,14 @@ func sameValue(vals []proto.Value) bool {
 // owed: every lane's backlog to p_j, or to everyone once this process
 // serves. It runs in the step that delivers p_j's first READ, or that sends
 // this process's own, so an owed run is never more than one step behind the
-// first wait that could count it. Strict (unbatched) lanes forward
-// everywhere and owe nothing.
-func (p *MWProc) serve(j int, eff *proto.Effects) {
-	if p.serving[j] || p.batcher == nil {
+// first wait that could count it.
+func (p *MWProc) serve(j int) {
+	if p.serving[j] {
 		return
 	}
 	p.serving[j] = true
 	for k, l := range p.lanes {
-		emit := p.emitLane(p.writers[k], eff)
+		emit := p.emitLane(p.writers[k])
 		for to := 0; to < p.n; to++ {
 			if to != p.id && (to == j || j == p.id) {
 				l.ShipBacklog(to, emit)
@@ -470,10 +442,10 @@ func (p *MWProc) StartWrite(op proto.OpID, v proto.Value) proto.Effects {
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
-	p.serve(p.id, &eff)
+	p.serve(p.id)
 	if p.opts.fault == MWFaultSkipWriteSync {
 		p.cur = &mwOp{op: op, kind: proto.OpWrite, phase: mwWritePropagate, val: v.Clone()}
-		p.appendDominating(p.ownLane().Top()+1, &eff)
+		p.appendDominating(p.ownLane().Top() + 1)
 		p.drain(&eff)
 		return eff
 	}
@@ -484,30 +456,21 @@ func (p *MWProc) StartWrite(op proto.OpID, v proto.Value) proto.Effects {
 }
 
 // appendDominating appends cur.val at every own-lane index up to target and
-// arms the propagation wait. Unbatched, each padded index is Forwarded
-// individually and propagates one alternating-bit round trip at a time;
-// batched, the writer appends the whole run locally and ships every peer
-// its full backlog in one link round (the batcher coalesces the run into a
-// single LaneCompact frame per peer).
-func (p *MWProc) appendDominating(target int, eff *proto.Effects) {
+// arms the propagation wait: the writer appends the whole run locally and
+// ships every peer its full backlog in one link round (the batcher
+// coalesces the run into a single LaneCompact frame per peer).
+func (p *MWProc) appendDominating(target int) {
 	// cur.val is already this op's private clone and is never mutated, so
 	// every padded index can share it by reference (AppendRef) — one clone
 	// per write instead of one per padded entry.
 	own := p.ownLane()
-	emit := p.emitLane(p.id, eff)
-	if p.batcher != nil {
-		for own.Top() < target {
-			own.AppendRef(p.cur.val)
-		}
-		for j := 0; j < p.n; j++ {
-			if j != p.id {
-				own.ShipBacklog(j, emit)
-			}
-		}
-	} else {
-		for own.Top() < target {
-			wsn := own.AppendRef(p.cur.val)
-			own.Forward(wsn, emit)
+	for own.Top() < target {
+		own.AppendRef(p.cur.val)
+	}
+	emit := p.emitLane(p.id)
+	for j := 0; j < p.n; j++ {
+		if j != p.id {
+			own.ShipBacklog(j, emit)
 		}
 	}
 	p.cur.wsn = target
@@ -523,7 +486,7 @@ func (p *MWProc) StartRead(op proto.OpID) proto.Effects {
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
-	p.serve(p.id, &eff)
+	p.serve(p.id)
 	rsn := p.broadcastSync(&eff)
 	p.cur = &mwOp{op: op, kind: proto.OpRead, phase: mwReadSync, rsn: rsn}
 	p.drain(&eff)
@@ -568,7 +531,7 @@ func (p *MWProc) Deliver(from int, msg proto.Message) proto.Effects {
 		// The requester has an operation of its own: from here on it may be
 		// counting this process's echoes (line 9), so they stop being owed.
 		if p.opts.fault != MWFaultColdRead {
-			p.serve(from, &eff)
+			p.serve(from)
 		}
 		// Line 19 analog: capture the freshness bar on every lane.
 		sn := p.getSN()
@@ -608,17 +571,16 @@ func (p *MWProc) tornBit(bit uint8, i, count int) uint8 {
 }
 
 // drain re-evaluates every parked guard until no further progress is
-// possible, mirroring the SWMR drain with one guard set per lane. In
-// batched mode the coalesced emission runs accumulated during the fixpoint
-// are flushed onto the wire at the end, one frame per consecutive-index run
-// per link.
+// possible, mirroring the SWMR drain with one guard set per lane. The
+// coalesced emission runs accumulated during the fixpoint are flushed onto
+// the wire at the end, one frame per consecutive-index run per link.
 func (p *MWProc) drain(eff *proto.Effects) {
 	for progress := true; progress; {
 		progress = false
 		for k, l := range p.lanes {
 			// A delivery parks on one lane; the rest have nothing to drain
 			// and are skipped before their emit closure is built.
-			if l.Parked() > 0 && l.Drain(p.emitLane(p.writers[k], eff)) {
+			if l.Parked() > 0 && l.Drain(p.emitLane(p.writers[k])) {
 				progress = true
 			}
 		}
@@ -629,10 +591,7 @@ func (p *MWProc) drain(eff *proto.Effects) {
 			progress = true
 		}
 	}
-	// Every drain fixpoint flushes the coalesced runs.
-	if p.batcher != nil {
-		p.batcher.flush(p, eff)
-	}
+	p.batcher.flush(p, eff)
 	for _, l := range p.lanes {
 		l.NoteQuiesced()
 	}
@@ -700,7 +659,7 @@ func (p *MWProc) advanceOp(eff *proto.Effects) bool {
 					target = l.Top()
 				}
 			}
-			p.appendDominating(target+1, eff)
+			p.appendDominating(target + 1)
 			return true
 		}
 	case mwWritePropagate:
@@ -804,20 +763,15 @@ func (p *MWProc) LaneHistAt(w, x int) proto.Value { return p.lane(w).HistAt(x) }
 // carry — that is the quantity batching bounds.
 func (p *MWProc) MsgsSent() int { return p.msgsSent }
 
-// Batched reports whether the process runs the batched lane frames
-// (WithMWBatching, on by default).
-func (p *MWProc) Batched() bool { return p.batcher != nil }
-
 // RequiresFIFOLinks implements proto.FIFOLinks: pipelining several lane
 // frames per link gives up the reorder tolerance the alternating bit's
-// one-in-flight pacing provided, so batched mode assumes FIFO links (what
+// one-in-flight pacing provided, so the register assumes FIFO links (what
 // TCP and the cluster mailboxes provide; the simulator honors the
-// declaration). The unbatched register keeps the paper's unordered-channel
-// model.
-func (p *MWProc) RequiresFIFOLinks() bool { return p.batcher != nil }
+// declaration).
+func (p *MWProc) RequiresFIFOLinks() bool { return true }
 
 // LaneSent returns the highest index this process has shipped to peer j on
-// writer w's lane (batched mode only; 0 otherwise).
+// writer w's lane.
 func (p *MWProc) LaneSent(w, j int) int { return p.lane(w).Sent(j) }
 
 // Serving reports whether, to this incarnation's knowledge, p_j has an
@@ -829,7 +783,7 @@ func (p *MWProc) Serving(j int) bool { return p.serving[j] }
 
 // LaneOwed returns how many indices of writer w's lane this process holds
 // that peer j neither was sent nor has shown to hold (Lane.Owed: LaneTop -
-// max(LaneSent, LaneWSync), batched mode only).
+// max(LaneSent, LaneWSync)).
 func (p *MWProc) LaneOwed(w, j int) int { return p.lane(w).Owed(j) }
 
 // Idle reports whether the process has no in-flight client operation.

@@ -14,9 +14,6 @@ import (
 func TestMWBatchedPaddingShipsCompactFrames(t *testing.T) {
 	t.Parallel()
 	h := newMWHarness(t, 3)
-	if !h.procs[0].Batched() {
-		t.Fatal("batching must be the default")
-	}
 	for k := 1; k <= 5; k++ {
 		h.write(0, proto.OpID(k), val(fmt.Sprintf("busy-%d", k)))
 		h.deliverAll()
@@ -56,48 +53,6 @@ func TestMWBatchedPaddingShipsCompactFrames(t *testing.T) {
 		}
 	}
 	h.checkInvariants()
-}
-
-// TestMWBatchedMatchesUnbatchedReads runs the same deterministic operation
-// script through a batched and an unbatched instance: every read must
-// return the same value in both — the framing must not change what the
-// register contains.
-func TestMWBatchedMatchesUnbatchedReads(t *testing.T) {
-	t.Parallel()
-	script := []struct {
-		pid   int
-		write bool
-		val   string
-	}{
-		{0, true, "a1"}, {0, true, "a2"}, {1, true, "b1"}, {2, false, ""},
-		{0, true, "a3"}, {2, true, "c1"}, {1, false, ""}, {0, false, ""},
-		{1, true, "b2"}, {2, false, ""}, {0, false, ""}, {1, false, ""},
-	}
-	results := make(map[bool][]string)
-	for _, batched := range []bool{true, false} {
-		h := newMWHarness(t, 3, WithMWBatching(batched))
-		var reads []string
-		for i, s := range script {
-			op := proto.OpID(i + 1)
-			if s.write {
-				h.write(s.pid, op, val(s.val))
-			} else {
-				h.read(s.pid, op)
-			}
-			h.deliverAll()
-			c := h.mustComplete(op)
-			if !s.write {
-				reads = append(reads, string(c.Value))
-			}
-		}
-		h.checkInvariants()
-		results[batched] = reads
-	}
-	for i := range results[true] {
-		if results[true][i] != results[false][i] {
-			t.Fatalf("read %d diverges: batched %q vs unbatched %q", i, results[true][i], results[false][i])
-		}
-	}
 }
 
 // TestMWBatchCensusTwoBitsPerEntry walks every message of a padding-heavy

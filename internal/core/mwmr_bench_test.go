@@ -17,7 +17,7 @@ import (
 // invoked when the previous completes), so a cold writer's write pads over
 // every hot write issued since its last one — the accumulated-skew regime
 // whose message cost the bounded-lanes work targets.
-func runMWMRWrites(tb testing.TB, n, writers, ops int, weights []float64, batched bool, seed int64) (msgs int64, writes int) {
+func runMWMRWrites(tb testing.TB, n, writers, ops int, weights []float64, seed int64) (msgs int64, writes int) {
 	tb.Helper()
 	spec := workload.Spec{
 		Seed: seed, Ops: ops, ReadFraction: 0,
@@ -36,7 +36,7 @@ func runMWMRWrites(tb testing.TB, n, writers, ops int, weights []float64, batche
 	procs := make([]proto.Process, n)
 	mws := make([]*MWProc, n)
 	for i := 0; i < n; i++ {
-		mws[i] = NewMWMR(i, n, WithMWBatching(batched))
+		mws[i] = NewMWMR(i, n)
 		procs[i] = mws[i]
 	}
 	var net *transport.SimNet
@@ -70,34 +70,26 @@ func runMWMRWrites(tb testing.TB, n, writers, ops int, weights []float64, batche
 }
 
 // TestMWBatchedWriteCostBoundedUnderSkew is the bounded-lanes acceptance
-// test: under a 10:1 hot-writer skew the batched register's message cost
-// per write must (a) stay within a constant factor of its balanced cost,
-// (b) stay within the flood floor n(n-1) + 2(n-1) that is independent of
-// the padding gap (the writer's own share is O(n) frames per write:
-// freshness round + one backlog frame per peer; a relay forwards a run as
-// the one frame it arrived as), and (c) beat the unbatched register,
-// whose per-write cost grows with the skew because every padded index pays
-// its own flood round.
+// test: under a 10:1 hot-writer skew the register's message cost per write
+// must (a) stay within a constant factor of its balanced cost, and (b) stay
+// within the flood floor n(n-1) + 2(n-1) that is independent of the
+// padding gap (the writer's own share is O(n) frames per write: freshness
+// round + one backlog frame per peer; a relay forwards a run as the one
+// frame it arrived as).
 func TestMWBatchedWriteCostBoundedUnderSkew(t *testing.T) {
 	t.Parallel()
 	const n, writers, ops = 5, 4, 60
-	perWrite := func(batched bool, weights []float64) float64 {
+	perWrite := func(weights []float64) float64 {
 		var total float64
 		for seed := int64(1); seed <= 3; seed++ {
-			msgs, writes := runMWMRWrites(t, n, writers, ops, weights, batched, seed)
+			msgs, writes := runMWMRWrites(t, n, writers, ops, weights, seed)
 			total += float64(msgs) / float64(writes)
 		}
 		return total / 3
 	}
-	balanced := []float64{1, 1, 1, 1}
-	skew10 := []float64{10, 1, 1, 1}
-
-	batBal := perWrite(true, balanced)
-	batSkew := perWrite(true, skew10)
-	unbBal := perWrite(false, balanced)
-	unbSkew := perWrite(false, skew10)
-	t.Logf("msgs/write: batched bal=%.1f 10:1=%.1f | unbatched bal=%.1f 10:1=%.1f",
-		batBal, batSkew, unbBal, unbSkew)
+	batBal := perWrite([]float64{1, 1, 1, 1})
+	batSkew := perWrite([]float64{10, 1, 1, 1})
+	t.Logf("msgs/write: balanced %.1f, 10:1 %.1f", batBal, batSkew)
 
 	// (a) Skew-independence of the batched cost.
 	if batSkew > 1.3*batBal {
@@ -112,23 +104,17 @@ func TestMWBatchedWriteCostBoundedUnderSkew(t *testing.T) {
 			t.Fatalf("batched cost %.1f msgs/write exceeds the flood bound %.0f", got, bound)
 		}
 	}
-	// (c) Unbatched cost must clearly exceed batched in both mixes — every
-	// padded index pays its own flood round there.
-	if unbSkew < 1.5*batSkew || unbBal < 1.5*batBal {
-		t.Fatalf("unbatched cost (bal %.1f, skew %.1f) is not clearly above batched (bal %.1f, skew %.1f)",
-			unbBal, unbSkew, batBal, batSkew)
-	}
 }
 
 // TestMWDominatedWriteCostConstantVsLinear pins the bound at its sharpest:
 // the message cost of ONE write by a writer whose lane lags G indices
-// behind. Batched, the cost is independent of G — the whole padding run
-// crosses each link as one compact frame, and the writer's own sends stay
-// O(n): the freshness round plus one frame per peer. Unbatched, every
-// padded index pays its own flood round, so the cost grows linearly in G.
+// behind is independent of G — the whole padding run crosses each link as
+// one compact frame, and the writer's own sends stay O(n): the freshness
+// round plus one frame per peer. (Sent one round trip per padded index,
+// the cost would grow linearly in G.)
 //
 // Two of the five processes write and nobody else has an operation, so the
-// batched floor is the one for c = n - 2 idle members: the three relays owe
+// floor is the one for c = n - 2 idle members: the three relays owe
 // each other the run instead of sending it. The cold writer reads once
 // before the hot one starts, so that its links are already watched when the
 // measured write begins (a first operation also ships what those links
@@ -138,8 +124,8 @@ func TestMWDominatedWriteCostConstantVsLinear(t *testing.T) {
 	const n, writers = 5, 2
 	// coldCost returns (system-wide, writer-own) messages for one write by
 	// writer 1 after writer 0 has completed G writes.
-	coldCost := func(batched bool, gap int) (int, int) {
-		h := newMWHarness(t, n, WithMWBatching(batched))
+	coldCost := func(gap int) (int, int) {
+		h := newMWHarness(t, n)
 		h.read(1, proto.OpID(999))
 		h.deliverAll()
 		for k := 1; k <= gap; k++ {
@@ -160,14 +146,12 @@ func TestMWDominatedWriteCostConstantVsLinear(t *testing.T) {
 		return after - before, h.procs[1].MsgsSent() - wBefore
 	}
 
-	batSmallSys, batSmallOwn := coldCost(true, 5)
-	batBigSys, batBigOwn := coldCost(true, 40)
-	unbSmallSys, _ := coldCost(false, 5)
-	unbBigSys, _ := coldCost(false, 40)
-	t.Logf("dominated-write msgs: batched G=5 sys=%d own=%d, G=40 sys=%d own=%d | unbatched G=5 sys=%d, G=40 sys=%d",
-		batSmallSys, batSmallOwn, batBigSys, batBigOwn, unbSmallSys, unbBigSys)
+	batSmallSys, batSmallOwn := coldCost(5)
+	batBigSys, batBigOwn := coldCost(40)
+	t.Logf("dominated-write msgs: G=5 sys=%d own=%d, G=40 sys=%d own=%d",
+		batSmallSys, batSmallOwn, batBigSys, batBigOwn)
 
-	// Batched: the floor whatever the gap — 2(n-1) freshness frames plus one
+	// The floor whatever the gap — 2(n-1) freshness frames plus one
 	// lane frame per ordered pair with a writer at either end, of which the
 	// writer's own are the freshness broadcast (n-1) plus one frame per peer.
 	const idle = n - writers
@@ -177,47 +161,36 @@ func TestMWDominatedWriteCostConstantVsLinear(t *testing.T) {
 	if want := 2 * (n - 1); batSmallOwn != want || batBigOwn != want {
 		t.Fatalf("batched writer sent %d (G=5) and %d (G=40) messages for one dominated write, want %d", batSmallOwn, batBigOwn, want)
 	}
-	// Unbatched: the same write costs at least one flood message per
-	// padded index — linear growth in the gap.
-	if unbBigSys < unbSmallSys+(40-5) {
-		t.Fatalf("unbatched dominated-write cost grew only %d -> %d over a 35-index gap", unbSmallSys, unbBigSys)
-	}
 }
 
 // BenchmarkMWMRWriteMessages is the perf-trajectory benchmark family the
-// bounded-lanes work commits to (BENCH_mwmr.json): write message cost of
-// the batched register vs the unbatched baseline, balanced and 10:1-skewed
-// writer mixes, n in {3, 5, 10, 20}. The msgs/op metric is deterministic
-// (seeded workload and delays); ns/op tracks simulator cost.
+// bounded-lanes work commits to (BENCH_mwmr.json): write message cost under
+// balanced and 10:1-skewed writer mixes, n in {3, 5, 10, 20}. The msgs/op
+// metric is deterministic (seeded workload and delays); ns/op tracks
+// simulator cost. The "batched/" prefix keeps the committed rows' names.
 func BenchmarkMWMRWriteMessages(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		batched bool
-	}{{"batched", true}, {"unbatched", false}} {
-		for _, mix := range []struct {
-			name string
-			skew float64
-		}{{"balanced", 1}, {"skew10", 10}} {
-			for _, n := range []int{3, 5, 10, 20} {
-				writers := 4
-				if n < 4 {
-					writers = n
-				}
-				weights := make([]float64, writers)
-				for i := range weights {
-					weights[i] = 1
-				}
-				weights[0] = mix.skew
-				name := fmt.Sprintf("%s/%s/n=%d", mode.name, mix.name, n)
-				b.Run(name, func(b *testing.B) {
-					var msgsPerOp float64
-					for i := 0; i < b.N; i++ {
-						msgs, writes := runMWMRWrites(b, n, writers, 40, weights, mode.batched, 1)
-						msgsPerOp = float64(msgs) / float64(writes)
-					}
-					b.ReportMetric(msgsPerOp, "msgs/op")
-				})
+	for _, mix := range []struct {
+		name string
+		skew float64
+	}{{"balanced", 1}, {"skew10", 10}} {
+		for _, n := range []int{3, 5, 10, 20} {
+			writers := 4
+			if n < 4 {
+				writers = n
 			}
+			weights := make([]float64, writers)
+			for i := range weights {
+				weights[i] = 1
+			}
+			weights[0] = mix.skew
+			b.Run(fmt.Sprintf("batched/%s/n=%d", mix.name, n), func(b *testing.B) {
+				var msgsPerOp float64
+				for i := 0; i < b.N; i++ {
+					msgs, writes := runMWMRWrites(b, n, writers, 40, weights, 1)
+					msgsPerOp = float64(msgs) / float64(writes)
+				}
+				b.ReportMetric(msgsPerOp, "msgs/op")
+			})
 		}
 	}
 }

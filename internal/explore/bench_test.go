@@ -38,14 +38,15 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // sharded Sweep engine at 1 worker and at GOMAXPROCS, so the ratio of the
 // two sched/s readings is the parallel speedup on the host (≈1 on one core,
 // ≈GOMAXPROCS on an idle multi-core runner — schedules share no state).
-// The second case is named workers-max, not workers-<count>, so the
-// trajectory baseline diffs cleanly across hosts with different core
-// counts (benchdiff treats a baseline-only name as coverage loss).
+// Neither case name ends in a number (workers-one, workers-max): benchdiff
+// strips a trailing -<count> as the GOMAXPROCS suffix, so a numbered name
+// would diff differently on hosts with different core counts (benchdiff
+// treats a baseline-only name as coverage loss).
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"workers-1", 1}, {"workers-max", runtime.GOMAXPROCS(0)}} {
+	}{{"workers-one", 1}, {"workers-max", runtime.GOMAXPROCS(0)}} {
 		workers := bc.workers
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -7,12 +7,10 @@ import (
 
 // TestCorrectAlgorithmsSurviveAllStrategies is the explorer's soundness
 // half: every correct algorithm must come out clean under every adversary
-// strategy, including runs with a crashing minority. The unbatched cost
-// baseline rides along: these are single-writer schedules, and what makes
-// it non-atomic — padding over another writer's lane — needs two writers.
+// strategy, including runs with a crashing minority.
 func TestCorrectAlgorithmsSurviveAllStrategies(t *testing.T) {
 	t.Parallel()
-	for _, alg := range append(AlgorithmNames(), "twobit-mwmr-unbatched") {
+	for _, alg := range AlgorithmNames() {
 		for _, strat := range StrategyNames() {
 			alg, strat := alg, strat
 			t.Run(alg+"/"+strat, func(t *testing.T) {

@@ -42,12 +42,6 @@ func buildRegistry() map[string]proto.Algorithm {
 		"abd":             abd.Algorithm(),
 		"abd-mwmr":        abd.MWMRAlgorithm(),
 		"twobit-mwmr":     core.MWMRAlgorithm(),
-		// The pre-batching multi-writer register: one WRITE per padded
-		// index per link round trip. NOT a correct algorithm (see
-		// costBaselines): registered as the message-cost comparison point
-		// (BenchmarkMWMRWriteMessages, E-BL1) only.
-		"twobit-mwmr-unbatched": proto.Alg("twobit-mwmr-unbatched",
-			core.MWMRAlgorithm(core.WithMWBatching(false)).New),
 		// The keyed multi-writer store: every process runs a regmap node
 		// hosting one lane-engine register per key (multi-writer keys:
 		// every process may write), with cross-key frame coalescing on a
@@ -171,7 +165,6 @@ func mwmrCapable() map[string]bool {
 var mwmrCapableSet = map[string]bool{
 	"abd-mwmr":               true,
 	"twobit-mwmr":            true,
-	"twobit-mwmr-unbatched":  true,
 	"regmap-mwmr":            true,
 	"regmap-mwmr-wide":       true,
 	"regmap-mwmr-restricted": true,
@@ -184,27 +177,6 @@ var mwmrCapableSet = map[string]bool{
 	"mut-wal-earlyrelease":   true,
 }
 
-// costBaselines marks registered algorithms that are kept for their cost
-// figures and are known NOT to be atomic, without being seeded mutants:
-// they are left out of the correct-algorithm lists (and so out of every
-// default sweep) and judged by committed failing witnesses instead.
-//
-// twobit-mwmr-unbatched publishes a padded write one index per round trip,
-// so the written value sits at several (index, writer) timestamps in turn
-// and a read can pin an intermediate one: a reader returns the new value,
-// a later reader returns a concurrent write whose timestamp falls between
-// the intermediate and the final index, and a third returns the new value
-// again — a new-old inversion (TestUnbatchedPaddingWitnesses holds the
-// two tokens). Batched lanes adopt a padded run in one step, from one
-// frame, which is what makes the run atomic to readers.
-var costBaselines = map[string]bool{
-	"twobit-mwmr-unbatched": true,
-}
-
-// judgedCorrect reports whether name is claimed atomic: neither a seeded
-// mutant nor a cost baseline.
-func judgedCorrect(name string) bool { return !isMutant(name) && !costBaselines[name] }
-
 // MWMRCapable reports whether the named algorithm supports concurrent
 // writers (and may therefore be explored with Schedule.Writers >= 2).
 func MWMRCapable(name string) bool { return mwmrCapable()[name] }
@@ -214,7 +186,7 @@ func MWMRCapable(name string) bool { return mwmrCapable()[name] }
 func MWMRAlgorithmNames() []string {
 	var out []string
 	for name := range mwmrCapable() {
-		if _, ok := registry()[name]; ok && judgedCorrect(name) {
+		if _, ok := registry()[name]; ok && !isMutant(name) {
 			out = append(out, name)
 		}
 	}
@@ -232,7 +204,7 @@ func ByName(name string) (proto.Algorithm, bool) {
 func AlgorithmNames() []string {
 	var out []string
 	for name := range registry() {
-		if judgedCorrect(name) {
+		if !isMutant(name) {
 			out = append(out, name)
 		}
 	}

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -20,9 +19,6 @@ type strategy struct {
 	// writer 0. The returned DelayFn may additionally use the per-message
 	// rng the transport passes (the scheduler's seeded source).
 	delay func(n int, rng *rand.Rand) transport.DelayFn
-	// maxDelay bounds the delays the strategy generates, for callers that
-	// need a worst-case estimate (eval invocation spacing).
-	maxDelay float64
 	// gap draws the pause between an operation completing and the next
 	// operation starting on the same process.
 	gap func(rng *rand.Rand) float64
@@ -94,9 +90,8 @@ type strategy struct {
 func strategies() []strategy {
 	return []strategy{
 		{
-			name:     "uniform",
-			doc:      "iid uniform delays in [0.1, 2.0]",
-			maxDelay: 2.0,
+			name: "uniform",
+			doc:  "iid uniform delays in [0.1, 2.0]",
 			delay: func(_ int, _ *rand.Rand) transport.DelayFn {
 				return func(_, _ int, mrng *rand.Rand) float64 {
 					return 0.1 + 1.9*mrng.Float64()
@@ -105,9 +100,8 @@ func strategies() []strategy {
 			gap: func(rng *rand.Rand) float64 { return 0.5 + 2*rng.Float64() },
 		},
 		{
-			name:     "asym",
-			doc:      "fixed per-link log-uniform base delays with jitter",
-			maxDelay: 6.0,
+			name: "asym",
+			doc:  "fixed per-link log-uniform base delays with jitter",
 			delay: func(n int, rng *rand.Rand) transport.DelayFn {
 				base := make([][]float64, n)
 				for i := range base {
@@ -125,9 +119,8 @@ func strategies() []strategy {
 			gap: func(rng *rand.Rand) float64 { return 0.1 + rng.Float64() },
 		},
 		{
-			name:     "slowquorum",
-			doc:      "slow every link leaving a random writer-side set",
-			maxDelay: 12.0,
+			name: "slowquorum",
+			doc:  "slow every link leaving a random writer-side set",
 			delay: func(n int, rng *rand.Rand) transport.DelayFn {
 				inA := make([]bool, n)
 				inA[0] = true // the writer anchors the fast set
@@ -148,9 +141,8 @@ func strategies() []strategy {
 			gap: func(rng *rand.Rand) float64 { return 0.2 + 0.8*rng.Float64() },
 		},
 		{
-			name:     "race",
-			doc:      "near-zero op spacing so reads race write phases",
-			maxDelay: 1.5,
+			name: "race",
+			doc:  "near-zero op spacing so reads race write phases",
 			delay: func(_ int, _ *rand.Rand) transport.DelayFn {
 				return func(_, _ int, mrng *rand.Rand) float64 {
 					return 0.5 + mrng.Float64()
@@ -159,9 +151,8 @@ func strategies() []strategy {
 			gap: func(rng *rand.Rand) float64 { return 0.01 + 0.05*rng.Float64() },
 		},
 		{
-			name:     "burst",
-			doc:      "fast links with a periodic straggler per link",
-			maxDelay: 12.0,
+			name: "burst",
+			doc:  "fast links with a periodic straggler per link",
 			delay: func(n int, rng *rand.Rand) transport.DelayFn {
 				period := make([][]int, n)
 				count := make([][]int, n)
@@ -183,9 +174,8 @@ func strategies() []strategy {
 			gap: func(rng *rand.Rand) float64 { return 0.2 + 0.4*rng.Float64() },
 		},
 		{
-			name:     "crashphase",
-			doc:      "victims crash on their k-th message delivery",
-			maxDelay: 2.0,
+			name: "crashphase",
+			doc:  "victims crash on their k-th message delivery",
 			delay: func(_ int, _ *rand.Rand) transport.DelayFn {
 				return func(_, _ int, mrng *rand.Rand) float64 {
 					return 0.2 + 1.8*mrng.Float64()
@@ -195,9 +185,8 @@ func strategies() []strategy {
 			phaseCrash: true,
 		},
 		{
-			name:     "crashwrite",
-			doc:      "writer victims crash at a freshness-round/append boundary (k-th PROCEED)",
-			maxDelay: 2.0,
+			name: "crashwrite",
+			doc:  "writer victims crash at a freshness-round/append boundary (k-th PROCEED)",
 			delay: func(_ int, _ *rand.Rand) transport.DelayFn {
 				return func(_, _ int, mrng *rand.Rand) float64 {
 					return 0.3 + 1.7*mrng.Float64()
@@ -210,9 +199,8 @@ func strategies() []strategy {
 			proceedCrash: true,
 		},
 		{
-			name:     "crashrestart",
-			doc:      "victims crash at a protocol phase, then revive from stable storage",
-			maxDelay: 2.0,
+			name: "crashrestart",
+			doc:  "victims crash at a protocol phase, then revive from stable storage",
 			delay: func(_ int, _ *rand.Rand) transport.DelayFn {
 				return func(_, _ int, mrng *rand.Rand) float64 {
 					return 0.2 + 1.8*mrng.Float64()
@@ -227,9 +215,8 @@ func strategies() []strategy {
 			restart:    true,
 		},
 		{
-			name:     "pct",
-			doc:      "quantized delays + random-priority tie-breaking",
-			maxDelay: 3.0,
+			name: "pct",
+			doc:  "quantized delays + random-priority tie-breaking",
 			delay: func(_ int, _ *rand.Rand) transport.DelayFn {
 				return func(_, _ int, mrng *rand.Rand) float64 {
 					return float64(1 + mrng.Intn(3))
@@ -264,17 +251,4 @@ func strategyByName(name string) (strategy, bool) {
 		}
 	}
 	return strategy{}, false
-}
-
-// ProfileDelay builds just the delay model of the named strategy for an
-// n-process run, so eval scenarios and Table-1 sweeps can reuse adversary
-// profiles (eval.ScenarioSpec.Delay). The second return is the strategy's
-// maximum delay, which such callers should use as their worst-case Δ
-// estimate when spacing invocations.
-func ProfileDelay(name string, n int, seed int64) (transport.DelayFn, float64, error) {
-	s, ok := strategyByName(name)
-	if !ok {
-		return nil, 0, fmt.Errorf("explore: unknown strategy %q (have %v)", name, StrategyNames())
-	}
-	return s.delay(n, rand.New(rand.NewSource(seed^seedSaltStrategy))), s.maxDelay, nil
 }

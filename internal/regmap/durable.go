@@ -72,24 +72,19 @@ func (nd *Node) commit() {
 }
 
 // RecoveryEnabled implements storage.Recoverable: every register this node
-// can host must itself be recoverable. Multi-writer keys always are (the
-// store runs them batched); single-writer keys are unless history GC is on
-// (a compacted history cannot be replayed from index 1).
-func (nd *Node) RecoveryEnabled() bool { return !nd.sh.gc }
+// hosts is recoverable (core.MWProc.RecoveryEnabled).
+func (nd *Node) RecoveryEnabled() bool { return true }
 
 // AttachStorage arms durability logging on every hosted register, current
 // and future (lazily created registers attach at creation). Must be called
 // before any message flows.
 func (nd *Node) AttachStorage(s storage.StableStorage) {
-	if !nd.RecoveryEnabled() {
-		panic(fmt.Sprintf("regmap: node %d cannot attach storage (history GC is on)", nd.id))
-	}
 	if nd.store != nil {
 		panic(fmt.Sprintf("regmap: node %d already has storage attached", nd.id))
 	}
 	nd.store = s
 	for _, key := range nd.Keys() {
-		nd.regs[key].attachStorage(keyStore{key: key, nd: nd})
+		nd.regs[key].mw.AttachStorage(keyStore{key: key, nd: nd})
 	}
 }
 
@@ -104,7 +99,7 @@ func (nd *Node) Recover(s storage.StableStorage) error {
 		r := nd.reg(rec.Key)
 		key := rec.Key
 		rec.Key = ""
-		if err := r.recoverRecord(rec); err != nil {
+		if err := r.mw.RecoverRecord(rec); err != nil {
 			return fmt.Errorf("key %s: %w", key, err)
 		}
 		return nil
@@ -139,32 +134,10 @@ func (nd *Node) PeerRestarted(peer int) proto.Effects {
 	nd.reset[peer] = true // registers created later start from the reset link too
 	for _, key := range nd.Keys() {
 		r := nd.regs[key]
-		nd.pump(key, r, r.peerRestarted(peer), &out)
+		nd.pump(key, r, r.mw.PeerRestarted(peer), &out)
 	}
 	nd.endStep(&out)
 	return out
-}
-
-func (r *reg) attachStorage(ks keyStore) {
-	if r.swmr != nil {
-		r.swmr.AttachStorage(ks)
-	} else {
-		r.mw.AttachStorage(ks)
-	}
-}
-
-func (r *reg) recoverRecord(rec storage.Record) error {
-	if r.swmr != nil {
-		return r.swmr.RecoverRecord(rec)
-	}
-	return r.mw.RecoverRecord(rec)
-}
-
-func (r *reg) peerRestarted(peer int) proto.Effects {
-	if r.swmr != nil {
-		return r.swmr.PeerRestarted(peer)
-	}
-	return r.mw.PeerRestarted(peer)
 }
 
 // --- KeyedProc: recovery delegates to the node ---

@@ -90,7 +90,7 @@ func (m *keyedMesh) revive(pid int, fresh *Node) {
 func TestNodeDurableRecovery(t *testing.T) {
 	const n = 3
 	cfg := Config{N: n, DefaultWriters: []int{0, 1, 2}, Writers: map[string][]int{
-		"solo": {1}, // single-writer key: exercises the SWMR path too
+		"solo": {1}, // single-writer key: a register with one lane
 	}}
 	nodes := make([]*Node, n)
 	logs := make([]*storage.MemLog, n)
@@ -110,8 +110,8 @@ func TestNodeDurableRecovery(t *testing.T) {
 	m.start(2, "alpha", 3, proto.OpWrite, proto.Value("a2"))
 	m.start(1, "solo", 4, proto.OpWrite, proto.Value("s2"))
 
-	// Crash node 1 — writer of both an MWMR lane and the SWMR "solo" key —
-	// and recover it from its own log alone.
+	// Crash node 1 — writer of a lane of both keys — and recover it from its
+	// own log alone.
 	m.crash(1)
 	logs[1].DropUnsynced()
 	fresh, err := NewNode(1, cfg)
@@ -127,7 +127,7 @@ func TestNodeDurableRecovery(t *testing.T) {
 	}
 	m.revive(1, fresh)
 
-	// The revived node serves its recovered SWMR key (writer-local read).
+	// The revived node serves its recovered single-writer key.
 	m.start(1, "solo", 10, proto.OpRead, nil)
 	if got := m.done[10].Value; string(got) != "s2" {
 		t.Fatalf("revived solo read = %q, want s2", got)
@@ -154,22 +154,6 @@ func TestNodeRecoverRejectsAfterAttach(t *testing.T) {
 	if err := nd.Recover(storage.NewMemLog()); err == nil {
 		t.Fatal("Recover after AttachStorage accepted")
 	}
-}
-
-func TestNodeRecoveryDisabledUnderGC(t *testing.T) {
-	nd, err := NewNode(0, Config{N: 3, HistoryGC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nd.RecoveryEnabled() {
-		t.Fatal("GC'd store reports RecoveryEnabled")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AttachStorage under GC did not panic")
-		}
-	}()
-	nd.AttachStorage(storage.NewMemLog())
 }
 
 func TestKeyStoreStampsAndFilters(t *testing.T) {
@@ -349,19 +333,27 @@ func frameKeys(t *testing.T, eff proto.Effects, to int) []string {
 	return keys
 }
 
-// TestNodeGroupCommitOneSyncPerBurst: a burst of k writes on distinct keys
-// plus the inbound echoes that complete k earlier ones costs exactly one
-// sync, at the Flush, and everything the burst produced leaves after it —
-// completions in completion order, frames in per-link emission order.
+// TestNodeGroupCommitOneSyncPerBurst: a burst that appends k writes on
+// distinct keys (their freshness rounds just answered) and takes the inbound
+// echoes completing k earlier ones costs exactly one sync, at the Flush, and
+// everything the burst produced leaves after it — completions in
+// completion order, frames in per-link emission order.
 func TestNodeGroupCommitOneSyncPerBurst(t *testing.T) {
 	m := newBurstMesh(t, Config{N: 3, Coalesce: true})
 	first := []string{"a0", "a1", "a2", "a3", "a4"}
 	second := []string{"b0", "b1", "b2", "b3", "b4"}
 	k := len(first)
 
-	eff := m.burst(0, writes(1, first...)...)
+	// The freshness round appends nothing, so it syncs nothing.
+	m.burst(0, writes(1, first...)...)
+	m.burst(1)
+	m.burst(2)
+	if got := m.logs[0].Syncs() + m.logs[1].Syncs() + m.logs[2].Syncs(); got != 0 {
+		t.Fatalf("a freshness round cost %d syncs, want 0", got)
+	}
+	eff := m.burst(0) // the PROCEEDs: k appends
 	if got := m.logs[0].Syncs(); got != 1 {
-		t.Fatalf("burst of %d writes cost %d syncs, want 1", k, got)
+		t.Fatalf("burst of %d appends cost %d syncs, want 1", k, got)
 	}
 	if got := m.logs[0].SyncedLen(); got != k {
 		t.Fatalf("%d records durable after the flush, want %d", got, k)
@@ -371,18 +363,19 @@ func TestNodeGroupCommitOneSyncPerBurst(t *testing.T) {
 			t.Fatalf("frames to p%d = %s, want emission order %v", to, got, first)
 		}
 	}
-	// The peers adopt and echo: k appends, one sync each.
-	for _, pid := range []int{1, 2} {
+
+	// The second writes' freshness requests queue behind the first writes'
+	// frames, so one burst at the writer takes the echoes that complete
+	// writes 1..k and the PROCEEDs that append k new ones.
+	m.burst(0, writes(proto.OpID(k+1), second...)...)
+	for _, pid := range []int{1, 2} { // adopt and echo: k appends, one sync
 		m.burst(pid)
 		if got := m.logs[pid].Syncs(); got != 1 {
 			t.Fatalf("p%d adopted %d values with %d syncs, want 1", pid, k, got)
 		}
 	}
-
-	// One burst at the writer: the echoes complete writes 1..k, and k new
-	// writes append.
 	before := m.logs[0].Syncs()
-	m.steps(0, writes(proto.OpID(k+1), second...)...)
+	m.steps(0)
 	if !m.nodes[0].PendingFlush() {
 		t.Fatal("PendingFlush false with completions, frames and unsynced records held")
 	}
@@ -428,8 +421,15 @@ func TestNodeCrashBeforeFlushLosesOnlyTheUnacked(t *testing.T) {
 	}
 	durable := m.logs[0].SyncedLen()
 
-	// The doomed burst: three overwrites appended, nothing flushed.
-	m.steps(0, writes(4, keys...)...)
+	// The doomed burst: the overwrites' freshness rounds answered, three
+	// values appended, nothing flushed.
+	m.burst(0, writes(4, keys...)...)
+	m.burst(1)
+	m.burst(2)
+	m.steps(0)
+	if !m.nodes[0].dirty {
+		t.Fatal("the doomed burst appended nothing")
+	}
 	m.logs[0].DropUnsynced()
 	if got := m.logs[0].SyncedLen(); got != durable {
 		t.Fatalf("%d records durable after the crash, want the %d acknowledged ones", got, durable)
@@ -488,24 +488,26 @@ func TestNodeSyncFailureIsFailStop(t *testing.T) {
 		fn()
 		return false
 	}
+	// p0's first value on key k: adopting it appends, and the echo attests it.
+	frame := KeyedMsg{Key: "k", Inner: core.LaneMsg{Writer: 0, M: core.WriteMsg{Bit: 1, Val: proto.Value("v")}}}
 	for _, coalesce := range []bool{true, false} {
-		nd, err := NewNode(0, Config{N: 3, Coalesce: coalesce})
+		nd, err := NewNode(1, Config{N: 3, Coalesce: coalesce})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nd.AttachStorage(failingLog{storage.NewMemLog()})
-		start := func() {
-			if eff := nd.Start("k", 1, proto.OpWrite, proto.Value("v")); len(eff.Sends)+len(eff.Done) > 0 {
+		step := func() {
+			if eff := nd.Deliver(0, frame); len(eff.Sends)+len(eff.Done) > 0 {
 				t.Errorf("coalesce=%v: the step released %d sends before its sync", coalesce, len(eff.Sends))
 			}
 		}
 		if !coalesce {
-			if !panics(start) {
+			if !panics(step) {
 				t.Fatal("non-coalescing node survived a failed sync at the end of its step")
 			}
 			continue
 		}
-		start()
+		step()
 		if !panics(func() { nd.Flush() }) {
 			t.Fatal("coalescing node survived a failed sync at its Flush")
 		}
@@ -519,13 +521,16 @@ func TestNodeSyncFailureIsFailStop(t *testing.T) {
 // the end of each step, so it commits there — once, however many
 // registers the step dirtied.
 func TestNodeNonCoalescingCommitsPerStep(t *testing.T) {
-	// A coalescing peer packs two keys' WRITE frames into one MultiMsg.
+	// A coalescing peer packs two keys' WRITE frames into one MultiMsg once
+	// their freshness rounds are answered.
 	writer, err := NewNode(0, Config{N: 3, Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	writer.Start("p", 1, proto.OpWrite, proto.Value("p1"))
 	writer.Start("q", 2, proto.OpWrite, proto.Value("q1"))
+	writer.Flush()
+	writer.Deliver(2, MultiMsg{Frames: []KeyedMsg{{Key: "p", Inner: core.ProceedMsg{}}, {Key: "q", Inner: core.ProceedMsg{}}}})
 	var multi proto.Message
 	for _, s := range writer.Flush().Sends {
 		if s.To == 1 {
@@ -557,8 +562,8 @@ func TestNodeNonCoalescingCommitsPerStep(t *testing.T) {
 
 // TestVolatileNodeAllocsUnchanged guards the storage-less path: the commit
 // point costs it one branch per step and no allocation. The pinned counts
-// are those of the commit that introduced it, less the hold buffer that
-// releaseFrames used to drop and every burst re-grew.
+// are those of the commit that ran every key on the multi-writer register;
+// "Start" is a whole read, which completes on one peer's PROCEED.
 func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 	nd, err := NewNode(0, Config{N: 3, Coalesce: true})
 	if err != nil {
@@ -570,7 +575,12 @@ func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"Start", 3, func() { op++; nd.Start("k", op, proto.OpRead, nil) }},
+		{"Start", 7, func() {
+			op++
+			nd.Start("k", op, proto.OpRead, nil)
+			nd.Deliver(1, KeyedMsg{Key: "k", Inner: core.ProceedMsg{}})
+			nd.Flush()
+		}},
 		{"Deliver+Flush", 2, func() {
 			nd.Deliver(1, KeyedMsg{Key: "k", Inner: core.ReadMsg{}})
 			nd.Flush()

@@ -14,10 +14,8 @@ import (
 // (KeyOf, a deterministic modulo spread), so one key-less workload drives a
 // mixed many-key workload and judges can split the history back per key.
 //
-// The writer sets come from the Config template: its N is ignored (the
-// harness's n applies) and an empty DefaultWriters means every process may
-// write every key — the explorer's writer pids must all be in-set whatever
-// the schedule says.
+// The writer sets come from the Config template; its N is ignored (the
+// harness's n applies).
 type KeyedAlgorithm struct {
 	name     string
 	keys     int
@@ -63,18 +61,10 @@ func (a KeyedAlgorithm) KeyOf(op proto.OpID) int { return int((uint64(op) - 1) %
 func (a KeyedAlgorithm) KeyName(k int) string { return fmt.Sprintf("k%04d", k) }
 
 // New implements proto.Algorithm. The writer argument is ignored (per-key
-// writer sets rule); an empty DefaultWriters template opens every key to
-// every process.
+// writer sets rule).
 func (a KeyedAlgorithm) New(id, n, _ int) proto.Process {
 	cfg := a.tmpl
 	cfg.N = n
-	if len(cfg.DefaultWriters) == 0 {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		cfg.DefaultWriters = all
-	}
 	if a.restrict != nil {
 		cfg.Writers = make(map[string][]int, a.keys)
 		for k := 0; k < a.keys; k++ {
@@ -133,15 +123,10 @@ func (p *KeyedProc) PendingFlush() bool { return p.node.PendingFlush() }
 // Flush implements proto.Flusher.
 func (p *KeyedProc) Flush() proto.Effects { return p.node.Flush() }
 
-// RequiresFIFOLinks implements proto.FIFOLinks: multi-writer keys run the
-// batched lane frames, which assume per-link FIFO delivery (and cross-key
-// multi-frames unpack in link order). Single-writer-only stores keep the
-// paper's unordered-channel model, like the original regmap — unless
-// storage is attached, which pipelines the SWMR lanes for restart
-// catch-up and therefore assumes FIFO links too.
-func (p *KeyedProc) RequiresFIFOLinks() bool {
-	return p.node.sh.multiWriter() || p.node.store != nil
-}
+// RequiresFIFOLinks implements proto.FIFOLinks: every key runs the batched
+// lane frames, which assume per-link FIFO delivery (and cross-key
+// multi-frames unpack in link order).
+func (p *KeyedProc) RequiresFIFOLinks() bool { return true }
 
 // Node exposes the underlying keyed state machine (tests, invariants).
 func (p *KeyedProc) Node() *Node { return p.node }
@@ -150,8 +135,7 @@ func (p *KeyedProc) Node() *Node { return p.node }
 // across a full set of keyed processes, for every key every process
 // currently hosts (lazily created registers appear at a process on first
 // contact; a key someone has not seen yet is skipped — its invariants are
-// vacuous there). Single-writer keys are covered by the same lemmas via
-// their one lane inside core.Proc and are skipped here.
+// vacuous there).
 func CheckKeyedInvariants(procs []*KeyedProc) error {
 	var c KeyedInvariantChecker
 	return c.Check(procs)

@@ -30,8 +30,8 @@ func TestStorePerKeyWriterSets(t *testing.T) {
 	if len(shared) != 3 || shared[0] != 0 || shared[2] != 2 {
 		t.Fatalf("WritersFor(shared) = %v", shared)
 	}
-	if got := s.procs[4].WritersFor("unlisted"); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("WritersFor(unlisted) = %v, want the default {0}", got)
+	if got := s.procs[4].WritersFor("unlisted"); fmt.Sprint(got) != "[0 1 2 3 4]" {
+		t.Fatalf("WritersFor(unlisted) = %v, want the default: every process", got)
 	}
 
 	for i, w := range shared {

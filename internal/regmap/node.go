@@ -42,13 +42,10 @@ type Node struct {
 	reset []bool
 }
 
-// reg is one key's register instance: exactly one of swmr/mw is set,
-// depending on the key's writer-set size, plus the per-key client queue
+// reg is one key's register instance plus the per-key client queue
 // (register processes are sequential; operations on one key through one
 // process serialize, different keys proceed independently).
 type reg struct {
-	writers []int
-	swmr    *core.Proc
 	mw      *core.MWProc
 	busy    bool
 	pending []pendingOp
@@ -102,28 +99,17 @@ func (nd *Node) IsWriter(key string, pid int) bool {
 	return false
 }
 
-// reg returns (creating if needed) the register instance for key. A key
-// with one writer runs the SWMR register; several writers run the
+// reg returns (creating if needed) the register instance for key: the
 // multi-writer register with one lane per (key, writer).
 func (nd *Node) reg(key string) *reg {
 	r, ok := nd.regs[key]
 	if !ok {
-		ws := nd.sh.writersFor(key)
-		r = &reg{writers: ws}
-		if len(ws) == 1 {
-			var opts []core.Option
-			if nd.sh.gc {
-				opts = append(opts, core.WithHistoryGC())
-			}
-			r.swmr = core.New(nd.id, nd.sh.n, ws[0], opts...)
-		} else {
-			r.mw = core.NewMWMR(nd.id, nd.sh.n, core.WithMWWriters(ws))
-		}
+		r = &reg{mw: core.NewMWMR(nd.id, nd.sh.n, core.WithMWWriters(nd.sh.writersFor(key)))}
 		if nd.store != nil {
-			r.attachStorage(keyStore{key: key, nd: nd})
+			r.mw.AttachStorage(keyStore{key: key, nd: nd})
 			for peer, was := range nd.reset {
 				if was {
-					r.peerRestarted(peer) // nothing to re-ship yet: only marks the link
+					r.mw.PeerRestarted(peer) // nothing to re-ship yet: only marks the link
 				}
 			}
 		}
@@ -176,8 +162,7 @@ func (nd *Node) Deliver(from int, msg proto.Message) proto.Effects {
 
 func (nd *Node) deliverKeyed(from int, m KeyedMsg, out *proto.Effects) {
 	r := nd.reg(m.Key)
-	eff := r.deliver(from, m.Inner)
-	nd.pump(m.Key, r, eff, out)
+	nd.pump(m.Key, r, r.mw.Deliver(from, m.Inner), out)
 }
 
 // pump absorbs one register's effects — wrapping sends with the key,
@@ -198,7 +183,11 @@ func (nd *Node) pump(key string, r *reg, eff proto.Effects, out *proto.Effects) 
 		po := r.pending[0]
 		r.pending = r.pending[1:]
 		r.busy = true
-		eff = r.start(po)
+		if po.kind == proto.OpWrite {
+			eff = r.mw.StartWrite(po.op, po.val)
+		} else {
+			eff = r.mw.StartRead(po.op)
+		}
 	}
 }
 
@@ -266,11 +255,7 @@ func (nd *Node) releaseFrames(out *proto.Effects) {
 func (nd *Node) LocalMemoryBits() int {
 	bits := 0
 	for _, r := range nd.regs {
-		if r.swmr != nil {
-			bits += r.swmr.LocalMemoryBits()
-		} else {
-			bits += r.mw.LocalMemoryBits()
-		}
+		bits += r.mw.LocalMemoryBits()
 	}
 	return bits
 }
@@ -285,9 +270,8 @@ func (nd *Node) Keys() []string {
 	return out
 }
 
-// MW returns the multi-writer register instance hosted for key, or nil
-// (key unknown here, or single-writer). Introspection for invariant
-// checkers and tests.
+// MW returns the register instance hosted for key, or nil if this node
+// has not seen key yet. Introspection for invariant checkers and tests.
 func (nd *Node) MW(key string) *core.MWProc {
 	if r, ok := nd.regs[key]; ok {
 		return r.mw
@@ -295,17 +279,14 @@ func (nd *Node) MW(key string) *core.MWProc {
 	return nil
 }
 
-// Owed sums, over every multi-writer key and lane this node hosts, the
+// Owed sums, over every key and lane this node hosts, the
 // indices it holds that peer neither was sent nor has shown to hold
 // (core.MWProc.LaneOwed) — on a link where nobody waits, the runs the next
 // READ, restart or full frame will carry. Introspection for tests.
 func (nd *Node) Owed(peer int) int {
 	owed := 0
-	for _, r := range nd.regs {
-		if r.mw == nil {
-			continue
-		}
-		for _, w := range r.writers {
+	for key, r := range nd.regs {
+		for _, w := range nd.sh.writersFor(key) {
 			owed += r.mw.LaneOwed(w, peer)
 		}
 	}
@@ -321,26 +302,6 @@ func (nd *Node) Idle() bool {
 		}
 	}
 	return true
-}
-
-func (r *reg) deliver(from int, msg proto.Message) proto.Effects {
-	if r.swmr != nil {
-		return r.swmr.Deliver(from, msg)
-	}
-	return r.mw.Deliver(from, msg)
-}
-
-func (r *reg) start(po pendingOp) proto.Effects {
-	switch {
-	case po.kind == proto.OpWrite && r.swmr != nil:
-		return r.swmr.StartWrite(po.op, po.val)
-	case po.kind == proto.OpWrite:
-		return r.mw.StartWrite(po.op, po.val)
-	case r.swmr != nil:
-		return r.swmr.StartRead(po.op)
-	default:
-		return r.mw.StartRead(po.op)
-	}
 }
 
 var _ proto.Flusher = (*Node)(nil)

@@ -2,16 +2,11 @@
 // processes: a keyed configuration/metadata store, the kind of
 // read-dominated application the paper's conclusion targets.
 //
-// Each key is an independent register instance built on the alternating-bit
-// lane engine (internal/core), with its own writer set:
-//
-//   - a key whose writer set has one member runs the paper's SWMR register
-//     (core.Proc — one lane plus the client protocol), byte-identical on
-//     the wire to the original single-writer store;
-//   - a key with several writers runs the multi-writer register
-//     (core.MWMRAlgorithm / core.MWProc restricted by core.WithMWWriters),
-//     so each process hosts one lane per (key, writer) and writes run the
-//     READ/PROCEED freshness round per key.
+// Each key is an independent instance of the multi-writer register
+// (core.MWProc) restricted to the key's writer set (core.WithMWWriters), so
+// each process hosts one alternating-bit lane per (key, writer) and writes
+// run the READ/PROCEED freshness round per key. A key with one writer is
+// the same register with one lane.
 //
 // On the wire, a message is the register's own two-bit message wrapped with
 // its key (KeyedMsg), so the per-register control information is still
@@ -79,21 +74,16 @@ const (
 type Config struct {
 	// N is the number of processes.
 	N int
-	// HistoryGC enables per-register history garbage collection
-	// (single-writer keys only; the multi-writer register retains its
-	// lanes).
-	HistoryGC bool
 	// DefaultWriters is the writer set of keys without an explicit entry in
-	// Writers. Empty means {0} — the original single-writer store, byte-
-	// compatible with the pre-keyed-writer-set regmap.
+	// Writers. Empty means every process.
 	DefaultWriters []int
 	// Writers assigns per-key writer sets, overriding DefaultWriters.
 	// Every set is validated through proto.ValidateWriters.
 	Writers map[string][]int
 	// Coalesce enables cross-key frame coalescing: keyed frames headed
 	// down the same link within one processing burst (or simulator flush
-	// window) ship as one MultiMsg. Off by default — the per-key frame
-	// stream is then byte-identical to the original store.
+	// window) ship as one MultiMsg. Off by default: every keyed frame then
+	// ships on its own.
 	Coalesce bool
 	// Fault selects a deliberately broken variant (mutation testing only).
 	Fault Fault
@@ -103,7 +93,6 @@ type Config struct {
 // of one store instance.
 type shared struct {
 	n              int
-	gc             bool
 	coalesce       bool
 	fault          Fault
 	defaultWriters []int
@@ -117,13 +106,17 @@ func newShared(cfg Config) (*shared, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("regmap: N = %d, need at least 1", cfg.N)
 	}
-	sh := &shared{n: cfg.N, gc: cfg.HistoryGC, coalesce: cfg.Coalesce, fault: cfg.Fault}
-	sh.defaultWriters = []int{0}
+	sh := &shared{n: cfg.N, coalesce: cfg.Coalesce, fault: cfg.Fault}
 	if len(cfg.DefaultWriters) > 0 {
 		if err := proto.ValidateWriters(cfg.N, cfg.DefaultWriters); err != nil {
 			return nil, err
 		}
 		sh.defaultWriters = sortedCopy(cfg.DefaultWriters)
+	} else {
+		sh.defaultWriters = make([]int, cfg.N)
+		for i := range sh.defaultWriters {
+			sh.defaultWriters[i] = i
+		}
 	}
 	if len(cfg.Writers) > 0 {
 		sh.perKey = make(map[string][]int, len(cfg.Writers))
@@ -146,21 +139,6 @@ func (sh *shared) writersFor(key string) []int {
 		return ws
 	}
 	return sh.defaultWriters
-}
-
-// multiWriter reports whether any writer set (default or per-key) has more
-// than one member — i.e. whether the store hosts multi-writer registers,
-// whose batched lanes assume FIFO links.
-func (sh *shared) multiWriter() bool {
-	if len(sh.defaultWriters) > 1 {
-		return true
-	}
-	for _, ws := range sh.perKey {
-		if len(ws) > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 func sortedCopy(xs []int) []int {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twobitreg/internal/cluster"
+	"twobitreg/internal/core"
 	"twobitreg/internal/metrics"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
@@ -196,9 +197,13 @@ func TestStoreControlBitsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := col.Snapshot()
-	// Every message carries the register's 2 bits + 16 key bits.
-	if snap.MaxCtrlBits != 2+16 {
-		t.Fatalf("max control bits = %d, want 18 (2 register + 16 key)", snap.MaxCtrlBits)
+	// Every message carries the register's 2 bits + 16 key bits, plus the
+	// lane id on lane frames; only the 2 are protocol control.
+	if want := 2 + 16 + core.WriterIDBits; snap.MaxCtrlBits != want {
+		t.Fatalf("max control bits = %d, want %d (2 register + 16 key + lane id)", snap.MaxCtrlBits, want)
+	}
+	if snap.MeanCtrlBitsPerEntry != 2 {
+		t.Fatalf("census: %.6f control bits per logical entry, want exactly 2", snap.MeanCtrlBitsPerEntry)
 	}
 }
 
@@ -230,19 +235,45 @@ func TestStoreStopUnblocksPending(t *testing.T) {
 	}
 }
 
-func TestStoreWithHistoryGC(t *testing.T) {
+// TestStoreDefaultAdmitsEveryWriter: with no writer sets configured, every
+// process may write every key.
+func TestStoreDefaultAdmitsEveryWriter(t *testing.T) {
 	t.Parallel()
-	s := startStore(t, regmap.Config{N: 3, HistoryGC: true}, nil)
-	for k := 1; k <= 50; k++ {
-		if err := s.Write("hot", []byte(fmt.Sprintf("%d", k))); err != nil {
-			t.Fatal(err)
+	s := newStore(t, 3)
+	for pid := 0; pid < 3; pid++ {
+		if !s.procs[pid].IsWriter("k", (pid+1)%3) {
+			t.Fatalf("p%d: process %d is not a writer of an unconfigured key", pid, (pid+1)%3)
+		}
+		want := fmt.Sprintf("from-%d", pid)
+		if err := s.WriteVia(pid, "k", []byte(want)); err != nil {
+			t.Fatalf("write via p%d: %v", pid, err)
+		}
+		if v, err := s.Read((pid+2)%3, "k"); err != nil || string(v) != want {
+			t.Fatalf("read after p%d's write = %q, %v; want %q", pid, v, err, want)
 		}
 	}
-	v, err := s.Read(2, "hot")
-	if err != nil {
+}
+
+// TestStoreSingleWriterKeyRunsTheRegister: a key with one writer is the
+// same multi-writer register with one lane, not a second register type.
+func TestStoreSingleWriterKeyRunsTheRegister(t *testing.T) {
+	t.Parallel()
+	s := startStore(t, regmap.Config{N: 3, Writers: map[string][]int{"solo": {1}}}, nil)
+	if err := s.WriteVia(1, "solo", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if string(v) != "50" {
-		t.Fatalf("read %q, want 50", v)
+	v, err := s.Read(0, "solo")
+	if err != nil || string(v) != "one" {
+		t.Fatalf("p0 read %q, %v; want one", v, err)
+	}
+	s.Stop() // the event loops are done with the nodes
+	for pid, nd := range s.procs {
+		mw := nd.MW("solo")
+		if mw == nil {
+			t.Fatalf("p%d hosts no register for the single-writer key", pid)
+		}
+		if ws := mw.Writers(); len(ws) != 1 || ws[0] != 1 {
+			t.Fatalf("p%d: register writers %v, want [1]", pid, ws)
+		}
 	}
 }

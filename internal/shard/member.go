@@ -155,11 +155,7 @@ func bind(spec MemberSpec) (*Member, error) {
 	if spec.ID < 0 || spec.ID >= spec.N {
 		return nil, &ConfigError{Field: "id", Reason: fmt.Sprintf("need 0..%d, got %d", spec.N-1, spec.ID)}
 	}
-	writers := make([]int, spec.N)
-	for i := range writers {
-		writers[i] = i
-	}
-	store, err := regmap.NewNode(spec.ID, regmap.Config{N: spec.N, DefaultWriters: writers, Coalesce: true})
+	store, err := regmap.NewNode(spec.ID, regmap.Config{N: spec.N, Coalesce: true})
 	if err != nil {
 		return nil, err
 	}

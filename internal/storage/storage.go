@@ -73,7 +73,7 @@ type StableStorage interface {
 // AttachStorage alone (no Recover) arms logging on a process starting
 // from scratch. RecoveryEnabled reports whether this configuration can
 // recover at all — variants whose state cannot be replayed (history GC,
-// explicit sequence numbers, unbatched lanes) return false and degrade
+// explicit sequence numbers) return false and degrade
 // to plain crash-stop under the restart adversary.
 type Recoverable interface {
 	RecoveryEnabled() bool
@@ -165,13 +165,25 @@ type FileWAL struct {
 const walNilVal = ^uint32(0)
 
 // OpenFileWAL opens (creating if absent) the WAL at path for appending
-// and replay.
+// and replay. A torn tail left by a crash mid-Sync is cut off first:
+// Replay stops at the first incomplete frame, so a record appended after
+// it would never be read back.
 func OpenFileWAL(path string) (*FileWAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	rd := newTornReader(f)
+	for ok := true; ok && err == nil; {
+		_, ok, err = rd.next()
+	}
+	if err == nil {
+		err = f.Truncate(rd.end)
+	}
+	if err == nil {
+		_, err = f.Seek(rd.end, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -240,10 +252,11 @@ func (w *FileWAL) Replay(fn func(r Record) error) error {
 func (w *FileWAL) Close() error { return w.f.Close() }
 
 // tornReader decodes WAL frames, treating any truncated tail as
-// end-of-log.
+// end-of-log. end is the offset just past the last whole frame read.
 type tornReader struct {
 	r   io.Reader
 	hdr [16]byte
+	end int64
 }
 
 func newTornReader(r io.Reader) *tornReader { return &tornReader{r: r} }
@@ -274,6 +287,7 @@ func (t *tornReader) next() (Record, bool, error) {
 		}
 		return Record{}, false, err
 	}
+	t.end += int64(len(t.hdr) + len(payload))
 	rec := Record{
 		Key:   string(payload[:keyLen]),
 		Lane:  int(lane),

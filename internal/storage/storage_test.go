@@ -148,39 +148,81 @@ func TestFileWALUnsyncedNotDurable(t *testing.T) {
 }
 
 func TestFileWALTornTail(t *testing.T) {
+	good := Record{Key: "k", Lane: 1, Index: 7, Val: proto.Value("good")}
+	torn := Record{Key: "k", Lane: 1, Index: 8, Val: proto.Value("torn-away")}
+	tornLen := int64(16 + len(torn.Key) + len(torn.Val))
+	// Tear the final record into its payload, then into its header.
+	for _, cut := range []int64{5, tornLen - 6} {
+		path := filepath.Join(t.TempDir(), "wal")
+		w, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Append(good)
+		w.Append(torn)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
+		w2, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRecords(t, collect(t, w2), []Record{good})
+		w2.Close()
+	}
+}
+
+// TestFileWALAppendAfterTornTail: a record appended after a power-loss tear
+// must replay. Reopening cuts the torn frame off, so the next append lands
+// right after the last whole record instead of behind bytes Replay stops at.
+func TestFileWALAppendAfterTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenFileWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := Record{Key: "k", Lane: 1, Index: 7, Val: proto.Value("good")}
-	w.Append(good)
-	w.Append(Record{Key: "k", Lane: 1, Index: 8, Val: proto.Value("torn-away")})
+	recs := []Record{
+		{Key: "k", Lane: 0, Index: 1, Val: proto.Value("one")},
+		{Key: "k", Lane: 0, Index: 2, Val: proto.Value("two")},
+		{Key: "k", Lane: 0, Index: 3, Val: proto.Value("three")},
+	}
+	w.Append(recs[0])
+	w.Append(recs[1])
 	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// The power fails mid-write: part of the next frame reaches the disk.
+	w.Append(Record{Key: "k", Lane: 0, Index: 3, Val: proto.Value("lost")})
+	if _, err := w.f.Write(w.buf[:len(w.buf)-2]); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 
-	// Tear the final record: truncate into its payload.
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()-5); err != nil {
-		t.Fatal(err)
-	}
 	w2, err := OpenFileWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	wantRecords(t, collect(t, w2), []Record{good})
-
-	// Tear into the header as well.
-	if err := os.Truncate(path, fi.Size()-int64(len("torn-away"))-int64(len("k"))-10); err != nil {
+	wantRecords(t, collect(t, w2), recs[:2])
+	w2.Append(recs[2])
+	if err := w2.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords(t, collect(t, w2), []Record{good})
+	w2.Close()
+
+	w3, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	wantRecords(t, collect(t, w3), recs)
 }
 
 func TestFileWALEmptySyncIsNoop(t *testing.T) {

@@ -9,7 +9,7 @@ import "fmt"
 // the frames-per-syscall ratio (1.0 = the per-frame baseline).
 type MeshStats struct {
 	// FramesSent counts protocol frames handed to the kernel (frames
-	// dropped by the queue policy are counted in FramesDropped instead).
+	// dropped at a full queue are counted in FramesDropped instead).
 	FramesSent int64 `json:"frames_sent"`
 	// ConnWrites counts conn.Write calls (syscalls on the send path).
 	ConnWrites int64 `json:"conn_writes"`
@@ -17,8 +17,9 @@ type MeshStats struct {
 	BytesSent int64 `json:"bytes_sent"`
 	// MaxBatch is the largest number of frames one write carried.
 	MaxBatch int64 `json:"max_batch"`
-	// FramesDropped counts frames discarded by the bounded-queue drop
-	// policy (dead or stalled peers under DropNewest).
+	// FramesDropped counts frames discarded rather than written: sent to
+	// a full queue (a dead or stalled peer), voided by a purge, or lost
+	// with a broken connection.
 	FramesDropped int64 `json:"frames_dropped"`
 	// Redials counts outbound connection (re-)establishments after the
 	// initial dial.

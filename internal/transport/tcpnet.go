@@ -55,33 +55,16 @@ const (
 
 // DefaultQueueCap is the per-peer outbound queue bound: far above the
 // in-flight frame count a live peer ever accumulates under the closed-loop
-// quorum protocols, so the policy below only ever fires for dead or
-// wedged peers.
+// quorum protocols, so only dead or wedged peers ever fill it. A frame
+// sent to a full queue is dropped and counted in MeshStats.FramesDropped:
+// the crash-fault model already tolerates losing messages to crashed
+// processes (quorums are majorities), and never blocking the caller is
+// what keeps one dead peer from stalling traffic to the rest.
 const DefaultQueueCap = 1024
-
-// SendPolicy is the bounded-queue backpressure policy applied when a
-// peer's outbound queue is full.
-type SendPolicy int
-
-const (
-	// DropNewest (the default) discards the new frame and counts it in
-	// MeshStats.FramesDropped. A full queue means the peer is dead or
-	// wedged; the crash-fault model already tolerates losing messages to
-	// crashed processes (quorums are majorities), and never blocking the
-	// caller is what keeps one dead peer from stalling traffic to the
-	// rest.
-	DropNewest SendPolicy = iota
-	// Block makes Send wait for queue space (or mesh shutdown). Lossless
-	// toward slow-but-live peers, at the price of coupling the caller to
-	// the slowest peer — callers opting in should bound their own
-	// exposure.
-	Block
-)
 
 // meshConfig is the tunable behaviour, set via MeshOption.
 type meshConfig struct {
 	queueCap    int
-	policy      SendPolicy
 	dialRetries int
 	dialBackoff time.Duration
 }
@@ -92,11 +75,6 @@ type MeshOption func(*meshConfig)
 // WithQueueCap sets the per-peer outbound queue bound (frames).
 func WithQueueCap(frames int) MeshOption {
 	return func(c *meshConfig) { c.queueCap = frames }
-}
-
-// WithSendPolicy selects the full-queue backpressure policy.
-func WithSendPolicy(p SendPolicy) MeshOption {
-	return func(c *meshConfig) { c.policy = p }
 }
 
 // WithDialRetry overrides the per-cycle dial attempt count and base
@@ -139,7 +117,7 @@ func WithDialRetry(retries int, backoff time.Duration) MeshOption {
 // redial is in flight share one syscall. Dialing — with jittered backoff
 // between attempts — happens on the sender goroutine of the one peer
 // concerned: a dead peer's redial cycle never delays frames to live peers,
-// and its queue overflow is absorbed by the SendPolicy instead of the
+// and its queue overflow is dropped and counted instead of blocking the
 // caller. proto.Flusher-style coalescing composes: a flush burst handed to
 // Send in one event-loop step lands in one queue drain, hence one syscall
 // per peer.
@@ -196,7 +174,6 @@ func NewMesh(self, n int, listenAddr string, codec Codec, deliver func(from int,
 	}
 	cfg := meshConfig{
 		queueCap:    DefaultQueueCap,
-		policy:      DropNewest,
 		dialRetries: DialRetries,
 		dialBackoff: DialBackoff,
 	}
@@ -292,12 +269,11 @@ func (m *Mesh) peer(to int) *peer {
 }
 
 // Send enqueues msg for peer `to` and returns without waiting for the
-// write (under the Block policy it may wait for queue space). A nil return
-// means the frame was accepted by the queue — or, under DropNewest against
-// a full queue, counted as dropped; delivery itself is asynchronous and
-// at-most-once. Errors report misuse (bad destination, SetPeers not yet
-// called, mesh closed), not peer health. Safe for concurrent use; frames
-// to one peer are written by one goroutine and never interleave.
+// write. A nil return means the frame was accepted by the queue — or,
+// against a full queue, counted as dropped; delivery itself is asynchronous
+// and at-most-once. Errors report misuse (bad destination, SetPeers not yet
+// called, mesh closed), not peer health. Safe for concurrent use; frames to
+// one peer are written by one goroutine and never interleave.
 func (m *Mesh) Send(to int, msg proto.Message) error {
 	if to == m.self || to < 0 || to >= m.n {
 		return fmt.Errorf("transport: bad destination %d", to)
@@ -362,9 +338,9 @@ func (m *Mesh) PeerRestarted(to int) {
 
 // Close shuts the mesh down and waits for its goroutines. Queued and
 // in-flight frames are discarded. Peers are marked closed BEFORE m.done
-// closes — a sender bailing on m.done re-drains its queue, which freed a
-// still-open peer's space for a Block-policy Send nobody would write —
-// and under m.mu, so SetPeers either ran before or starts nothing.
+// closes, so a Send racing Close reports the mesh closed rather than
+// queueing a frame no sender will write, and under m.mu, so SetPeers
+// either ran before or starts nothing.
 func (m *Mesh) Close() error {
 	m.mu.Lock()
 	for _, p := range m.peers {
@@ -403,7 +379,7 @@ type peer struct {
 	readers sync.WaitGroup // handshaken inbound connections still being read; Add under hs
 
 	mu      sync.Mutex
-	cond    *sync.Cond // frames/space/write-turn availability
+	cond    *sync.Cond // frames/write-turn availability
 	queue   []proto.Message
 	closed  bool
 	writing bool     // a goroutine (sender or inline Send) owns the conn's write side
@@ -437,12 +413,12 @@ type peer struct {
 	inlineBuf []byte
 }
 
-// enqueue applies the queue bound and policy, then hands msg to the
-// sender — or, when the link is idle (connection up, nothing queued, no
-// write in progress), writes the single frame inline on the caller: the
-// quiescent case keeps synchronous-path latency, while any concurrency
-// falls through to the queue and gets drained in batches. Dialing never
-// happens inline, so a down peer costs its callers nothing.
+// enqueue applies the queue bound, then hands msg to the sender — or, when
+// the link is idle (connection up, nothing queued, no write in progress),
+// writes the single frame inline on the caller: the quiescent case keeps
+// synchronous-path latency, while any concurrency falls through to the
+// queue and gets drained in batches. Dialing never happens inline, so a
+// down peer costs its callers nothing.
 func (p *peer) enqueue(msg proto.Message) error {
 	p.mu.Lock()
 	if p.owed > 0 && !p.closed {
@@ -464,18 +440,12 @@ func (p *peer) enqueue(msg proto.Message) error {
 		return nil
 	}
 	defer p.mu.Unlock()
-	for len(p.queue) >= p.m.cfg.queueCap {
-		if p.closed {
-			return errors.New("transport: mesh closed")
-		}
-		if p.m.cfg.policy == DropNewest {
-			p.stats.FramesDropped++
-			return nil
-		}
-		p.cond.Wait()
-	}
 	if p.closed {
 		return errors.New("transport: mesh closed")
+	}
+	if len(p.queue) >= p.m.cfg.queueCap {
+		p.stats.FramesDropped++
+		return nil
 	}
 	p.queue = append(p.queue, msg)
 	if len(p.queue) == 1 {
@@ -548,7 +518,6 @@ func (p *peer) purge(restart bool) {
 	}
 	conn, dialing := p.conn, p.dialing
 	p.conn = nil
-	p.cond.Broadcast() // wake a Block-policy enqueue waiting on queue space
 	p.mu.Unlock()
 	select {
 	case p.bumped <- struct{}{}:
@@ -577,7 +546,6 @@ func (p *peer) take() bool {
 		p.queue[i] = nil // no retention across drains
 	}
 	p.queue = p.queue[:0]
-	p.cond.Broadcast() // space for Block-policy senders
 	p.mu.Unlock()
 	return true
 }

@@ -154,7 +154,7 @@ func TestTCPConcurrentReaders(t *testing.T) {
 // real loopback TCP: every node writes in turn (each write padding its lane
 // over the previous writers', so LaneCompact frames cross the wire codec),
 // and every node must read the latest value back. TCP's per-connection
-// ordering is exactly the FIFO-link assumption batched mode declares.
+// ordering is exactly the FIFO-link assumption the register declares.
 func TestTCPMWMRBatchedLaneFrames(t *testing.T) {
 	t.Parallel()
 	n := 3

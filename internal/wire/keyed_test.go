@@ -11,8 +11,8 @@ import (
 )
 
 // TestKeyedRoundTrip round-trips keyed frames over every inner message
-// class the store produces: SWMR keys wrap bare register messages,
-// multi-writer keys wrap lane frames.
+// class the codec carries beneath a key: bare register messages and lane
+// frames.
 func TestKeyedRoundTrip(t *testing.T) {
 	t.Parallel()
 	inners := []proto.Message{
