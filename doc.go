@@ -106,9 +106,9 @@
 // (TestMWWriteFramesAtFloor pins the formula for n = 3, 5, 7 and c = 0, 2,
 // n-2, padded or not, c = 0 being 10 / 28 / 54;
 // TestMWDominatedWriteCostConstantVsLinear pins 22 messages for n=5 with
-// two writers at G=5 and G=40 alike;
-// BenchmarkMWMRWriteMessages commits the trajectory to BENCH_mwmr.json;
-// EXPERIMENTS.md E-FL1 and E-LZ1 have the served-path measurements).
+// two writers at G=5 and G=40 alike; TestMWMRWriteMessagesExact pins
+// BenchmarkMWMRWriteMessages' grid message for message; EXPERIMENTS.md
+// E-FL1 and E-LZ1 have the served-path measurements).
 // Serving is monotone per incarnation — nothing on a two-bit wire says "my
 // operation is over" — so a member that stops serving a key stays eager.
 // The price is stated, not hidden: pipelining gives up the reorder
@@ -153,8 +153,8 @@
 // (regmap.MultiMsg): the goroutine store flushes per mailbox burst, the
 // simulator grants a half-Δ flush window (proto.Flusher /
 // transport.WithFlushWindow), and a read-dominated 50-key workload drops
-// from ~17 to ~2.3 frames per operation (BenchmarkRegmapMWMR, committed as
-// BENCH_regmap.json and benchdiff-gated; EXPERIMENTS.md E-RM1). The bare
+// from ~15 to ~2.1 frames per operation (BenchmarkRegmapMWMR, pinned frame
+// for frame by TestKeyedRunFramesExact; EXPERIMENTS.md E-RM1). The bare
 // register's own cross-drain flush window (a core option) was removed —
 // only its test set it, and the burst boundary left it nothing to merge
 // (E-RM1): every drain flushes. The explorer judges keyed runs register by
@@ -183,7 +183,7 @@
 // mut-fastread-skipconfirm, and core.WithClassicReads pins the variant to
 // the classic read path for byte-identical differential runs.
 //
-// # The TCP runtime and the regload harness
+// # The TCP runtime and the claims benchmark
 //
 // internal/transport.Mesh carries the same state machines over real
 // sockets: a fully connected loopback/LAN mesh of length-framed two-bit
@@ -195,7 +195,8 @@
 // goroutine drains everything queued per wakeup into a single conn.Write
 // (writev-style batching through one reused encode buffer), with an
 // inline fast path that writes a lone frame on the caller when the link
-// is idle. Dialing — jittered backoff, counted redials — lives on the
+// is idle. Dialing — jittered backoff, counted redials, each attempt
+// bounded by transport.HandshakeTimeout and cancelled by Close — lives on the
 // sender goroutine of the one peer concerned, so a dead peer's dial cycle
 // never head-of-line-blocks frames to live peers; its queue overflow is
 // dropped and counted, never blocking the caller, which is exactly the
@@ -208,13 +209,13 @@
 // included — so a burst of frames costs one read of the socket, and the
 // codec copies what it keeps out of that buffer; the client protocol's two
 // ends read the same way. MeshStats exports the counters — frames per conn.Write is the measured
-// batching ratio. cmd/regload is the closed-loop load harness over this
-// stack (internal/regload + internal/metrics latency histograms):
-// configurable clients/keys/read-fraction drive a real TCP cluster and
-// report ops/sec, p50/p95/p99 latency, and the mesh counters;
-// BenchmarkMeshSend and BenchmarkTCPRegload commit the trajectory to
-// BENCH_tcp.json (benchdiff-gated), and EXPERIMENTS.md E-TCP1 tabulates
-// the batching and dead-peer results.
+// batching ratio. The claims benchmark (bench/, its workloads and bounds
+// declared in BENCHMARK.json) drives this stack over loopback with
+// closed-loop clients, judges every run — check.For per key, every
+// acknowledged write in a quorum of the replayed WALs, zero failed
+// operations — and reports end-to-end latency and throughput with a
+// per-layer budget; TestMeshSendAllocs pins the send path's allocations,
+// and EXPERIMENTS.md E-TCP1 tabulates the batching and dead-peer results.
 //
 // # The sharded keyed service
 //
@@ -222,8 +223,8 @@
 // shard.Member (mesh + keyed store on the event loop + client server, with
 // recovery from stable storage at construction) per process. A
 // cluster (internal/shard.ClusterConfig — one validated configuration
-// type shared by regnode's JSON file and flags, regload's Spec, and the
-// client; invalid fields come back as typed *ConfigError values naming
+// type shared by regnode's JSON file and flags, shard.LocalCluster, and
+// the client; invalid fields come back as typed *ConfigError values naming
 // the field path, e.g. "shards[1].procs[2].mesh") is a list of shards,
 // each an INDEPENDENT quorum group of processes running the coalescing
 // keyed store over its own transport.Mesh. A key lives on exactly one
@@ -235,7 +236,7 @@
 // placement before the handler runs (StatusWrongShard). The Go client is
 // internal/regclient — Session (one node, pipelined concurrent requests)
 // and Client (placement routing plus failover across a shard's quorum
-// group members) — consumed by cmd/regctl and cmd/regload alike. The
+// group members) — consumed by cmd/regctl and bench/ alike. The
 // sharded throughput scaling is recorded in EXPERIMENTS.md E-SH1.
 //
 // # Durable registers: crash-restart recovery
@@ -263,13 +264,15 @@
 // (transport.SimNet.Revive) — only this adversary catches the durability
 // cheats mut-wal-skipsync and mut-wal-earlyrelease.
 // BenchmarkWALWrite prices the contract (file-backed synced vs unsynced
-// vs in-memory appends, BENCH_wal.json; EXPERIMENTS.md E-WAL1). On the TCP
+// vs in-memory appends; EXPERIMENTS.md E-WAL1), and BENCHMARK.json's
+// durable-pipelined workload measures it on the served path. On the TCP
 // runtime a restart is a handshake: start a member on the same addresses
 // and storage (regnode -data <dir>, again, after a kill -9) and a peer
 // that sees the higher incarnation fences its predecessor's connections
 // and resets the link, as the restarted member does, before a frame
-// crosses it (regload -restart proc@seconds and scripts/shard_smoke.sh
-// rehearse it — zero acknowledged writes lost).
+// crosses it (shard.LocalCluster.ReviveProc under load, on one shard and
+// on two, and scripts/shard_smoke.sh rehearse it — zero acknowledged
+// writes lost).
 //
 // # Registered algorithms
 //

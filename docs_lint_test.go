@@ -50,7 +50,7 @@ func TestDocListsAllAlgorithms(t *testing.T) {
 
 // TestDocTCPRuntime keeps the TCP-runtime documentation in lockstep with
 // the code: ARCHITECTURE.md must carry the "The TCP runtime" section and
-// doc.go must point at cmd/regload and the BENCH_tcp.json trajectory.
+// doc.go must point at the claims benchmark, bench/ and BENCHMARK.json.
 func TestDocTCPRuntime(t *testing.T) {
 	t.Parallel()
 	arch, err := os.ReadFile("ARCHITECTURE.md")
@@ -64,7 +64,7 @@ func TestDocTCPRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cmd/regload", "BENCH_tcp.json"} {
+	for _, want := range []string{"bench/", "BENCHMARK.json"} {
 		if !strings.Contains(string(doc), want) {
 			t.Fatalf("doc.go does not mention %s", want)
 		}
@@ -97,7 +97,8 @@ func TestDocShardedService(t *testing.T) {
 
 // TestDocDurability keeps the durability documentation in lockstep with
 // the code: ARCHITECTURE.md must carry the "Durability" section and doc.go
-// must point at the storage package and the BENCH_wal.json trajectory.
+// must point at the storage package, the claims benchmark's BENCHMARK.json
+// and the crashrestart adversary.
 func TestDocDurability(t *testing.T) {
 	t.Parallel()
 	arch, err := os.ReadFile("ARCHITECTURE.md")
@@ -111,7 +112,7 @@ func TestDocDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"internal/storage", "BENCH_wal.json", "crashrestart"} {
+	for _, want := range []string{"internal/storage", "BENCHMARK.json", "crashrestart"} {
 		if !strings.Contains(string(doc), want) {
 			t.Fatalf("doc.go does not mention %s", want)
 		}

@@ -7,15 +7,14 @@ import (
 )
 
 // Checker benchmarks: the hot paths of every explorer sweep and cluster
-// soak. CI's bench job runs these at a fixed -benchtime and archives the
-// -json stream as BENCH_check.json, so the numbers form a trajectory
-// across PRs.
+// soak. CI runs each once as a smoke; TestDiffMWMRLargeHistory bounds the
+// cluster checker's wall-clock time on a 10k-op history.
 
 func BenchmarkCheckSWMR(b *testing.B) {
 	// 100k ops covers the post-sweep regime: since the claim-2/3 rewrite,
 	// check.For keeps large single-writer histories on this path instead of
-	// bailing to CheckMWMR at 2048 ops, so its large-history cost is now a
-	// tracked trajectory too.
+	// bailing to CheckMWMR at 2048 ops, so its large-history cost matters
+	// too.
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		h := genLargeMWMRHistory(n, 1)
 		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {

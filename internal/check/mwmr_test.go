@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"twobitreg/internal/proto"
 )
@@ -253,10 +254,13 @@ func genLargeMWMRHistory(nOps, nWriters int) History {
 
 // TestDiffMWMRLargeHistory: the cluster checker must handle 10k-operation
 // multi-writer histories — and catch a single stale read planted in one —
-// where the Wing–Gong search cannot even start.
+// where the Wing–Gong search cannot even start. It takes a few
+// milliseconds; the generous wall-clock bound catches a checker that turns
+// quadratic, not noise.
 func TestDiffMWMRLargeHistory(t *testing.T) {
 	t.Parallel()
-	const nOps = 10_000
+	const nOps, bound = 10_000, 2 * time.Second
+	start := time.Now()
 	h := genLargeMWMRHistory(nOps, 4)
 	if err := CheckMWMR(h); err != nil {
 		t.Fatalf("CheckMWMR rejected a valid %d-op history: %v", nOps, err)
@@ -289,6 +293,9 @@ func TestDiffMWMRLargeHistory(t *testing.T) {
 	}
 	if err := CheckMWMR(corrupt); err == nil {
 		t.Fatal("CheckMWMR accepted a 10k-op history with a stale read")
+	}
+	if took := time.Since(start); took > bound {
+		t.Fatalf("checking two %d-op histories took %s, bound %s", nOps, took, bound)
 	}
 }
 

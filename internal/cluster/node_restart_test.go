@@ -98,13 +98,14 @@ func (m *restartMesh) kill(pid int) {
 
 // revive replays the victim's log into a fresh process, restarts its event
 // loop, and runs the bilateral PeerRestarted reset with every live peer,
-// in the same order as the TCP revival choreography (regload): peers
-// reset their end of each link before the fresh node exists, so the
-// revived node's re-shipped backlog can never reach a peer still holding
-// pre-crash link state; frames the peers emit toward the victim
-// meanwhile are held, and flush only after the victim's own link resets
-// are enqueued, so its event loop processes the resets first. The order
-// matters because lanes never resend: a frame consumed against stale
+// in the same order as a restart over TCP, where the mesh's incarnation
+// handshake resets each peer before it carries a frame of the new
+// incarnation: peers reset their end of each link before the fresh node
+// exists, so the revived node's re-shipped backlog can never reach a peer
+// still holding pre-crash link state; frames the peers emit toward the
+// victim meanwhile are held, and flush only after the victim's own link
+// resets are enqueued, so its event loop processes the resets first. The
+// order matters because lanes never resend: a frame consumed against stale
 // link state on either side is lost for good and wedges quorum counts.
 func (m *restartMesh) revive(t *testing.T, pid int) {
 	t.Helper()

@@ -129,6 +129,63 @@ func TestReadReturnsLatestWrite(t *testing.T) {
 	h.checkInvariants()
 }
 
+// TestQuiescentReadWaitsOneRound: on a quiescent register a read waits one
+// round trip, not two. At n = 3 the first PROCEED completes the freshness
+// quorum (the reader and one peer), and the index or vector the reader then
+// fixes is one a quorum already holds, so line 9 holds in the same step and
+// the read completes there. Completion.Rounds still reports the annotated
+// 2: phases entered, not rounds waited. Both the paper's single-writer
+// register and the multi-writer one every served key runs behave so.
+func TestQuiescentReadWaitsOneRound(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name  string
+		procs []proto.Process
+	}{
+		{"swmr", []proto.Process{New(0, 3, 0), New(1, 3, 0), New(2, 3, 0)}},
+		{"mwmr", []proto.Process{NewMWMR(0, 3), NewMWMR(1, 3), NewMWMR(2, 3)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var queue []queued
+			step := func(from int, eff proto.Effects) []proto.Completion {
+				for _, s := range eff.Sends {
+					queue = append(queue, queued{from: from, to: s.To, msg: s.Msg})
+				}
+				return eff.Done
+			}
+			step(0, tc.procs[0].StartWrite(1, val("v")))
+			for len(queue) > 0 {
+				q := queue[0]
+				queue = queue[1:]
+				step(q.to, tc.procs[q.to].Deliver(q.from, q.msg))
+			}
+			step(1, tc.procs[1].StartRead(2))
+			proceeds := 0
+			for len(queue) > 0 {
+				q := queue[0]
+				queue = queue[1:]
+				_, isProceed := q.msg.(ProceedMsg)
+				if isProceed && q.to == 1 {
+					proceeds++
+				}
+				for _, c := range step(q.to, tc.procs[q.to].Deliver(q.from, q.msg)) {
+					if c.Op != 2 {
+						continue
+					}
+					if !isProceed || q.to != 1 || proceeds != 1 {
+						t.Fatalf("the read completed delivering %s to p%d after %d PROCEEDs, want on the first PROCEED", q.msg.TypeName(), q.to, proceeds)
+					}
+					if !c.Value.Equal(val("v")) || c.Rounds != 2 {
+						t.Fatalf("read = %q in %d annotated rounds, want v in 2", c.Value, c.Rounds)
+					}
+					return
+				}
+			}
+			t.Fatal("the read never completed")
+		})
+	}
+}
+
 func TestInitialValueRead(t *testing.T) {
 	t.Parallel()
 	h := newHarness(t, 3, 0, WithInitial(val("init")))

@@ -163,26 +163,55 @@ func TestMWDominatedWriteCostConstantVsLinear(t *testing.T) {
 	}
 }
 
-// BenchmarkMWMRWriteMessages is the perf-trajectory benchmark family the
-// bounded-lanes work commits to (BENCH_mwmr.json): write message cost under
-// balanced and 10:1-skewed writer mixes, n in {3, 5, 10, 20}. The msgs/op
-// metric is deterministic (seeded workload and delays); ns/op tracks
-// simulator cost. The "batched/" prefix keeps the committed rows' names.
+// mwmrWriteMix returns BenchmarkMWMRWriteMessages' writers at n: up to four,
+// the first skew times as likely to write as each of the others.
+func mwmrWriteMix(n int, skew float64) (writers int, weights []float64) {
+	writers = min(n, 4)
+	weights = make([]float64, writers)
+	for i := range weights {
+		weights[i] = 1
+	}
+	weights[0] = skew
+	return writers, weights
+}
+
+// TestMWMRWriteMessagesExact pins BenchmarkMWMRWriteMessages' grid message
+// for message. A balanced run pays the floor 2(n-1) + n(n-1) - c(c-1) on
+// every write, with the c = n - 4 members that never write idle; the 10:1
+// runs sit a little under it, because until a cold writer's first write
+// every write is cheaper by the links to it.
+func TestMWMRWriteMessagesExact(t *testing.T) {
+	t.Parallel()
+	const writes = 40
+	for _, row := range []struct {
+		n    int
+		skew int64
+	}{{3, 400}, {5, 1092}, {10, 2982}, {20, 6762}} {
+		c := max(row.n-4, 0)
+		balanced := int64(writes * (2*(row.n-1) + row.n*(row.n-1) - c*(c-1)))
+		for _, mix := range []struct {
+			skew float64
+			want int64
+		}{{1, balanced}, {10, row.skew}} {
+			writers, weights := mwmrWriteMix(row.n, mix.skew)
+			if msgs, done := runMWMRWrites(t, row.n, writers, writes, weights, 1); msgs != mix.want || done != writes {
+				t.Errorf("n=%d skew=%g: %d messages for %d writes, want %d for %d", row.n, mix.skew, msgs, done, mix.want, writes)
+			}
+		}
+	}
+}
+
+// BenchmarkMWMRWriteMessages reports write message cost under balanced and
+// 10:1-skewed writer mixes, n in {3, 5, 10, 20}. msgs/op is deterministic
+// (seeded workload and delays) and TestMWMRWriteMessagesExact pins it; ns/op
+// tracks simulator cost.
 func BenchmarkMWMRWriteMessages(b *testing.B) {
 	for _, mix := range []struct {
 		name string
 		skew float64
 	}{{"balanced", 1}, {"skew10", 10}} {
 		for _, n := range []int{3, 5, 10, 20} {
-			writers := 4
-			if n < 4 {
-				writers = n
-			}
-			weights := make([]float64, writers)
-			for i := range weights {
-				weights[i] = 1
-			}
-			weights[0] = mix.skew
+			writers, weights := mwmrWriteMix(n, mix.skew)
 			b.Run(fmt.Sprintf("batched/%s/n=%d", mix.name, n), func(b *testing.B) {
 				var msgsPerOp float64
 				for i := 0; i < b.N; i++ {

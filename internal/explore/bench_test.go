@@ -38,10 +38,8 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // sharded Sweep engine at 1 worker and at GOMAXPROCS, so the ratio of the
 // two sched/s readings is the parallel speedup on the host (≈1 on one core,
 // ≈GOMAXPROCS on an idle multi-core runner — schedules share no state).
-// Neither case name ends in a number (workers-one, workers-max): benchdiff
-// strips a trailing -<count> as the GOMAXPROCS suffix, so a numbered name
-// would diff differently on hosts with different core counts (benchdiff
-// treats a baseline-only name as coverage loss).
+// Neither case name ends in a number (workers-one, workers-max), so the
+// names read the same on hosts with different core counts.
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -3,9 +3,9 @@
 // protocol (internal/wire) against one node, and a routing Client that
 // places keys on shards (shard.ShardOfKey over a validated
 // shard.ClusterConfig) and fails over across a shard's quorum-group
-// members. cmd/regctl and cmd/regload both consume this package — the CLI
-// and the load harness exercise the exact client path an application
-// would.
+// members. cmd/regctl and the claims benchmark (bench/) both consume this
+// package — the CLI and the benchmark exercise the exact client path an
+// application would.
 //
 // A Session is safe for concurrent use: any number of goroutines issue
 // operations over the one connection, each tagged with a fresh request id,
@@ -62,9 +62,11 @@ type Session struct {
 	dead   chan struct{}
 }
 
-// DialNode opens a session to a node's client address.
+// DialNode opens a session to a node's client address. The connect is
+// bounded by the mesh's transport.HandshakeTimeout: an unreachable node
+// fails the dial in seconds, so a Client moves on to the next member.
 func DialNode(addr string) (*Session, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, transport.HandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("regclient: dial %s: %w", addr, err)
 	}

@@ -14,11 +14,10 @@ import (
 
 // BenchmarkRegmapMWMR measures the keyed multi-writer store's message cost
 // across the keys x writers x skew grid, coalesced (cross-key multi-frames
-// on a half-Δ flush window) versus per-key frames. msgs/op is the gated
-// trajectory metric (BENCH_regmap.json, cmd/benchdiff in ci.yml): the
-// workload and simulator are seeded, so it is deterministic — regressions
-// mean a protocol or coalescer change, not noise. The E-RM1 experiment
-// reads the 10/50/200-key rows at 3 writers, 10:1 skew.
+// on a half-Δ flush window) versus per-key frames. The workload and
+// simulator are seeded, so msgs/op is deterministic, and
+// TestKeyedRunFramesExact pins every row's frame count. The E-RM1
+// experiment reads the 10/50/200-key rows at 3 writers, 10:1 skew.
 func BenchmarkRegmapMWMR(b *testing.B) {
 	const n, ops = 5, 400
 	for _, keys := range []int{10, 50, 200} {

@@ -216,6 +216,38 @@ func TestKeyedCoalescingBeatsPerKeyFrames(t *testing.T) {
 		p.ops, p.keys, perKey, coalesced, 100*float64(coalesced)/float64(perKey))
 }
 
+// TestKeyedRunFramesExact pins BenchmarkRegmapMWMR's grid frame for frame:
+// the workload and the simulator are seeded, so each row's count is a
+// property of the protocol and the coalescer, and any change to either moves
+// it.
+func TestKeyedRunFramesExact(t *testing.T) {
+	t.Parallel()
+	const n, ops = 5, 400
+	for _, row := range []struct {
+		keys, writers, skew int
+		perKey, coalesced   int64
+	}{
+		{10, 2, 1, 6262, 1742}, {10, 2, 10, 6264, 1595},
+		{10, 3, 1, 6268, 1538}, {10, 3, 10, 6261, 1596},
+		{50, 2, 1, 6091, 799}, {50, 2, 10, 6026, 820},
+		{50, 3, 1, 6167, 825}, {50, 3, 10, 6081, 872},
+		{200, 2, 1, 4984, 628}, {200, 2, 10, 4966, 594},
+		{200, 3, 1, 5164, 688}, {200, 3, 10, 4966, 628},
+	} {
+		for _, coalesce := range []bool{false, true} {
+			want := row.perKey
+			if coalesce {
+				want = row.coalesced
+			}
+			msgs, done := benchKeyedRun(t, n, row.keys, row.writers, ops, row.skew, coalesce)
+			if msgs != want || done != ops {
+				t.Errorf("keys=%d writers=%d skew=%d coalesce=%v: %d frames for %d ops, want %d for %d",
+					row.keys, row.writers, row.skew, coalesce, msgs, done, want, ops)
+			}
+		}
+	}
+}
+
 type simParams struct {
 	n, keys, writers, ops int
 	readFrac              float64

@@ -14,8 +14,8 @@
 // processes never exchange protocol messages.
 //
 // The configuration surface is one type, shard.ClusterConfig, shared by
-// every consumer — cmd/regnode (JSON file or flags), cmd/regload (built
-// from the Spec), internal/regclient (routing) — and validated in one
+// every consumer — cmd/regnode (JSON file or flags), LocalCluster (built
+// on ephemeral ports), internal/regclient (routing) — and validated in one
 // place, gvisor-style: a declarative pass over every field that reports
 // the first problem as a typed *ConfigError naming the offending field
 // path ("shards[1].procs[2].mesh"), so flag and file layers render
@@ -29,8 +29,6 @@ import (
 	"io"
 	"os"
 	"strings"
-
-	"twobitreg/internal/proto"
 )
 
 // MaxShards bounds the cluster size descriptors; placement math and the
@@ -41,7 +39,7 @@ const MaxShards = 4096
 // ClusterConfig describes a whole sharded cluster: every shard, every
 // member process of each shard, and where each listens. It is the single
 // configuration surface of the keyed service — regnode loads one (JSON
-// file or flags), regload builds one, regclient routes by one.
+// file or flags), LocalCluster builds one, regclient routes by one.
 type ClusterConfig struct {
 	Shards []Shard `json:"shards"`
 }
@@ -195,12 +193,6 @@ func ShardOfKey(key string, nshards int) int {
 	return int(h % uint64(nshards))
 }
 
-// QuorumOK reports whether shard s keeps a majority with the given set of
-// down shard-local process indexes.
-func (c *ClusterConfig) QuorumOK(s int, down []int) bool {
-	return len(down) <= proto.MaxFaulty(len(c.Shards[s].Procs))
-}
-
 // Load parses a JSON ClusterConfig from r (unknown fields rejected, so a
 // typo'd key fails loudly instead of silently defaulting) and validates
 // the full node view.
@@ -225,15 +217,6 @@ func LoadFile(path string) (*ClusterConfig, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// WriteJSON renders the configuration as indented JSON (the rendering
-// LoadFile accepts back — regload prints one so a measured topology can be
-// re-served by real regnodes).
-func (c *ClusterConfig) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
 }
 
 // ParseTopology builds a ClusterConfig from the flag surface shared by

@@ -183,28 +183,3 @@ func TestShardOfKey(t *testing.T) {
 func keyFor(i int) string {
 	return "key-" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('a'+(i/26)%26))
 }
-
-func TestQuorumOK(t *testing.T) {
-	c := &ClusterConfig{Shards: []Shard{{Procs: make([]Proc, 3)}, {Procs: make([]Proc, 5)}}}
-	if !c.QuorumOK(0, []int{1}) || c.QuorumOK(0, []int{0, 1}) {
-		t.Fatal("3-process shard quorum math wrong")
-	}
-	if !c.QuorumOK(1, []int{0, 4}) || c.QuorumOK(1, []int{0, 2, 4}) {
-		t.Fatal("5-process shard quorum math wrong")
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	c := validConfig()
-	var sb strings.Builder
-	if err := c.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("rendered JSON does not load back: %v\n%s", err, sb.String())
-	}
-	if back.NumShards() != c.NumShards() || back.Shards[1].Procs[1] != c.Shards[1].Procs[1] {
-		t.Fatalf("round trip changed the config: %+v", back)
-	}
-}

@@ -2,9 +2,9 @@ package shard
 
 // local.go boots a whole sharded cluster inside one process over loopback
 // TCP — a grid of Members, the real production stack minus the process
-// boundary. Examples, tests and the load harness stand up a cluster on it,
-// and crash and restart its processes; cmd/regnode runs the same Member
-// one process at a time.
+// boundary. Examples and tests stand up a cluster on it, and crash and
+// restart its processes; cmd/regnode runs the same Member one process at a
+// time.
 
 import (
 	"errors"

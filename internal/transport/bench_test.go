@@ -10,9 +10,9 @@ import (
 	"twobitreg/internal/wire"
 )
 
-// benchMeshPair builds two connected meshes for benchmarks, counting b's
+// benchMeshPair builds two connected meshes, counting the receiver's
 // deliveries.
-func benchMeshPair(b *testing.B, delivered *atomic.Int64) *transport.Mesh {
+func benchMeshPair(b testing.TB, delivered *atomic.Int64) *transport.Mesh {
 	b.Helper()
 	queue := transport.WithQueueCap(1 << 16)
 	a, err := transport.NewMesh(0, 2, "127.0.0.1:0", wire.Codec{}, func(int, proto.Message) {}, queue)
@@ -43,6 +43,28 @@ func benchMeshPair(b *testing.B, delivered *atomic.Int64) *transport.Mesh {
 	}
 	delivered.Store(0)
 	return a
+}
+
+// TestMeshSendAllocs pins what BenchmarkMeshSend's allocs/op column reads:
+// sending one frame on a connected pair and delivering it on the far side
+// allocates 4 times. The encode buffer, the batch slice and the receive
+// frame buffer are reused.
+func TestMeshSendAllocs(t *testing.T) {
+	var delivered atomic.Int64
+	a := benchMeshPair(t, &delivered)
+	var sent int64
+	allocs := testing.AllocsPerRun(200, func() {
+		sent++
+		if err := a.Send(1, seqMsg(uint64(sent))); err != nil {
+			t.Fatal(err)
+		}
+		for delivered.Load() < sent {
+			time.Sleep(10 * time.Microsecond)
+		}
+	})
+	if allocs != 4 {
+		t.Fatalf("sending and delivering one frame allocates %v times, want 4", allocs)
+	}
 }
 
 // BenchmarkMeshSend measures the TCP send path end to end (Send through

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,12 +47,16 @@ const (
 )
 
 // The handshake: the dialer sends its id and incarnation, the acceptor
-// answers its own, within handshakeTimeout.
+// answers its own.
 const (
-	helloLen         = 1 + 8
-	replyLen         = 8
-	handshakeTimeout = 5 * time.Second
+	helloLen = 1 + 8
+	replyLen = 8
 )
+
+// HandshakeTimeout bounds one dial attempt, connect and handshake together,
+// so a host that drops SYNs costs the caller seconds, not the kernel's
+// minutes-long SYN-retry budget. regclient bounds its connects by it too.
+const HandshakeTimeout = 5 * time.Second
 
 // DefaultQueueCap is the per-peer outbound queue bound: far above the
 // in-flight frame count a live peer ever accumulates under the closed-loop
@@ -378,15 +383,15 @@ type peer struct {
 	seenIn  bool           // an inbound handshake has completed before; under hs
 	readers sync.WaitGroup // handshaken inbound connections still being read; Add under hs
 
-	mu      sync.Mutex
-	cond    *sync.Cond // frames/write-turn availability
-	queue   []proto.Message
-	closed  bool
-	writing bool     // a goroutine (sender or inline Send) owns the conn's write side
-	conn    net.Conn // nil while down; handshaken under the current epoch
-	dialing net.Conn // the sender's handshake in progress, so a purge or close can break it
-	dialed  bool     // a connection has been established at least once
-	stats   MeshStats
+	mu       sync.Mutex
+	cond     *sync.Cond // frames/write-turn availability
+	queue    []proto.Message
+	closed   bool
+	writing  bool               // a goroutine (sender or inline Send) owns the conn's write side
+	conn     net.Conn           // nil while down; handshaken under the current epoch
+	stopDial context.CancelFunc // ends the sender's dial attempt in progress, so a purge or close can break it
+	dialed   bool               // a connection has been established at least once
+	stats    MeshStats
 	// epoch is bumped by every purge. A connection is bound to the epoch it
 	// handshook under and a batch to the one it was taken under
 	// (takenEpoch); neither outlives a bump, so a batch parked in the dial
@@ -489,16 +494,20 @@ func (p *peer) close() {
 	p.closed = true
 	p.stats.FramesDropped += int64(len(p.queue))
 	p.queue = p.queue[:0]
-	closeAll(p.conn, p.dialing)
+	conn, stop := p.conn, p.stopDial
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	breakLink(conn, stop)
 }
 
-func closeAll(conns ...net.Conn) {
-	for _, c := range conns {
-		if c != nil {
-			c.Close()
-		}
+// breakLink closes a connection and ends a dial attempt, either of which may
+// be absent.
+func breakLink(conn net.Conn, stopDial context.CancelFunc) {
+	if conn != nil {
+		conn.Close()
+	}
+	if stopDial != nil {
+		stopDial()
 	}
 }
 
@@ -516,14 +525,14 @@ func (p *peer) purge(restart bool) {
 	} else if p.owed > 0 {
 		p.owed--
 	}
-	conn, dialing := p.conn, p.dialing
+	conn, stop := p.conn, p.stopDial
 	p.conn = nil
 	p.mu.Unlock()
 	select {
 	case p.bumped <- struct{}{}:
 	default:
 	}
-	closeAll(conn, dialing)
+	breakLink(conn, stop)
 }
 
 // take blocks until frames are pending AND the write turn is free, then
@@ -594,23 +603,31 @@ func (p *peer) ensureConn() net.Conn {
 	return nil
 }
 
-// dial makes one attempt: TCP, the handshake, publication as p.conn. A dial
-// that straddles an epoch bump is never kept — it may have reached the
-// incarnation the bump replaced.
+// dial makes one attempt: TCP, the handshake, publication as p.conn. The
+// attempt's context ends it at any point: after HandshakeTimeout, or when a
+// purge or close cancels it (a peer that accepts but never answers, or
+// never accepts, cannot hold the sender). A dial that straddles an epoch
+// bump is never kept — it may have reached the incarnation the bump
+// replaced.
 func (p *peer) dial() net.Conn {
-	c, err := net.Dial("tcp", p.addr)
-	if err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), HandshakeTimeout)
+	defer cancel()
+	p.mu.Lock()
+	if p.closed || p.epoch != p.takenEpoch {
+		p.mu.Unlock()
 		return nil
 	}
-	p.mu.Lock()
-	void := p.closed || p.epoch != p.takenEpoch
-	if !void {
-		p.dialing = c
-	}
+	p.stopDial = cancel
 	p.mu.Unlock()
-	ok := !void && p.handshake(c)
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", p.addr)
+	ok := err == nil
+	if ok {
+		stop := context.AfterFunc(ctx, func() { c.Close() })
+		ok = p.handshake(c) && stop()
+	}
 	p.mu.Lock()
-	p.dialing = nil
+	p.stopDial = nil
 	if ok = ok && !p.closed && p.epoch == p.takenEpoch; ok {
 		p.conn = c
 		if p.dialed {
@@ -620,27 +637,26 @@ func (p *peer) dial() net.Conn {
 	}
 	p.mu.Unlock()
 	if !ok {
-		c.Close()
+		if c != nil {
+			c.Close()
+		}
 		return nil
 	}
 	return c
 }
 
-// handshake runs the dialer's half on c. A peer that accepts but never
-// answers is cut off by the deadline (and by purge and close, through
-// p.dialing).
+// handshake runs the dialer's half on c; dial's context closes c to cut it
+// off.
 func (p *peer) handshake(c net.Conn) bool {
 	var hello [helloLen]byte
 	hello[0] = byte(p.m.self)
 	binary.BigEndian.PutUint64(hello[1:], p.m.inc)
-	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := c.Write(hello[:]); err != nil {
 		return false
 	}
 	if _, err := io.ReadFull(c, hello[:replyLen]); err != nil {
 		return false
 	}
-	c.SetDeadline(time.Time{})
 	return p.learn(binary.BigEndian.Uint64(hello[:replyLen]), nil)
 }
 
