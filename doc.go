@@ -190,12 +190,13 @@
 // wire messages (internal/wire) feeding cluster.KeyedNode — the one
 // mailbox event loop every runtime shares (Cluster wires N of them in
 // memory around single-register processes; shard.Member puts one behind a
-// Mesh and a client port, which is what cmd/regnode deploys). The send path is pipelined per peer: Send
-// enqueues on the destination's bounded queue and a dedicated sender
-// goroutine drains everything queued per wakeup into a single conn.Write
-// (writev-style batching through one reused encode buffer), with an
-// inline fast path that writes a lone frame on the caller when the link
-// is idle. Dialing — jittered backoff, counted redials, each attempt
+// Mesh and a client port, which is what cmd/regnode deploys). The send
+// path is pipelined per peer: Send only enqueues on the destination's
+// bounded queue (or counts a drop when it is full), and a dedicated sender
+// goroutine, the one writer of that peer's connection, drains everything
+// queued per wakeup into a single conn.Write (writev-style batching through
+// one reused encode buffer), so a live peer that stops reading never holds
+// the caller. Dialing — jittered backoff, counted redials, each attempt
 // bounded by transport.HandshakeTimeout and cancelled by Close — lives on the
 // sender goroutine of the one peer concerned, so a dead peer's dial cycle
 // never head-of-line-blocks frames to live peers; its queue overflow is

@@ -52,7 +52,7 @@ type Session struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	fw      wire.ClientFrameWriter
+	wbuf    []byte // the request encode buffer, reused
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.ClientResponse
@@ -154,7 +154,11 @@ func (s *Session) roundTrip(op wire.ClientOp, key string, val []byte) (wire.Clie
 	s.mu.Unlock()
 
 	s.writeMu.Lock()
-	err := s.fw.WriteRequest(s.conn, wire.ClientRequest{ID: id, Op: op, Key: key, Val: val})
+	buf, err := transport.AppendFrame(s.wbuf[:0], wire.ClientRequest{ID: id, Op: op, Key: key, Val: val}, wire.AppendClientRequest)
+	s.wbuf = buf
+	if err == nil {
+		_, err = s.conn.Write(buf)
+	}
 	s.writeMu.Unlock()
 	if err != nil {
 		s.mu.Lock()

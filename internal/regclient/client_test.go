@@ -1,7 +1,6 @@
 package regclient
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -237,12 +236,11 @@ func TestSessionResponsesInOneSegment(t *testing.T) {
 			// first reqs whole, the last one cut in two — and then half of a
 			// response nobody completes.
 			frame := func(id uint64) []byte {
-				var fw wire.ClientFrameWriter
-				var b bytes.Buffer
-				if err := fw.WriteResponse(&b, wire.ClientResponse{ID: id, Status: wire.StatusOK, Val: []byte(fmt.Sprint("v", id))}); err != nil {
+				b, err := transport.AppendFrame(nil, wire.ClientResponse{ID: id, Status: wire.StatusOK, Val: []byte(fmt.Sprint("v", id))}, wire.AppendClientResponse)
+				if err != nil {
 					t.Error(err)
 				}
-				return b.Bytes()
+				return b
 			}
 			fr := transport.NewFrameReader(conn, wire.MaxClientFrame)
 			var burst []byte

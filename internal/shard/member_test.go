@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -122,11 +121,7 @@ func TestMemberCloseOrder(t *testing.T) {
 	members[1].Close()
 	members[2].Close()
 
-	conn, err := net.Dial("tcp", members[0].ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, members[0].ClientAddr())
 	sendReq(t, conn, wire.ClientRequest{ID: 7, Op: wire.ClientPut, Key: "k", Val: []byte("parked")})
 	within(t, 5*time.Second, "the request reaching the handler", func() { <-entered })
 
@@ -137,7 +132,7 @@ func TestMemberCloseOrder(t *testing.T) {
 	if got := members[0].SendErrors(); got != 0 {
 		t.Errorf("%d sends found the mesh closed: it must outlive the node", got)
 	}
-	if body, err := readFrame(conn); err == nil {
+	if body, err := conn.fr.Next(); err == nil {
 		// The response may be cut off by the session closing; if it made
 		// it out, it must tell the client to fail over.
 		if resp, err := wire.DecodeClientResponse(body); err != nil || resp.Status != wire.StatusUnavailable {

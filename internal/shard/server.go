@@ -119,8 +119,8 @@ type session struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	fw      wire.ClientFrameWriter
-	dead    bool // a response write failed; stop writing, let reads drain
+	wbuf    []byte // the response encode buffer, reused
+	dead    bool   // a response write failed; stop writing, let reads drain
 
 	reqs sync.WaitGroup // in-flight per-request goroutines
 }
@@ -199,7 +199,12 @@ func (c *session) respond(resp wire.ClientResponse) {
 	if c.dead {
 		return
 	}
-	if err := c.fw.WriteResponse(c.conn, resp); err != nil {
+	buf, err := transport.AppendFrame(c.wbuf[:0], resp, wire.AppendClientResponse)
+	c.wbuf = buf
+	if err == nil {
+		_, err = c.conn.Write(buf)
+	}
+	if err != nil {
 		c.dead = true
 		c.conn.Close()
 	}

@@ -1,15 +1,13 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
 
@@ -27,30 +25,44 @@ func serveTest(t *testing.T, shardIdx, nshards int, h Handler) *Server {
 	return srv
 }
 
-func sendReq(t *testing.T, conn net.Conn, req wire.ClientRequest) {
+// rawConn is a scripted client's connection: requests framed with
+// transport.AppendFrame, responses read through one transport.FrameReader,
+// as the production ends do.
+type rawConn struct {
+	net.Conn
+	fr *transport.FrameReader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
-	var fw wire.ClientFrameWriter
-	if err := fw.WriteRequest(conn, req); err != nil {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{Conn: conn, fr: transport.NewFrameReader(conn, wire.MaxClientFrame)}
+}
+
+// requestFrame frames one request.
+func requestFrame(t *testing.T, req wire.ClientRequest) []byte {
+	t.Helper()
+	b, err := transport.AppendFrame(nil, req, wire.AppendClientRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func sendReq(t *testing.T, conn *rawConn, req wire.ClientRequest) {
+	t.Helper()
+	if _, err := conn.Write(requestFrame(t, req)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// readFrame reads exactly one length-prefixed frame and not a byte more,
-// so tests can interleave it with other reads of the same connection (the
-// production ends read through a buffered wire.FrameReader instead).
-func readFrame(conn net.Conn) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
-	}
-	body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	_, err := io.ReadFull(conn, body)
-	return body, err
-}
-
-func readResp(t *testing.T, conn net.Conn) wire.ClientResponse {
+func readResp(t *testing.T, conn *rawConn) wire.ClientResponse {
 	t.Helper()
-	body, err := readFrame(conn)
+	body, err := conn.fr.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +95,7 @@ func TestSessionTeardownWaitsForInflight(t *testing.T) {
 		return []byte("late"), nil
 	})
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, srv.Addr())
 	sendReq(t, conn, wire.ClientRequest{ID: 1, Op: wire.ClientGet, Key: "k"})
 	<-entered
 	if got := srv.ActiveSessions(); got != 1 {
@@ -109,12 +118,9 @@ func TestSessionTeardownOnDisconnect(t *testing.T) {
 	srv := serveTest(t, 0, 1, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 		return nil, nil
 	})
-	conns := make([]net.Conn, 3)
+	conns := make([]*rawConn, 3)
 	for i := range conns {
-		c, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dialRaw(t, srv.Addr())
 		// Prove the session is live before counting it.
 		sendReq(t, c, wire.ClientRequest{ID: uint64(i + 1), Op: wire.ClientGet, Key: "k"})
 		readResp(t, c)
@@ -132,11 +138,7 @@ func TestServerWrongShard(t *testing.T) {
 	srv := serveTest(t, 1, 4, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 		return []byte("served"), nil
 	})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, srv.Addr())
 
 	// Find one key this shard owns and one it does not.
 	var owned, foreign string
@@ -171,11 +173,7 @@ func TestServerStatusMapping(t *testing.T) {
 			return nil, &ConfigError{Field: "x", Reason: "generic failure"}
 		}
 	})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, srv.Addr())
 
 	sendReq(t, conn, wire.ClientRequest{ID: 1, Op: wire.ClientGet, Key: "unavail"})
 	if resp := readResp(t, conn); resp.Status != wire.StatusUnavailable {
@@ -203,27 +201,19 @@ func TestServerDropsMalformedSession(t *testing.T) {
 	srv := serveTest(t, 0, 1, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 		return []byte("ok"), nil
 	})
-	bad, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
+	bad := dialRaw(t, srv.Addr())
 	if _, err := bad.Write([]byte{0, 0, 0, 2, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, bad); resp.Status != wire.StatusErr {
 		t.Fatalf("malformed frame: %+v", resp)
 	}
-	if _, err := readFrame(bad); err == nil {
+	if _, err := bad.fr.Next(); err == nil {
 		t.Fatal("session survived a malformed frame")
 	}
 	waitSessions(t, srv, 0)
 
-	good, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
+	good := dialRaw(t, srv.Addr())
 	sendReq(t, good, wire.ClientRequest{ID: 1, Op: wire.ClientGet, Key: "k"})
 	if resp := readResp(t, good); resp.Status != wire.StatusOK {
 		t.Fatalf("server unhealthy after dropping a bad session: %+v", resp)
@@ -242,27 +232,16 @@ func TestStartLocalSmoke(t *testing.T) {
 		t.Fatalf("shards=%d", got)
 	}
 
-	var fw wire.ClientFrameWriter
 	put := func(s, proc int, key, val string) wire.ClientResponse {
-		conn, err := net.Dial("tcp", lc.Member(s, proc).ClientAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := dialRaw(t, lc.Member(s, proc).ClientAddr())
 		defer conn.Close()
-		if err := fw.WriteRequest(conn, wire.ClientRequest{ID: 1, Op: wire.ClientPut, Key: key, Val: []byte(val)}); err != nil {
-			t.Fatal(err)
-		}
+		sendReq(t, conn, wire.ClientRequest{ID: 1, Op: wire.ClientPut, Key: key, Val: []byte(val)})
 		return readResp(t, conn)
 	}
 	get := func(s, proc int, key string) wire.ClientResponse {
-		conn, err := net.Dial("tcp", lc.Member(s, proc).ClientAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := dialRaw(t, lc.Member(s, proc).ClientAddr())
 		defer conn.Close()
-		if err := fw.WriteRequest(conn, wire.ClientRequest{ID: 2, Op: wire.ClientGet, Key: key}); err != nil {
-			t.Fatal(err)
-		}
+		sendReq(t, conn, wire.ClientRequest{ID: 2, Op: wire.ClientGet, Key: key})
 		return readResp(t, conn)
 	}
 
@@ -303,21 +282,12 @@ func TestServerRequestsInOneSegment(t *testing.T) {
 	srv := serveTest(t, 0, 1, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 		return []byte(key), nil
 	})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, srv.Addr())
 
 	const reqs = 32
 	var burst []byte
 	frame := func(id uint64) []byte {
-		var fw wire.ClientFrameWriter
-		var b bytes.Buffer
-		if err := fw.WriteRequest(&b, wire.ClientRequest{ID: id, Op: wire.ClientGet, Key: fmt.Sprintf("k%d", id)}); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+		return requestFrame(t, wire.ClientRequest{ID: id, Op: wire.ClientGet, Key: fmt.Sprintf("k%d", id)})
 	}
 	for id := uint64(1); id <= reqs; id++ {
 		burst = append(burst, frame(id)...)

@@ -14,14 +14,28 @@ var errEmptyFrame = errors.New("transport: zero-length frame")
 // two-bit frames (tens of bytes each), so the steady state never grows it.
 const frameBufSize = 16 << 10
 
-// FrameReader reads u32 big-endian length-prefixed frames — the framing of
-// the mesh, which the client protocol (internal/wire client frames) shares —
-// through one buffer. Every Read on the underlying stream takes whatever has
-// arrived, so a burst of frames written in one conn.Write costs its reader
-// one syscall rather than two per frame (header, then body), and a frame
-// split across writes reassembles. Anything else read from the stream — the
-// mesh's hello — must come through the same reader, or bytes
-// already buffered behind it are lost.
+// AppendFrame appends v to dst as one frame: a u32 big-endian length, then
+// the body enc appends. It and FrameReader are the one owner of that prefix,
+// for the mesh and the client protocol (internal/wire client frames) alike.
+// On error dst is returned unextended, so a batch being assembled keeps the
+// frames before it.
+func AppendFrame[T any](dst []byte, v T, enc func([]byte, T) ([]byte, error)) ([]byte, error) {
+	start := len(dst)
+	out, err := enc(append(dst, 0, 0, 0, 0), v)
+	if err != nil {
+		return dst, err
+	}
+	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return out, nil
+}
+
+// FrameReader reads the frames AppendFrame writes through one buffer. Every
+// Read on the underlying stream takes whatever has arrived, so a burst of
+// frames written in one conn.Write costs its reader one syscall rather than
+// two per frame (header, then body), and a frame split across writes
+// reassembles. Anything else read from the stream — the mesh's hello — must
+// come through the same reader, or bytes already buffered behind it are
+// lost.
 //
 // Not safe for concurrent use: one reader goroutine per connection.
 type FrameReader struct {

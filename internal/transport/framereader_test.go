@@ -14,20 +14,16 @@ import (
 	"twobitreg/internal/wire"
 )
 
-// frameStream encodes the given messages length-prefixed, the inbound wire
-// format.
+// frameStream frames the given messages as the mesh's sender does, the
+// inbound wire format.
 func frameStream(t testing.TB, msgs ...proto.Message) []byte {
 	t.Helper()
 	var buf []byte
 	for _, m := range msgs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		out, err := wire.Codec{}.AppendEncode(buf, m)
-		if err != nil {
+		var err error
+		if buf, err = AppendFrame(buf, m, wire.AppendEncode); err != nil {
 			t.Fatal(err)
 		}
-		binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-		buf = out
 	}
 	return buf
 }

@@ -272,6 +272,66 @@ func TestTCPDeadPeerDoesNotBlockLivePeers(t *testing.T) {
 	}
 }
 
+// TestTCPStalledPeerDoesNotBlockSend is the slow-peer regression test: a
+// live peer whose reader has stopped must cost Send nothing. Once the socket
+// buffers toward it fill, the sender goroutine waits in its write, the queue
+// fills behind it, and every further frame is dropped and counted; the
+// caller (in the served stack, a KeyedNode's event loop) never waits on the
+// socket.
+func TestTCPStalledPeerDoesNotBlockSend(t *testing.T) {
+	t.Parallel()
+	var (
+		delivered atomic.Int64
+		stalled   atomic.Bool
+		release   = make(chan struct{})
+	)
+	a, _ := meshPair(t, func(int, proto.Message) {
+		if stalled.Load() {
+			<-release
+		}
+		delivered.Add(1)
+	}, transport.WithQueueCap(8))
+	// Deferred calls run before the meshes' cleanups close them, so a Send
+	// stuck on the socket fails the test instead of hanging it.
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	if err := a.Send(1, seqMsg(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "link up", func() bool { return delivered.Load() == 1 })
+	stalled.Store(true)
+
+	const (
+		frameBytes = 256 << 10
+		frames     = 400 // 100 MiB, far past what the socket buffers hold
+	)
+	big := core.WriteMsg{Bit: 1, Val: make([]byte, frameBytes)}
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if err := a.Send(1, big); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		unblock()
+		<-sent
+		t.Fatalf("%d frames of %d KiB toward a peer that stopped reading did not return in 5s: Send waits on the socket",
+			frames, frameBytes>>10)
+	}
+	if st := a.Stats(); st.FramesDropped == 0 {
+		t.Fatalf("a stalled peer's queue overflow was not counted (stats: %v)", st)
+	}
+}
+
 // TestTCPSendPolicyDropNewest fills a tiny queue toward an unreachable
 // peer: Send must stay non-blocking and the overflow must be counted, not
 // silently vanish.

@@ -1,13 +1,17 @@
 // Package transport moves protocol messages between processes.
 //
-// It provides three carriers with one routing contract:
+// It provides two carriers:
 //
 //   - SimNet: deterministic virtual-time delivery over a sim.Scheduler, used
-//     for every quantitative experiment (exact Δ timing, seeded reordering).
-//   - Router/ChanRouter (channet.go): real-time in-memory delivery on
-//     goroutines, used by the cluster runtime and race-detector stress tests.
-//   - TCP listener/dialer helpers (tcpnet.go): length-framed delivery over
-//     loopback or real networks using the 2-bit wire codec.
+//     for every quantitative experiment and the schedule explorer (exact Δ
+//     timing, seeded reordering).
+//   - Mesh (tcpnet.go): one process's endpoint in a fully connected TCP
+//     cluster, delivering length-framed messages through an injected Codec
+//     (the two-bit wire codec, internal/wire) on connections opened by an
+//     incarnation handshake. It is what cmd/regnode and bench/ run.
+//
+// AppendFrame and FrameReader (frame.go) own the u32 length prefix that the
+// mesh and the client protocol share.
 package transport
 
 import (

@@ -17,18 +17,12 @@ import (
 
 // Codec serializes protocol messages for byte-stream transports. The
 // two-bit register's codec lives in internal/wire; injecting it here keeps
-// this package protocol-agnostic (and free of import cycles).
+// this package protocol-agnostic (and free of import cycles). AppendEncode
+// appends into a caller-owned buffer, so each peer's sender assembles a
+// whole batch of outbound frames in one reused buffer.
 type Codec interface {
-	Encode(msg proto.Message) ([]byte, error)
-	Decode(b []byte) (proto.Message, error)
-}
-
-// AppendCodec is the optional scratch-reuse extension of Codec: encoders
-// that can append into a caller-owned buffer let each peer's sender
-// assemble a whole batch of outbound frames in one reused buffer, with no
-// per-message allocation. wire.Codec implements it.
-type AppendCodec interface {
 	AppendEncode(dst []byte, msg proto.Message) ([]byte, error)
+	Decode(b []byte) (proto.Message, error)
 }
 
 // maxFrame bounds inbound frames against corrupt or malicious peers.
@@ -60,11 +54,11 @@ const HandshakeTimeout = 5 * time.Second
 
 // DefaultQueueCap is the per-peer outbound queue bound: far above the
 // in-flight frame count a live peer ever accumulates under the closed-loop
-// quorum protocols, so only dead or wedged peers ever fill it. A frame
+// quorum protocols, so only dead or stalled peers ever fill it. A frame
 // sent to a full queue is dropped and counted in MeshStats.FramesDropped:
 // the crash-fault model already tolerates losing messages to crashed
 // processes (quorums are majorities), and never blocking the caller is
-// what keeps one dead peer from stalling traffic to the rest.
+// what keeps one dead or stalled peer from stalling traffic to the rest.
 const DefaultQueueCap = 1024
 
 // meshConfig is the tunable behaviour, set via MeshOption.
@@ -115,26 +109,29 @@ func WithDialRetry(retries int, backoff time.Duration) MeshOption {
 //
 // # The send path
 //
-// Send enqueues the frame on the destination peer's bounded queue and
-// returns; each peer's dedicated sender goroutine drains *everything*
-// queued per wakeup into a single conn.Write (writev-style batching through
-// one reused encode buffer), so frames that accumulate while a write or a
-// redial is in flight share one syscall. Dialing — with jittered backoff
-// between attempts — happens on the sender goroutine of the one peer
-// concerned: a dead peer's redial cycle never delays frames to live peers,
-// and its queue overflow is dropped and counted instead of blocking the
-// caller. proto.Flusher-style coalescing composes: a flush burst handed to
-// Send in one event-loop step lands in one queue drain, hence one syscall
-// per peer.
+// Send enqueues the frame on the destination peer's bounded queue, or
+// counts it dropped when the queue is full, and returns; it never touches a
+// socket. Each peer's dedicated sender goroutine is the only writer of its
+// connection: it drains *everything* queued per wakeup into a single
+// conn.Write (writev-style batching through one reused encode buffer), so
+// frames that accumulate while a write or a redial is in flight share one
+// syscall. Dialing — with jittered backoff between attempts — happens on
+// that goroutine too, so neither a dead peer's redial cycle nor a live peer
+// that stops reading delays the caller or frames to other peers: either
+// one's queue overflow is dropped and counted. proto.Flusher-style
+// coalescing composes: a flush burst handed to Send in one event-loop step
+// lands in one queue drain, hence one syscall per peer.
 //
 // Delivery semantics are at-most-once: frames to one peer never duplicate
 // or interleave, and are FIFO within a connection's lifetime; frames
 // buffered or mid-write when a connection breaks (or queued beyond the
 // bound of a dead peer) are dropped, counted in MeshStats, never resent.
 // That is exactly the paper's crash model: reliable FIFO links between
-// live processes in the steady state, loss toward crashed ones. (Across a
-// forced reconnect the old connection's in-flight tail may drain
-// concurrently with the new connection's first frames — loss plus a
+// live processes in the steady state, loss toward crashed ones. A live peer
+// that stops reading until its queue fills loses frames the same way, which
+// is outside that model: the caller is never held, and the frames are the
+// price. (Across a forced reconnect the old connection's in-flight tail may
+// drain concurrently with the new connection's first frames — loss plus a
 // bounded reorder window, which the protocol's quorum retries and rejoin
 // re-anchor absorb.)
 type Mesh struct {
@@ -384,10 +381,9 @@ type peer struct {
 	readers sync.WaitGroup // handshaken inbound connections still being read; Add under hs
 
 	mu       sync.Mutex
-	cond     *sync.Cond // frames/write-turn availability
+	cond     *sync.Cond // signalled when frames are queued or the link closes
 	queue    []proto.Message
 	closed   bool
-	writing  bool               // a goroutine (sender or inline Send) owns the conn's write side
 	conn     net.Conn           // nil while down; handshaken under the current epoch
 	stopDial context.CancelFunc // ends the sender's dial attempt in progress, so a purge or close can break it
 	dialed   bool               // a connection has been established at least once
@@ -412,80 +408,27 @@ type peer struct {
 	rng    *rand.Rand
 	encBuf []byte
 	batch  []proto.Message
-
-	// inlineBuf is the inline fast path's encode scratch, guarded by the
-	// writing flag (exactly one writer at a time).
-	inlineBuf []byte
 }
 
-// enqueue applies the queue bound, then hands msg to the sender — or, when
-// the link is idle (connection up, nothing queued, no write in progress),
-// writes the single frame inline on the caller: the quiescent case keeps
-// synchronous-path latency, while any concurrency falls through to the
-// queue and gets drained in batches. Dialing never happens inline, so a
-// down peer costs its callers nothing.
+// enqueue applies the queue bound and hands msg to the sender. It never
+// touches the connection, so neither a down peer nor a live one that has
+// stopped reading can hold the caller: past the bound, frames are dropped
+// and counted.
 func (p *peer) enqueue(msg proto.Message) error {
 	p.mu.Lock()
-	if p.owed > 0 && !p.closed {
-		p.stats.FramesDropped++
-		p.mu.Unlock()
-		return nil
-	}
-	if !p.writing && len(p.queue) == 0 && p.conn != nil && !p.closed {
-		c := p.conn
-		p.writing = true
-		p.mu.Unlock()
-		p.writeInline(c, msg)
-		p.mu.Lock()
-		p.writing = false
-		if len(p.queue) > 0 || p.closed {
-			p.cond.Broadcast() // the sender parked while we held the write turn
-		}
-		p.mu.Unlock()
-		return nil
-	}
 	defer p.mu.Unlock()
-	if p.closed {
+	switch {
+	case p.closed:
 		return errors.New("transport: mesh closed")
-	}
-	if len(p.queue) >= p.m.cfg.queueCap {
+	case p.owed > 0 || len(p.queue) >= p.m.cfg.queueCap:
 		p.stats.FramesDropped++
 		return nil
 	}
 	p.queue = append(p.queue, msg)
 	if len(p.queue) == 1 {
-		p.cond.Broadcast() // wake the parked sender on empty -> non-empty
+		p.cond.Signal() // wake the parked sender on empty -> non-empty
 	}
 	return nil
-}
-
-// writeInline ships one frame on the caller's goroutine. The caller holds
-// the write turn (p.writing); a write error breaks the connection exactly
-// like the sender's path.
-func (p *peer) writeInline(c net.Conn, msg proto.Message) {
-	buf, err := p.appendFrame(p.inlineBuf[:0], msg)
-	p.inlineBuf = buf[:0]
-	if err != nil {
-		p.mu.Lock()
-		p.stats.FramesDropped++
-		p.mu.Unlock()
-		return
-	}
-	if _, err := c.Write(buf); err != nil {
-		p.breakConn(c)
-		p.mu.Lock()
-		p.stats.FramesDropped++
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Lock()
-	p.stats.ConnWrites++
-	p.stats.FramesSent++
-	p.stats.BytesSent += int64(len(buf))
-	if p.stats.MaxBatch < 1 {
-		p.stats.MaxBatch = 1
-	}
-	p.mu.Unlock()
 }
 
 // close wakes and terminates the sender; queued frames are dropped.
@@ -535,20 +478,17 @@ func (p *peer) purge(restart bool) {
 	breakLink(conn, stop)
 }
 
-// take blocks until frames are pending AND the write turn is free, then
-// claims the turn and drains the whole queue into p.batch. Holding the
-// turn from drain to flush keeps the inline fast path from jumping ahead
-// of (or interleaving with) a batch in flight.
+// take blocks until frames are pending, then drains the whole queue into
+// p.batch.
 func (p *peer) take() bool {
 	p.mu.Lock()
-	for (len(p.queue) == 0 || p.writing) && !p.closed {
+	for len(p.queue) == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
 		p.mu.Unlock()
 		return false
 	}
-	p.writing = true
 	p.batch = append(p.batch[:0], p.queue...)
 	p.takenEpoch = p.epoch
 	for i := range p.queue {
@@ -559,9 +499,10 @@ func (p *peer) take() bool {
 	return true
 }
 
-// run is the sender goroutine: drain, connect if needed, write the whole
-// batch, release the write turn, repeat. Connection failures drop the
-// affected frames (counted) and never propagate beyond this peer.
+// run is the sender goroutine, the only writer of the peer's connections:
+// drain, connect if needed, write the whole batch, repeat. Connection
+// failures drop the affected frames (counted) and never propagate beyond
+// this peer.
 func (p *peer) run() {
 	defer p.m.wg.Done()
 	for p.take() {
@@ -572,7 +513,6 @@ func (p *peer) run() {
 			lost = p.writeBatch(c)
 		}
 		p.mu.Lock()
-		p.writing = false
 		p.stats.FramesDropped += lost
 		p.mu.Unlock()
 	}
@@ -763,9 +703,10 @@ func (p *peer) writeBatch(c net.Conn) (lost int64) {
 		frames = 0
 		return true
 	}
+	enc := p.m.codec.AppendEncode
 	for i, msg := range p.batch {
 		var err error
-		buf, err = p.appendFrame(buf, msg)
+		buf, err = AppendFrame(buf, msg, enc)
 		if err != nil {
 			// Unencodable message: a programmer error surfaced as a counted
 			// drop rather than a poisoned connection.
@@ -786,26 +727,6 @@ func (p *peer) writeBatch(c net.Conn) (lost int64) {
 	}
 	p.encBuf = buf
 	return lost
-}
-
-// appendFrame appends one length-prefixed frame to dst.
-func (p *peer) appendFrame(dst []byte, msg proto.Message) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	if ac, ok := p.m.codec.(AppendCodec); ok {
-		out, err := ac.AppendEncode(dst, msg)
-		if err != nil {
-			return dst[:start], err
-		}
-		binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-		return out, nil
-	}
-	body, err := p.m.codec.Encode(msg)
-	if err != nil {
-		return dst[:start], err
-	}
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)))
-	return append(dst, body...), nil
 }
 
 // breakConn tears down the connection after a write error.

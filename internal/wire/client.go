@@ -6,7 +6,8 @@ package wire
 // "write <text>\n") that no node speaks any more; the leading version byte
 // is what tells such a peer, or a future revision, apart.
 //
-// Framing is the mesh's u32 big-endian length prefix; inside a frame:
+// Framing is the mesh's u32 length prefix (transport.AppendFrame writes it,
+// transport.FrameReader reads it); inside a frame:
 //
 //	request:  version, op, request id (u64), key len (u8), key,
 //	          value len (u32), value
@@ -24,7 +25,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"twobitreg/internal/regmap"
 )
@@ -232,42 +232,8 @@ func DecodeClientResponse(b []byte) (ClientResponse, error) {
 	return r, nil
 }
 
-// ClientFrameWriter writes length-prefixed client frames through one
-// reusable encode buffer (the client-protocol sibling of FrameWriter).
-// Not safe for concurrent use — sessions serialize writes.
-type ClientFrameWriter struct {
-	buf []byte
-}
-
-// WriteRequest encodes r and writes one frame in a single w.Write.
-func (fw *ClientFrameWriter) WriteRequest(w io.Writer, r ClientRequest) error {
-	buf, err := AppendClientRequest(append(fw.buf[:0], 0, 0, 0, 0), r)
-	fw.buf = buf
-	if err != nil {
-		return err
-	}
-	return fw.flush(w)
-}
-
-// WriteResponse encodes r and writes one frame in a single w.Write.
-func (fw *ClientFrameWriter) WriteResponse(w io.Writer, r ClientResponse) error {
-	buf, err := AppendClientResponse(append(fw.buf[:0], 0, 0, 0, 0), r)
-	fw.buf = buf
-	if err != nil {
-		return err
-	}
-	return fw.flush(w)
-}
-
-func (fw *ClientFrameWriter) flush(w io.Writer) error {
-	binary.BigEndian.PutUint32(fw.buf[:4], uint32(len(fw.buf)-4))
-	if _, err := w.Write(fw.buf); err != nil {
-		return fmt.Errorf("wire: write client frame: %w", err)
-	}
-	return nil
-}
-
 // MaxClientFrame bounds a client frame's body — the largest value plus
-// headroom for the header and key. Both ends of a session read their
-// connection through transport.NewFrameReader(conn, MaxClientFrame).
+// headroom for the header and key. Both ends of a session write frames with
+// transport.AppendFrame and read their connection through
+// transport.NewFrameReader(conn, MaxClientFrame).
 const MaxClientFrame = MaxValueLen + 1024

@@ -133,22 +133,28 @@ func TestClientDecodeCopies(t *testing.T) {
 	}
 }
 
+// TestClientFrameWriterAndReader: client frames written through
+// transport.AppendFrame come back out of transport.FrameReader in order.
 func TestClientFrameWriterAndReader(t *testing.T) {
-	var buf bytes.Buffer
-	var fw ClientFrameWriter
+	var stream []byte
 	wantReqs := []ClientRequest{
 		{ID: 1, Op: ClientPut, Key: "a", Val: []byte("first")},
 		{ID: 2, Op: ClientGet, Key: "b"},
 	}
+	var err error
 	for _, r := range wantReqs {
-		if err := fw.WriteRequest(&buf, r); err != nil {
+		if stream, err = transport.AppendFrame(stream, r, AppendClientRequest); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fw.WriteResponse(&buf, ClientResponse{ID: 2, Status: StatusOK, Val: []byte("v")}); err != nil {
+	if stream, err = transport.AppendFrame(stream, ClientResponse{ID: 2, Status: StatusOK, Val: []byte("v")}, AppendClientResponse); err != nil {
 		t.Fatal(err)
 	}
-	fr := transport.NewFrameReader(&buf, MaxClientFrame)
+	before := len(stream)
+	if stream, err = transport.AppendFrame(stream, ClientRequest{ID: 3, Op: ClientGet}, AppendClientRequest); err == nil || len(stream) != before {
+		t.Fatalf("an unencodable request: %v, stream %d -> %d bytes; want an error and the stream unextended", err, before, len(stream))
+	}
+	fr := transport.NewFrameReader(bytes.NewReader(stream), MaxClientFrame)
 	for _, want := range wantReqs {
 		body, err := fr.Next()
 		if err != nil {

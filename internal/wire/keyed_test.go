@@ -8,6 +8,7 @@ import (
 	"twobitreg/internal/core"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
+	"twobitreg/internal/transport"
 )
 
 // TestKeyedRoundTrip round-trips keyed frames over every inner message
@@ -127,18 +128,14 @@ func TestKeyedRejects(t *testing.T) {
 }
 
 // TestKeyedFrameWriteRead pushes a keyed multi-frame through the stream
-// framing (WriteFrame/ReadFrame).
+// framing (transport.AppendFrame / FrameReader).
 func TestKeyedFrameWriteRead(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
 	m := regmap.MultiMsg{Frames: []regmap.KeyedMsg{
 		{Key: "cfg/a", Inner: core.LaneMsg{Writer: 1, M: core.WriteMsg{Bit: 0, Val: proto.Value("v1")}}},
 		{Key: "cfg/b", Inner: core.ReadMsg{}},
 	}}
-	if err := WriteFrame(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
+	got, err := readFrame(transport.NewFrameReader(bytes.NewReader(frameStream(t, m)), MaxValueLen))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"twobitreg/internal/core"
 	"twobitreg/internal/proto"
@@ -76,10 +75,7 @@ const (
 // so they stay protocol-agnostic).
 type Codec struct{}
 
-// Encode implements the codec interface.
-func (Codec) Encode(msg proto.Message) ([]byte, error) { return Encode(msg) }
-
-// AppendEncode implements the transport's optional scratch-reuse interface.
+// AppendEncode implements the codec interface.
 func (Codec) AppendEncode(dst []byte, msg proto.Message) ([]byte, error) {
 	return AppendEncode(dst, msg)
 }
@@ -100,8 +96,8 @@ const MaxValueLen = 1 << 24
 func Encode(msg proto.Message) ([]byte, error) { return AppendEncode(nil, msg) }
 
 // AppendEncode appends msg's encoding to dst and returns the extended
-// slice, so senders on a hot path (the TCP mesh's per-link frame writer)
-// can reuse one scratch buffer across messages instead of allocating per
+// slice, so senders on a hot path (the TCP mesh's per-link sender) can
+// reuse one scratch buffer across messages instead of allocating per
 // encode. On error dst is returned unextended.
 func AppendEncode(dst []byte, msg proto.Message) ([]byte, error) {
 	switch m := msg.(type) {
@@ -388,54 +384,4 @@ func decodeKeyedInner(b []byte) (proto.Message, error) {
 		return nil, fmt.Errorf("wire: keyed frames do not nest (header %#x inside a keyed frame)", b[0])
 	}
 	return Decode(b)
-}
-
-// WriteFrame writes one length-prefixed message to w.
-func WriteFrame(w io.Writer, msg proto.Message) error {
-	var fw FrameWriter
-	return fw.WriteFrame(w, msg)
-}
-
-// FrameWriter writes length-prefixed messages through one reusable encode
-// buffer: the length header and body are assembled in place and shipped in
-// a single Write. Senders that keep a FrameWriter per link (or per mutex-
-// serialized sender, like the TCP mesh) take frame encoding off the heap.
-// Not safe for concurrent use.
-type FrameWriter struct {
-	buf []byte
-}
-
-// WriteFrame encodes msg into the writer's buffer and writes one frame.
-func (fw *FrameWriter) WriteFrame(w io.Writer, msg proto.Message) error {
-	buf := append(fw.buf[:0], 0, 0, 0, 0)
-	buf, err := AppendEncode(buf, msg)
-	fw.buf = buf
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed message from r.
-func ReadFrame(r io.Reader) (proto.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, ErrTruncated
-	}
-	if n > MaxValueLen {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read frame body: %w", err)
-	}
-	return Decode(body)
 }

@@ -2,12 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"twobitreg/internal/core"
 	"twobitreg/internal/proto"
+	"twobitreg/internal/regmap"
+	"twobitreg/internal/transport"
 )
 
 func TestRoundTripAllTypes(t *testing.T) {
@@ -117,22 +121,39 @@ func TestDecodeRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
+// frameStream frames msgs the way the mesh's sender does.
+func frameStream(t *testing.T, msgs ...proto.Message) []byte {
+	t.Helper()
+	var stream []byte
+	for _, m := range msgs {
+		var err error
+		if stream, err = transport.AppendFrame(stream, m, AppendEncode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return stream
+}
+
+// readFrame is the mesh's receive step: one frame off the reader, decoded.
+func readFrame(fr *transport.FrameReader) (proto.Message, error) {
+	body, err := fr.Next()
+	if err != nil {
+		return nil, err
+	}
+	return Decode(body)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
 	in := []proto.Message{
 		core.WriteMsg{Bit: 1, Val: proto.Value("v1")},
 		core.ReadMsg{},
 		core.ProceedMsg{},
 		core.WriteMsg{Bit: 0, Val: proto.Value("v2")},
 	}
-	for _, m := range in {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fr := transport.NewFrameReader(bytes.NewReader(frameStream(t, in...)), MaxValueLen)
 	for _, want := range in {
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(fr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,16 +161,15 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame order: got %s, want %s", got.TypeName(), want.TypeName())
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := readFrame(fr); err != io.EOF {
 		t.Fatalf("draining empty stream: %v, want io.EOF", err)
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
+	fr := transport.NewFrameReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), MaxValueLen)
+	if _, err := readFrame(fr); err == nil {
 		t.Fatal("accepted oversized frame")
 	}
 }
@@ -245,5 +265,58 @@ func TestLaneFrameRejects(t *testing.T) {
 	}
 	if _, err := Encode(core.LaneCompactMsg{Writer: 0, Count: 1}); err == nil {
 		t.Fatal("encoder accepted a count-1 compact frame")
+	}
+}
+
+// TestBatchBoundsMatchWireCounts pins each batch bound the emitters split
+// at to the one-byte count that carries it: a lane batch and a compact frame
+// of core.MaxBatchEntries entries, and a keyed multi-frame of
+// regmap.MaxMultiFrames subframes, round-trip; one more is refused.
+func TestBatchBoundsMatchWireCounts(t *testing.T) {
+	t.Parallel()
+	vals := func(n int) []proto.Value {
+		out := make([]proto.Value, n)
+		for i := range out {
+			out[i] = proto.Value{byte(i)}
+		}
+		return out
+	}
+	frames := func(n int) []regmap.KeyedMsg {
+		out := make([]regmap.KeyedMsg, n)
+		for i := range out {
+			out[i] = regmap.KeyedMsg{Key: fmt.Sprint("k", i), Inner: core.ReadMsg{}}
+		}
+		return out
+	}
+	const entries, subframes = core.MaxBatchEntries, regmap.MaxMultiFrames
+	for _, tc := range []struct {
+		name      string
+		atBound   proto.Message
+		pastBound proto.Message
+	}{
+		{"lane batch",
+			core.LaneBatchMsg{Writer: 1, Bit: 1, Vals: vals(entries)},
+			core.LaneBatchMsg{Writer: 1, Bit: 1, Vals: vals(entries + 1)}},
+		{"lane compact",
+			core.LaneCompactMsg{Writer: 1, Count: entries, Val: proto.Value("pad")},
+			core.LaneCompactMsg{Writer: 1, Count: entries + 1, Val: proto.Value("pad")}},
+		{"keyed multi",
+			regmap.MultiMsg{Frames: frames(subframes)},
+			regmap.MultiMsg{Frames: frames(subframes + 1)}},
+	} {
+		b, err := Encode(tc.atBound)
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", tc.name, err)
+		}
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%s at the bound: decode: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.atBound) {
+			t.Fatalf("%s at the bound did not round-trip", tc.name)
+		}
+		if _, err := Encode(tc.pastBound); err == nil {
+			t.Fatalf("%s one past the bound encoded", tc.name)
+		}
 	}
 }
