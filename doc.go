@@ -134,15 +134,18 @@
 //
 // internal/regmap multiplexes many named registers over one process set —
 // the read-dominated keyed store the paper's conclusion targets — and is
-// built entirely on the lane engine. Each key carries its own writer set
+// built entirely on the lane engine. Every key runs the same two-bit
+// multi-writer register, core.NewMWMR with one lane per process, and writes
+// run its READ/PROCEED freshness round per key. A writer set is an
+// admission check, not a lane layout: each key carries one
 // (regmap.Config.Writers per key, or DefaultWriters — every process unless
-// set — validated through proto.ValidateWriters), and every key runs the
-// two-bit multi-writer register restricted to its writer set
-// (core.WithMWWriters), one writer or many, so a process hosts one lane per
-// (key, writer) rather than per (key, process). Writes run the
-// READ/PROCEED freshness round per key, and writes through an out-of-set
-// process fail with cluster.ErrNotWriter — per key — at the runtime's
-// client boundary, before the protocol sees them.
+// set — validated through proto.ValidateWriters), and a write through an
+// out-of-set process fails with cluster.ErrNotWriter at the runtime's
+// client boundary, before the protocol sees it. A restricted key is then
+// an unrestricted key whose other members never write: their lanes stay
+// empty and cost no frame. A peer frame the register cannot take (a lane
+// address outside 0..n-1, a type it does not speak) is dropped and counted
+// by regmap.Node.Deliver, never a panic on the event loop.
 //
 // On the wire a message is the register's own frame wrapped with its key
 // (KeyedMsg). The census stays honest under multiplexing: key bytes (like
@@ -288,7 +291,6 @@
 //   - twobit-mwmr — the multi-writer lane-engine register (batched frames)
 //   - regmap-mwmr — the 50-key coalescing keyed store
 //   - regmap-mwmr-wide — the 200-key acceptance configuration
-//   - regmap-mwmr-restricted — per-key writer sets with rejected writes
 //   - abd — the unbounded ABD SWMR baseline
 //   - abd-mwmr — the multi-writer ABD baseline
 //   - bounded-abd — the bounded-ABD cost comparator (phased engine)

@@ -42,11 +42,6 @@ type Op struct {
 	// (e.g. the invoker crashed). A pending write may or may not have
 	// taken effect; a pending read constrains nothing.
 	Completed bool
-	// Rejected marks an operation the store refused without running the
-	// protocol (a write outside its key's writer set). It terminated but
-	// never took effect, so it constrains nothing; judges must exclude it
-	// (see Effective).
-	Rejected bool
 }
 
 // History is a set of operations ordered by the recorder's clock.
@@ -54,30 +49,6 @@ type History struct {
 	Ops []Op
 	// Initial is v0, the register value before any write.
 	Initial proto.Value
-}
-
-// Effective returns h without its rejected operations — the sub-history the
-// atomicity oracles must judge (a rejected write never entered the
-// register, so treating it as a real write would fabricate both values and
-// writer processes). When nothing was rejected, h is returned unchanged
-// with its backing intact.
-func Effective(h History) History {
-	rejected := 0
-	for i := range h.Ops {
-		if h.Ops[i].Rejected {
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		return h
-	}
-	out := History{Initial: h.Initial, Ops: make([]Op, 0, len(h.Ops)-rejected)}
-	for _, op := range h.Ops {
-		if !op.Rejected {
-			out.Ops = append(out.Ops, op)
-		}
-	}
-	return out
 }
 
 // Recorder captures a concurrent history. It is safe for concurrent use.

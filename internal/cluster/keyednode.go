@@ -243,10 +243,6 @@ func (nd *KeyedNode) run() {
 				continue
 			}
 			delete(replies, d.Op)
-			if d.Rejected {
-				reply <- result{err: fmt.Errorf("%w: process %d", ErrNotWriter, nd.id)}
-				continue
-			}
 			reply <- result{c: d}
 		}
 	}

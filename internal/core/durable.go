@@ -167,8 +167,7 @@ func (p *MWProc) AttachStorage(s storage.StableStorage) {
 		panic(fmt.Sprintf("core: process %d already has storage attached", p.id))
 	}
 	p.store = s
-	for k, l := range p.lanes {
-		w := p.writers[k]
+	for w, l := range p.lanes {
 		l.OnAppend(func(index int, v proto.Value) {
 			s.Append(storage.Record{Lane: w, Index: index, Val: v})
 			p.dirty = true
@@ -192,8 +191,8 @@ func (p *MWProc) Recover(s storage.StableStorage) error {
 
 // RecoverRecord replays one durable lane append onto its writer's lane.
 func (p *MWProc) RecoverRecord(rec storage.Record) error {
-	if rec.Lane < 0 || rec.Lane >= p.n || p.laneIdx[rec.Lane] < 0 {
-		return fmt.Errorf("core: process %d replaying record for unknown lane %d (writer set %v)", p.id, rec.Lane, p.writers)
+	if rec.Lane < 0 || rec.Lane >= p.n {
+		return fmt.Errorf("core: process %d replaying record for unknown lane %d of %d", p.id, rec.Lane, p.n)
 	}
 	// A register with a past has forgotten who was waiting on it, so none
 	// of its links starts out lazy: what it recovered is the restart
@@ -201,7 +200,7 @@ func (p *MWProc) RecoverRecord(rec storage.Record) error {
 	for j := range p.serving {
 		p.serving[j] = j != p.id
 	}
-	return p.lanes[p.laneIdx[rec.Lane]].RecoverAppend(rec.Index, rec.Val)
+	return p.lanes[rec.Lane].RecoverAppend(rec.Index, rec.Val)
 }
 
 // PeerRestarted resets every lane's link to `peer` (and drops freshness
@@ -231,9 +230,9 @@ func (p *MWProc) PeerRestarted(peer int) proto.Effects {
 		kept = append(kept, ps)
 	}
 	p.pendingSyncs = kept
-	for k, l := range p.lanes {
+	for w, l := range p.lanes {
 		if l.Top() > 0 {
-			l.ShipBacklog(peer, p.emitLane(p.writers[k]))
+			l.ShipBacklog(peer, p.emitLane(w))
 		}
 	}
 	p.drain(&eff)

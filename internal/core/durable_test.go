@@ -294,12 +294,12 @@ func TestRecoverRecordValidation(t *testing.T) {
 		t.Fatal("keyed record accepted by bare register")
 	}
 
-	mw := NewMWMR(0, 3, WithMWWriters([]int{0, 2}))
-	if err := mw.RecoverRecord(storage.Record{Lane: 1, Index: 1, Val: proto.Value("x")}); err == nil {
-		t.Fatal("record for non-writer lane accepted")
+	mw := NewMWMR(0, 3)
+	if err := mw.RecoverRecord(storage.Record{Lane: 3, Index: 1, Val: proto.Value("x")}); err == nil {
+		t.Fatal("record for a lane past n accepted")
 	}
 	if err := mw.RecoverRecord(storage.Record{Lane: 2, Index: 1, Val: proto.Value("x")}); err != nil {
-		t.Fatalf("valid writer-set record rejected: %v", err)
+		t.Fatalf("valid lane record rejected: %v", err)
 	}
 }
 

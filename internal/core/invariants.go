@@ -135,8 +135,8 @@ func CheckGlobalInvariants(procs []*Proc) error {
 // full set of multi-writer processes: every writer's stream must satisfy the
 // same lemmas the SWMR proof establishes, with that writer as the lane
 // owner. Like CheckGlobalInvariants it is a between-steps probe for the
-// simulator. Restricted writer sets (WithMWWriters) check one stream per
-// writer-set member.
+// simulator. Every process owns a lane, so every process's stream is
+// checked; a stream nobody wrote is checked empty.
 func CheckMWGlobalInvariants(procs []*MWProc) error {
 	var c InvariantChecker
 	return c.CheckMWMR(procs)
@@ -169,9 +169,9 @@ func (c *InvariantChecker) CheckMWMR(procs []*MWProc) error {
 		return nil
 	}
 	lanes := c.scratch(len(procs))
-	for k, w := range procs[0].writers {
+	for w := range procs[0].lanes {
 		for i, p := range procs {
-			lanes[i] = p.lanes[k]
+			lanes[i] = p.lanes[w]
 		}
 		if err := laneInvariants(lanes, w); err != nil {
 			return fmt.Errorf("lane %d: %w", w, err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"twobitreg/internal/proto"
 	"twobitreg/internal/storage"
@@ -67,16 +66,10 @@ type MWProc struct {
 	id, n int
 	opts  mwOptions
 
-	// writers are the lane owners, sorted ascending; laneIdx maps a pid to
-	// its position in writers (-1 for non-writers). The default writer set
-	// is every process; WithMWWriters restricts it, so a process hosts one
-	// lane per (register, writer) rather than per (register, process) —
-	// what keyed stores multiplexing many registers rely on.
-	writers []int
-	laneIdx []int
-
-	// lanes[k] carries writers[k]'s value stream; lanes[laneIdx[id]] is this
-	// process's own (when it is a writer).
+	// lanes[w] carries p_w's value stream, one lane per process;
+	// lanes[id] is this process's own. Who may write is the harness's
+	// admission rule (regmap's writer sets): a process that never writes
+	// leaves its lane empty, which costs no frame.
 	lanes []*Lane
 
 	// rSync[j] counts PROCEED() messages received from p_j; rSync[id]
@@ -150,7 +143,6 @@ type mwOp struct {
 type mwOptions struct {
 	initial proto.Value
 	fault   MWFault
-	writers []int
 }
 
 // MWOption configures the multi-writer register.
@@ -159,18 +151,6 @@ type MWOption func(*mwOptions)
 // WithMWInitial sets v0, the register's initial value (default nil).
 func WithMWInitial(v proto.Value) MWOption {
 	return func(o *mwOptions) { o.initial = v.Clone() }
-}
-
-// WithMWWriters restricts the register's writer set (default: every
-// process). Only members may StartWrite; every process still hosts one lane
-// per writer and participates in every quorum, but freshness vectors, lane
-// scans and message volume shrink from n lanes to len(writers) — the saving
-// a keyed store with per-key writer sets multiplexes across thousands of
-// keys. The set is validated through proto.ValidateWriters; constructors
-// panic on an invalid set (harness layers validate first and return typed
-// errors).
-func WithMWWriters(writers []int) MWOption {
-	return func(o *mwOptions) { o.writers = append([]int(nil), writers...) }
 }
 
 // MWFault selects a deliberately broken variant of the multi-writer
@@ -230,38 +210,19 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 	for _, op := range opts {
 		op(&o)
 	}
-	writers := o.writers
-	if len(writers) == 0 {
-		writers = make([]int, n)
-		for i := range writers {
-			writers[i] = i
-		}
-	} else {
-		if err := proto.ValidateWriters(n, writers); err != nil {
-			panic(err.Error())
-		}
-		writers = append([]int(nil), writers...)
-		sort.Ints(writers)
-	}
 	p := &MWProc{
 		id:      id,
 		n:       n,
 		opts:    o,
-		writers: writers,
-		laneIdx: make([]int, n),
-		lanes:   make([]*Lane, len(writers)),
+		lanes:   make([]*Lane, n),
 		rSync:   make([]int, n),
 		serving: make([]bool, n),
 	}
-	for i := range p.laneIdx {
-		p.laneIdx[i] = -1
-	}
-	for k, w := range writers {
-		p.laneIdx[w] = k
-		p.lanes[k] = NewLane(id, n, o.initial, false)
-		p.lanes[k].EnablePipelining()
-		p.lanes[k].ForwardWhereServed(w, p.serving)
-		p.lanes[k].resendRuns = o.fault == MWFaultRunResend
+	for w := range p.lanes {
+		p.lanes[w] = NewLane(id, n, o.initial, false)
+		p.lanes[w].EnablePipelining()
+		p.lanes[w].ForwardWhereServed(w, p.serving)
+		p.lanes[w].resendRuns = o.fault == MWFaultRunResend
 	}
 	return p
 }
@@ -406,8 +367,8 @@ func (p *MWProc) serve(j int) {
 		return
 	}
 	p.serving[j] = true
-	for k, l := range p.lanes {
-		emit := p.emitLane(p.writers[k])
+	for w, l := range p.lanes {
+		emit := p.emitLane(w)
 		for to := 0; to < p.n; to++ {
 			if to != p.id && (to == j || j == p.id) {
 				l.ShipBacklog(to, emit)
@@ -436,9 +397,6 @@ func (p *MWProc) broadcastSync(eff *proto.Effects) int {
 func (p *MWProc) StartWrite(op proto.OpID, v proto.Value) proto.Effects {
 	if p.cur != nil {
 		panic(fmt.Sprintf("core: process %d invoked write while a %s is in flight (processes are sequential)", p.id, p.cur.kind))
-	}
-	if p.laneIdx[p.id] < 0 {
-		panic(fmt.Sprintf("core: process %d invoked write outside the writer set %v (harnesses must reject such writes first)", p.id, p.writers))
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
@@ -550,14 +508,14 @@ func (p *MWProc) Deliver(from int, msg proto.Message) proto.Effects {
 
 // lane validates and returns writer w's lane (w is the owner's pid).
 func (p *MWProc) lane(w int) *Lane {
-	if w < 0 || w >= p.n || p.laneIdx[w] < 0 {
-		panic(fmt.Sprintf("core: process %d received lane message for unknown writer %d (writer set %v)", p.id, w, p.writers))
+	if w < 0 || w >= p.n {
+		panic(fmt.Sprintf("core: process %d received lane message for unknown writer %d of %d", p.id, w, p.n))
 	}
-	return p.lanes[p.laneIdx[w]]
+	return p.lanes[w]
 }
 
-// ownLane returns this process's own lane; only writers have one.
-func (p *MWProc) ownLane() *Lane { return p.lanes[p.laneIdx[p.id]] }
+// ownLane returns this process's own lane.
+func (p *MWProc) ownLane() *Lane { return p.lanes[p.id] }
 
 // tornBit computes entry i's parity. With MWFaultTornBatch active on a
 // frame of three or more entries, the surviving tail is re-sequenced
@@ -577,10 +535,10 @@ func (p *MWProc) tornBit(bit uint8, i, count int) uint8 {
 func (p *MWProc) drain(eff *proto.Effects) {
 	for progress := true; progress; {
 		progress = false
-		for k, l := range p.lanes {
+		for w, l := range p.lanes {
 			// A delivery parks on one lane; the rest have nothing to drain
 			// and are skipped before their emit closure is built.
-			if l.Parked() > 0 && l.Drain(p.emitLane(p.writers[k])) {
+			if l.Parked() > 0 && l.Drain(p.emitLane(w)) {
 				progress = true
 			}
 		}
@@ -689,7 +647,7 @@ func (p *MWProc) advanceOp(eff *proto.Effects) bool {
 			op := p.cur
 			p.cur = nil
 			// Line 10 analog: last-writer-wins over (index, owner pid).
-			// Lanes are sorted by owner pid, so >= keeps the highest pid
+			// Lanes are indexed by owner pid, so >= keeps the highest pid
 			// among equal indices.
 			u := 0
 			for k := 1; k < len(p.lanes); k++ {
@@ -743,12 +701,6 @@ func (p *MWProc) LocalMemoryBits() int {
 
 // --- introspection for tests and invariant checkers ---
 
-// Writers returns the writer set (lane owners), sorted ascending.
-func (p *MWProc) Writers() []int { return append([]int(nil), p.writers...) }
-
-// IsWriter reports whether pid belongs to the writer set.
-func (p *MWProc) IsWriter(pid int) bool { return pid >= 0 && pid < p.n && p.laneIdx[pid] >= 0 }
-
 // LaneTop returns this process's own index on writer w's lane.
 func (p *MWProc) LaneTop(w int) int { return p.lane(w).Top() }
 
@@ -757,6 +709,9 @@ func (p *MWProc) LaneWSync(w, j int) int { return p.lane(w).WSync(j) }
 
 // LaneHistAt returns history[x] on writer w's lane (x must be retained).
 func (p *MWProc) LaneHistAt(w, x int) proto.Value { return p.lane(w).HistAt(x) }
+
+// LaneRetained returns the number of history entries writer w's lane holds.
+func (p *MWProc) LaneRetained(w int) int { return p.lane(w).Retained() }
 
 // MsgsSent returns the number of messages this process has emitted.
 // Batched frames count as one message each, however many entries they

@@ -23,7 +23,7 @@ func (h *mwHarness) round() int {
 // owedAnywhere sums LaneOwed over every lane of p toward peer j.
 func owedAnywhere(p *MWProc, j int) int {
 	owed := 0
-	for _, w := range p.Writers() {
+	for w := 0; w < p.n; w++ {
 		owed += p.LaneOwed(w, j)
 	}
 	return owed

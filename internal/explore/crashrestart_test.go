@@ -132,7 +132,7 @@ func TestWALEarlyReleaseCaught(t *testing.T) {
 	if sw := sweep("mut-wal-earlyrelease"); len(sw.Failures) == 0 {
 		t.Fatalf("mut-wal-earlyrelease survived %d crashrestart schedules", sw.Runs)
 	}
-	caughtByToken(t, "xb1:mut-wal-earlyrelease:crashrestart:14:5:30:0.6:1:3", "mut-wal-earlyrelease")
+	caughtByToken(t, "xb1:mut-wal-earlyrelease:crashrestart:11:5:30:0.6:1:3", "mut-wal-earlyrelease")
 	for _, f := range sweep("regmap-mwmr").Failures {
 		t.Errorf("correct keyed store failed the same sweep: %s: %s", f.Token, f.Violation())
 	}

@@ -200,12 +200,6 @@ type Result struct {
 	// schedule actually interleaved its writer streams.
 	WriterProcs   int `json:"writer_procs,omitempty"`
 	WriteOverlaps int `json:"write_overlaps,omitempty"`
-	// RejectedWrites counts writes the store refused at a writer-set
-	// boundary (regmap's ErrNotWriter, surfaced as Rejected completions).
-	// They terminate without effect and are excluded from the judged
-	// history; a non-zero count is evidence a schedule crossed the
-	// boundary, not a failure.
-	RejectedWrites int `json:"rejected_writes,omitempty"`
 	// Invariant is the first proof-invariant violation (two-bit register
 	// runs only).
 	Invariant string `json:"invariant_violation,omitempty"`
@@ -409,12 +403,12 @@ func Run(s Schedule) (Result, error) {
 		queues[w.PID] = append(queues[w.PID], proto.OpID(i+1))
 	}
 	next := make([]int, s.N)
-	completions := make(map[proto.OpID]struct {
-		at       float64
-		val      proto.Value
-		rounds   int
-		rejected bool
-	})
+	type completion struct {
+		at     float64
+		val    proto.Value
+		rounds int
+	}
+	completions := make(map[proto.OpID]completion)
 
 	col := &metrics.Collector{}
 	var net *transport.SimNet
@@ -585,12 +579,7 @@ func Run(s Schedule) (Result, error) {
 	}
 	opts = append(opts,
 		transport.WithCompletion(func(pid int, c proto.Completion, at float64) {
-			completions[c.Op] = struct {
-				at       float64
-				val      proto.Value
-				rounds   int
-				rejected bool
-			}{at, c.Value, c.Rounds, c.Rejected}
+			completions[c.Op] = completion{at, c.Value, c.Rounds}
 			completedCount++
 			if !strat.phaseCrash && !strat.proceedCrash {
 				for victim, trig := range victims {
@@ -698,14 +687,10 @@ func Run(s Schedule) (Result, error) {
 		if c, ok := completions[rec.ID]; ok {
 			rec.Completed = true
 			rec.Res = c.at
-			rec.Rejected = c.rejected
 			if info.kind == proto.OpRead {
 				rec.Value = c.val
 			}
 			res.Completed++
-			if c.rejected {
-				res.RejectedWrites++
-			}
 			switch info.kind {
 			case proto.OpRead:
 				readN++
@@ -731,11 +716,7 @@ func Run(s Schedule) (Result, error) {
 		}
 		h.Ops = append(h.Ops, rec)
 	}
-	// Rejected writes stay in the recorded history (and fingerprint) but
-	// never entered a register: the judged history excludes them, and so
-	// does the writer-interleaving evidence.
-	eh := check.Effective(h)
-	res.WriterProcs, res.WriteOverlaps = writerInterleaving(eh)
+	res.WriterProcs, res.WriteOverlaps = writerInterleaving(h)
 	if readN > 0 {
 		res.ReadRounds = readRounds / float64(readN)
 		res.ReadLatency = readLat / float64(readN)
@@ -751,25 +732,16 @@ func Run(s Schedule) (Result, error) {
 		// each key's sub-history must linearize on its own. The exhaustive
 		// cross-check is skipped — it reasons about one register.
 		res.Checker = "per-key"
-		res.Atomicity = judgePerKey(ka, eh)
+		res.Atomicity = judgePerKey(ka, h)
 	} else {
-		judge := check.For(eh)
-		if writeFollowsPendingWrite(eh) {
-			// A crashed-and-revived writer leaves a forever-pending write
-			// followed by its successor incarnation's writes. The Lemma-10
-			// characterisation requires a sequential never-crashed writer
-			// and rejects that shape as a precondition violation; the
-			// cluster checker judges it per the atomicity definition (a
-			// pending write may take effect if read, or never).
-			judge = check.MWMR()
-		}
+		judge := judgeFor(h)
 		res.Checker = judge.Name()
-		fastErr := judge.Check(eh)
+		fastErr := judge.Check(h)
 		if fastErr != nil {
 			res.Atomicity = fastErr.Error()
 		}
-		if eligible := linEligibleOps(eh); eligible > 0 && eligible <= maxCrossCheckOps {
-			linErr := check.CheckLinearizable(eh)
+		if eligible := linEligibleOps(h); eligible > 0 && eligible <= maxCrossCheckOps {
+			linErr := check.CheckLinearizable(h)
 			if (fastErr != nil) != (linErr != nil) {
 				res.CrossCheck = fmt.Sprintf("oracles disagree on a %d-op history: %s=%v lin=%v", eligible, judge.Name(), fastErr, linErr)
 			}
@@ -787,10 +759,23 @@ type keyedAlgorithm interface {
 	KeyOf(op proto.OpID) int
 }
 
-// judgePerKey checks each key's sub-history with the size-appropriate fast
-// oracle (check.For: SWMR characterisation or the MWMR cluster checker,
-// depending on how many processes wrote that key). It returns the first
-// violation, or "".
+// judgeFor picks h's fast oracle: check.For (the SWMR characterisation or
+// the MWMR cluster checker, depending on how many processes wrote), except
+// for a crashed-and-revived writer. That leaves a forever-pending write
+// followed by its successor incarnation's writes; the Lemma-10
+// characterisation requires a sequential never-crashed writer and rejects
+// the shape as a precondition violation, while the cluster checker judges
+// it per the atomicity definition (a pending write may take effect if read,
+// or never).
+func judgeFor(h check.History) check.Checker {
+	if writeFollowsPendingWrite(h) {
+		return check.MWMR()
+	}
+	return check.For(h)
+}
+
+// judgePerKey checks each key's sub-history with judgeFor's oracle. It
+// returns the first violation, or "".
 func judgePerKey(ka keyedAlgorithm, h check.History) string {
 	byKey := make(map[int][]check.Op)
 	for _, op := range h.Ops {
@@ -804,12 +789,7 @@ func judgePerKey(ka keyedAlgorithm, h check.History) string {
 	sort.Ints(keys)
 	for _, k := range keys {
 		sub := check.History{Ops: byKey[k]}
-		judge := check.For(sub)
-		if writeFollowsPendingWrite(sub) {
-			// See Run: a crashed-and-revived writer's key needs the
-			// cluster checker.
-			judge = check.MWMR()
-		}
+		judge := judgeFor(sub)
 		if err := judge.Check(sub); err != nil {
 			return fmt.Sprintf("key %d (%s): %v", k, judge.Name(), err)
 		}

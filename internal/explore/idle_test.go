@@ -104,7 +104,7 @@ func TestIdleProcessSweepClean(t *testing.T) {
 	}
 	for _, c := range []struct{ n, writers, clients int }{{5, 2, 2}, {5, 2, 3}, {7, 3, 3}, {7, 2, 4}} {
 		sw, err := Sweep(SweepSpec{
-			Algs: []string{"twobit-mwmr", "regmap-mwmr", "regmap-mwmr-restricted"},
+			Algs: []string{"twobit-mwmr", "regmap-mwmr"},
 			N:    c.n, Ops: 40, ReadFrac: 0.4, Crashes: 2, Writers: c.writers, Skew: 10, Clients: c.clients,
 			Budget: 60, Seed0: 1,
 		})

@@ -53,26 +53,6 @@ func buildRegistry() map[string]proto.Algorithm {
 			regmap.Config{Coalesce: true}),
 		"regmap-mwmr-wide": regmap.NewKeyedAlgorithm("regmap-mwmr-wide", 200,
 			regmap.Config{Coalesce: true}),
-		// The writer-restricted keyed store: key k may be written by every
-		// process EXCEPT k mod n (threaded through regmap.Config.Writers),
-		// so any multi-writer workload steadily crosses the ErrNotWriter
-		// boundary. Rejected writes complete as Rejected (the schedule
-		// continues past them), are counted in Result.RejectedWrites, and
-		// are excluded from the judged history.
-		"regmap-mwmr-restricted": regmap.NewRestrictedKeyedAlgorithm("regmap-mwmr-restricted", 50,
-			regmap.Config{Coalesce: true},
-			func(k, n int) []int {
-				if n == 1 {
-					return []int{0}
-				}
-				ws := make([]int, 0, n-1)
-				for p := 0; p < n; p++ {
-					if p != k%n {
-						ws = append(ws, p)
-					}
-				}
-				return ws
-			}),
 		"bounded-abd": phased.Algorithm(phased.BoundedABD()),
 		"attiya":      phased.Algorithm(phased.Attiya()),
 		// The phased engine in its minimal configuration (1 write phase,
@@ -146,9 +126,10 @@ func buildRegistry() map[string]proto.Algorithm {
 			regmap.Config{Coalesce: true, Fault: regmap.FaultDropMultiTail}),
 		// The group-commit cheat (regmap.FaultEarlyRelease): a crash
 		// between a step and its flush tick loses records a peer already
-		// processed — only crashrestart sees it. Three keys, not fifty:
-		// the probes skip a key the revived process no longer hosts.
-		"mut-wal-earlyrelease": regmap.NewKeyedAlgorithm("mut-wal-earlyrelease", 3,
+		// processed — only crashrestart sees it. Fifty keys, regmap-mwmr's
+		// shape: the probes check a key the revived process no longer
+		// hosts as an empty register there.
+		"mut-wal-earlyrelease": regmap.NewKeyedAlgorithm("mut-wal-earlyrelease", 50,
 			regmap.Config{Coalesce: true, Fault: regmap.FaultEarlyRelease}),
 	}
 }
@@ -163,18 +144,17 @@ func mwmrCapable() map[string]bool {
 }
 
 var mwmrCapableSet = map[string]bool{
-	"abd-mwmr":               true,
-	"twobit-mwmr":            true,
-	"regmap-mwmr":            true,
-	"regmap-mwmr-wide":       true,
-	"regmap-mwmr-restricted": true,
-	"mut-mwmr-stale":         true,
-	"mut-twobit-mwmr":        true,
-	"mut-lane-batch":         true,
-	"mut-lane-resend":        true,
-	"mut-lane-coldread":      true,
-	"mut-regmap-frame":       true,
-	"mut-wal-earlyrelease":   true,
+	"abd-mwmr":             true,
+	"twobit-mwmr":          true,
+	"regmap-mwmr":          true,
+	"regmap-mwmr-wide":     true,
+	"mut-mwmr-stale":       true,
+	"mut-twobit-mwmr":      true,
+	"mut-lane-batch":       true,
+	"mut-lane-resend":      true,
+	"mut-lane-coldread":    true,
+	"mut-regmap-frame":     true,
+	"mut-wal-earlyrelease": true,
 }
 
 // MWMRCapable reports whether the named algorithm supports concurrent

@@ -179,51 +179,3 @@ func TestRegmapCoalescingProducesMultiFrames(t *testing.T) {
 		t.Fatalf("entries %d <= frames %d — cross-key coalescing never merged a burst", r.Entries, r.Msgs)
 	}
 }
-
-// TestRegmapRestrictedWriterSets drives schedules across the ErrNotWriter
-// boundary: under regmap-mwmr-restricted, key k refuses writes from process
-// k mod n, so a multi-writer workload steadily collides with the writer
-// sets. Rejected writes must complete as Rejected (the schedule continues
-// past them), surface in Result.RejectedWrites, stay in the recorded
-// history — and NOT trip the per-key checkers or the liveness probes,
-// because the judged history excludes them.
-func TestRegmapRestrictedWriterSets(t *testing.T) {
-	t.Parallel()
-	sawRejection := false
-	for seed := int64(1); seed <= 6; seed++ {
-		s := Schedule{
-			Alg: "regmap-mwmr-restricted", Strategy: "race", Seed: seed,
-			N: 5, Ops: 60, ReadFrac: 0.5, Writers: 3,
-		}
-		r, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Failed() {
-			t.Fatalf("seed %d failed: %s (token %s)", seed, r.Violation(), r.Token)
-		}
-		if r.Checker != "per-key" {
-			t.Fatalf("restricted store judged by %q, want the per-key checker pass", r.Checker)
-		}
-		if r.RejectedWrites > 0 {
-			sawRejection = true
-			// Rejected writes terminated: they count as completed, not
-			// stalled, so liveness stays clean above.
-			if r.Completed < r.RejectedWrites {
-				t.Fatalf("seed %d: %d rejected writes but only %d completions", seed, r.RejectedWrites, r.Completed)
-			}
-		}
-		// The boundary crossings are part of the deterministic replay.
-		r2, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r2.Fingerprint != r.Fingerprint || r2.RejectedWrites != r.RejectedWrites {
-			t.Fatalf("seed %d replay diverged: fingerprint %s vs %s, rejected %d vs %d",
-				seed, r.Fingerprint, r2.Fingerprint, r.RejectedWrites, r2.RejectedWrites)
-		}
-	}
-	if !sawRejection {
-		t.Fatal("no schedule crossed a writer-set boundary — the restriction is not being exercised")
-	}
-}

@@ -97,19 +97,13 @@ type Completion struct {
 	// Value is the value returned by a read; nil for writes (and for reads
 	// returning the nil initial value).
 	Value Value
-	// Rejected marks an operation the store refused without running the
-	// protocol — a write through a process outside the key's writer set
-	// (regmap's ErrNotWriter boundary). A rejected operation terminated
-	// (its invoker may proceed) but never took effect: atomicity checkers
-	// must exclude it from the judged history.
-	Rejected bool
 	// Rounds counts the quorum-wait phases the operation passed through —
 	// the round complexity the fast-read comparison measures. A phase counts
 	// whether or not it had to park (it is protocol structure, not timing):
 	// the two-bit read is always 2 (the PROCEED round plus the line-9
 	// confirm), its fast-path variant 1 when the confirm is skipped, ABD
 	// reads 2 (query + write-back). Zero means the operation completed
-	// locally (a writer-local read, a rejected write) or the protocol
+	// locally (a writer-local read) or the protocol
 	// predates the metric.
 	Rounds int
 }

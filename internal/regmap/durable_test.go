@@ -2,6 +2,8 @@ package regmap
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"twobitreg/internal/core"
@@ -562,8 +564,11 @@ func TestNodeNonCoalescingCommitsPerStep(t *testing.T) {
 
 // TestVolatileNodeAllocsUnchanged guards the storage-less path: the commit
 // point costs it one branch per step and no allocation. The pinned counts
-// are those of the commit that ran every key on the multi-writer register;
-// "Start" is a whole read, which completes on one peer's PROCEED.
+// are those of the commit that ran every key on the multi-writer register,
+// less one each: Deliver no longer lets its argument escape, so this test's
+// boxing of a KeyedMsg literal stays on the stack (frames off the wire come
+// boxed by the decoder either way). "Start" is a whole read, which
+// completes on one peer's PROCEED.
 func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 	nd, err := NewNode(0, Config{N: 3, Coalesce: true})
 	if err != nil {
@@ -575,13 +580,13 @@ func TestVolatileNodeAllocsUnchanged(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"Start", 7, func() {
+		{"Start", 6, func() {
 			op++
 			nd.Start("k", op, proto.OpRead, nil)
 			nd.Deliver(1, KeyedMsg{Key: "k", Inner: core.ProceedMsg{}})
 			nd.Flush()
 		}},
-		{"Deliver+Flush", 2, func() {
+		{"Deliver+Flush", 1, func() {
 			nd.Deliver(1, KeyedMsg{Key: "k", Inner: core.ReadMsg{}})
 			nd.Flush()
 		}},
@@ -649,5 +654,59 @@ func TestNodeRestartCoversKeysCreatedLater(t *testing.T) {
 	}
 	if got := nodes[2].MW("new").LaneSent(0, 3); got != 0 {
 		t.Fatalf("p2 -> p3 saw no restart yet carried %d indices", got)
+	}
+}
+
+// TestKeyStateGrowsWithHistory pins today's unbounded growth at n=3: after
+// each of N sequential writes to one key by p0, every node retains v0 plus
+// every written value on the writer's lane and v0 on the other two (N+3
+// entries), and its FileWAL holds one 20-byte record per write (16-byte
+// header, 1-byte key, 3-byte value). Nothing compacts a served key's lanes
+// or truncates its log, so both numbers grow with history; a bound on
+// either belongs in this table. The store runs uncoalesced here — coalescing
+// changes framing only, not what a register retains or logs.
+func TestKeyStateGrowsWithHistory(t *testing.T) {
+	const n = 3
+	dir := t.TempDir()
+	nodes := make([]*Node, n)
+	paths := make([]string, n)
+	for i := range nodes {
+		nd, err := NewNode(i, Config{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("p%d.wal", i))
+		wal, err := storage.OpenFileWAL(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { wal.Close() })
+		nd.AttachStorage(wal)
+		nodes[i] = nd
+	}
+	m := newKeyedMesh(t, nodes)
+	op := proto.OpID(0)
+	for _, row := range []struct {
+		writes, retained int
+		walBytes         int64
+	}{{10, 13, 200}, {20, 23, 400}, {40, 43, 800}} {
+		for op < proto.OpID(row.writes) {
+			op++
+			m.start(0, "k", op, proto.OpWrite, proto.Value(fmt.Sprintf("v%02d", op)))
+		}
+		for i, nd := range nodes {
+			retained := 0
+			for w := 0; w < n; w++ {
+				retained += nd.MW("k").LaneRetained(w)
+			}
+			fi, err := os.Stat(paths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if retained != row.retained || fi.Size() != row.walBytes {
+				t.Errorf("after %d writes p%d retains %d entries and logs %d bytes, want %d and %d",
+					row.writes, i, retained, fi.Size(), row.retained, row.walBytes)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package regmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"twobitreg/internal/core"
 	"twobitreg/internal/proto"
@@ -14,36 +14,22 @@ import (
 // (KeyOf, a deterministic modulo spread), so one key-less workload drives a
 // mixed many-key workload and judges can split the history back per key.
 //
-// The writer sets come from the Config template; its N is ignored (the
+// The store options come from the Config template; its N is ignored (the
 // harness's n applies).
 type KeyedAlgorithm struct {
-	name     string
-	keys     int
-	tmpl     Config
-	restrict func(key, n int) []int
+	name string
+	keys int
+	tmpl Config
 }
 
 // NewKeyedAlgorithm builds the adapter: name registers it, keys is the
-// key-space size, tmpl carries the store options (Coalesce, Fault, writer
-// sets; N is ignored).
+// key-space size, tmpl carries the store options (Coalesce, Fault; N is
+// ignored).
 func NewKeyedAlgorithm(name string, keys int, tmpl Config) KeyedAlgorithm {
 	if keys < 1 {
 		panic(fmt.Sprintf("regmap: keyed algorithm %q needs at least 1 key, got %d", name, keys))
 	}
 	return KeyedAlgorithm{name: name, keys: keys, tmpl: tmpl}
-}
-
-// NewRestrictedKeyedAlgorithm is NewKeyedAlgorithm with per-key writer-set
-// enforcement: restrict(k, n) computes key k's writer set for an n-process
-// cluster, and New threads the resulting table through Config.Writers. A
-// write whose invoking process is outside its key's set completes
-// immediately as Rejected (the ErrNotWriter boundary), without running the
-// protocol — so key-less harnesses can drive schedules across rejection
-// boundaries and still judge the accepted operations.
-func NewRestrictedKeyedAlgorithm(name string, keys int, tmpl Config, restrict func(key, n int) []int) KeyedAlgorithm {
-	a := NewKeyedAlgorithm(name, keys, tmpl)
-	a.restrict = restrict
-	return a
 }
 
 // Name implements proto.Algorithm.
@@ -65,12 +51,6 @@ func (a KeyedAlgorithm) KeyName(k int) string { return fmt.Sprintf("k%04d", k) }
 func (a KeyedAlgorithm) New(id, n, _ int) proto.Process {
 	cfg := a.tmpl
 	cfg.N = n
-	if a.restrict != nil {
-		cfg.Writers = make(map[string][]int, a.keys)
-		for k := 0; k < a.keys; k++ {
-			cfg.Writers[a.KeyName(k)] = a.restrict(k, n)
-		}
-	}
 	sh, err := newShared(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("regmap: keyed algorithm %q: %v", a.name, err))
@@ -98,19 +78,9 @@ func (p *KeyedProc) StartRead(op proto.OpID) proto.Effects {
 	return p.node.Start(p.alg.KeyName(p.alg.KeyOf(op)), op, proto.OpRead, nil)
 }
 
-// StartWrite implements proto.Process; the write targets KeyOf(op). A
-// write through a process outside the key's writer set does not reach the
-// protocol: it completes immediately with Rejected set — the ErrNotWriter
-// boundary, surfaced as a terminated-but-ineffective operation so the
-// invoking process's schedule continues past it.
+// StartWrite implements proto.Process; the write targets KeyOf(op).
 func (p *KeyedProc) StartWrite(op proto.OpID, v proto.Value) proto.Effects {
-	key := p.alg.KeyName(p.alg.KeyOf(op))
-	if !p.node.IsWriter(key, p.node.ID()) {
-		var eff proto.Effects
-		eff.Done = append(eff.Done, proto.Completion{Op: op, Kind: proto.OpWrite, Rejected: true})
-		return eff
-	}
-	return p.node.Start(key, op, proto.OpWrite, v)
+	return p.node.Start(p.alg.KeyName(p.alg.KeyOf(op)), op, proto.OpWrite, v)
 }
 
 // LocalMemoryBits implements proto.Process.
@@ -132,55 +102,60 @@ func (p *KeyedProc) RequiresFIFOLinks() bool { return true }
 func (p *KeyedProc) Node() *Node { return p.node }
 
 // CheckKeyedInvariants runs the multi-writer lane proof invariants per key
-// across a full set of keyed processes, for every key every process
-// currently hosts (lazily created registers appear at a process on first
-// contact; a key someone has not seen yet is skipped — its invariants are
-// vacuous there).
+// across a full set of keyed processes, for every key any process hosts.
+// Registers are created lazily, on first contact, and a revived process
+// hosts only the keys its log named; a process that does not host a key is
+// checked as what it holds of it, an empty register.
 func CheckKeyedInvariants(procs []*KeyedProc) error {
 	var c KeyedInvariantChecker
 	return c.Check(procs)
 }
 
-// KeyedInvariantChecker is CheckKeyedInvariants with reusable scratch: the
-// sorted key list (keys are only ever added, so it refreshes only when the
-// reference node hosts a new key) and the per-key process slice both
-// amortize across post-delivery probes. Not safe for concurrent use; the
-// zero value is ready.
+// KeyedInvariantChecker is CheckKeyedInvariants with reusable scratch that
+// amortizes across post-delivery probes: the sorted union of hosted keys,
+// rescanned only at a process whose node or key count changed since the
+// last probe (a node only ever adds keys; a revival replaces the node), the
+// empty stand-in registers, and the per-key process slice. Not safe for
+// concurrent use; the zero value is ready.
 type KeyedInvariantChecker struct {
-	ic   core.InvariantChecker
-	keys []string
-	mws  []*core.MWProc
+	ic     core.InvariantChecker
+	keys   []string
+	seen   []*Node
+	hosted []int
+	empty  []*core.MWProc
+	mws    []*core.MWProc
 }
 
 // Check runs CheckKeyedInvariants with this checker's scratch.
 func (c *KeyedInvariantChecker) Check(procs []*KeyedProc) error {
-	if len(procs) == 0 {
+	n := len(procs)
+	if n == 0 {
 		return nil
 	}
-	nd := procs[0].node
-	if len(c.keys) != len(nd.regs) {
-		c.keys = c.keys[:0]
-		for k := range nd.regs {
-			c.keys = append(c.keys, k)
+	if len(c.empty) != n {
+		*c = KeyedInvariantChecker{seen: make([]*Node, n), hosted: make([]int, n), mws: make([]*core.MWProc, n)}
+		for i := range procs {
+			c.empty = append(c.empty, core.NewMWMR(i, n))
 		}
-		sort.Strings(c.keys)
 	}
-	if cap(c.mws) < len(procs) {
-		c.mws = make([]*core.MWProc, len(procs))
-	}
-	for _, key := range c.keys {
-		mws := c.mws[:0]
-		for _, p := range procs {
-			mw := p.node.MW(key)
-			if mw == nil {
-				break
-			}
-			mws = append(mws, mw)
-		}
-		if len(mws) != len(procs) {
+	for i, p := range procs {
+		if c.seen[i] == p.node && c.hosted[i] == len(p.node.regs) {
 			continue
 		}
-		if err := c.ic.CheckMWMR(mws); err != nil {
+		c.seen[i], c.hosted[i] = p.node, len(p.node.regs)
+		for k := range p.node.regs {
+			if at, ok := slices.BinarySearch(c.keys, k); !ok {
+				c.keys = slices.Insert(c.keys, at, k)
+			}
+		}
+	}
+	for _, key := range c.keys {
+		for i, p := range procs {
+			if c.mws[i] = p.node.MW(key); c.mws[i] == nil {
+				c.mws[i] = c.empty[i]
+			}
+		}
+		if err := c.ic.CheckMWMR(c.mws); err != nil {
 			return fmt.Errorf("key %s: %w", key, err)
 		}
 	}

@@ -40,6 +40,9 @@ type Node struct {
 	// (PeerRestarted). A register created afterwards inherits the reset: the
 	// restart is the node's, whichever keys it hosted at the time.
 	reset []bool
+
+	// dropped counts peer frames refused at Deliver.
+	dropped int
 }
 
 // reg is one key's register instance plus the per-key client queue
@@ -100,11 +103,12 @@ func (nd *Node) IsWriter(key string, pid int) bool {
 }
 
 // reg returns (creating if needed) the register instance for key: the
-// multi-writer register with one lane per (key, writer).
+// multi-writer register with one lane per (key, process). The key's writer
+// set is admission only (Start); the register is the same for every key.
 func (nd *Node) reg(key string) *reg {
 	r, ok := nd.regs[key]
 	if !ok {
-		r = &reg{mw: core.NewMWMR(nd.id, nd.sh.n, core.WithMWWriters(nd.sh.writersFor(key)))}
+		r = &reg{mw: core.NewMWMR(nd.id, nd.sh.n)}
 		if nd.store != nil {
 			r.mw.AttachStorage(keyStore{key: key, nd: nd})
 			for peer, was := range nd.reset {
@@ -138,7 +142,10 @@ func (nd *Node) Start(key string, op proto.OpID, kind proto.OpKind, val proto.Va
 
 // Deliver hands the node a message from peer `from`: a KeyedMsg routes to
 // its key's register, a MultiMsg unpacks subframe by subframe (in order —
-// coalescing preserves per-link frame order).
+// coalescing preserves per-link frame order). A frame the register cannot
+// take — unkeyed, an inner type it does not speak, or a lane address
+// outside 0..n-1 — is a peer's bad input, not a harness bug: it is dropped
+// and counted (Dropped) instead of reaching the register's panics.
 func (nd *Node) Deliver(from int, msg proto.Message) proto.Effects {
 	out := proto.Effects{Sends: nd.sends[:0]}
 	defer func() { nd.sends = out.Sends }()
@@ -154,16 +161,41 @@ func (nd *Node) Deliver(from int, msg proto.Message) proto.Effects {
 			nd.deliverKeyed(from, f, &out)
 		}
 	default:
-		panic(fmt.Sprintf("regmap: process %d received foreign message %T", nd.id, msg))
+		nd.dropped++
 	}
 	nd.endStep(&out)
 	return out
 }
 
 func (nd *Node) deliverKeyed(from int, m KeyedMsg, out *proto.Effects) {
+	if !nd.takes(m.Inner) {
+		nd.dropped++
+		return
+	}
 	r := nd.reg(m.Key)
 	nd.pump(m.Key, r, r.mw.Deliver(from, m.Inner), out)
 }
+
+// takes reports whether a key's register takes inner from a peer: one of
+// the messages it speaks, with a lane address in 0..n-1.
+func (nd *Node) takes(inner proto.Message) bool {
+	w := 0
+	switch m := inner.(type) {
+	case core.ReadMsg, core.ProceedMsg:
+	case core.LaneMsg:
+		w = m.Writer
+	case core.LaneBatchMsg:
+		w = m.Writer
+	case core.LaneCompactMsg:
+		w = m.Writer
+	default:
+		return false
+	}
+	return w >= 0 && w < nd.sh.n
+}
+
+// Dropped counts the peer frames Deliver refused (see Deliver).
+func (nd *Node) Dropped() int { return nd.dropped }
 
 // pump absorbs one register's effects — wrapping sends with the key,
 // surfacing completions — and starts queued client operations freed by
@@ -285,8 +317,8 @@ func (nd *Node) MW(key string) *core.MWProc {
 // READ, restart or full frame will carry. Introspection for tests.
 func (nd *Node) Owed(peer int) int {
 	owed := 0
-	for key, r := range nd.regs {
-		for _, w := range nd.sh.writersFor(key) {
+	for _, r := range nd.regs {
+		for w := 0; w < nd.sh.n; w++ {
 			owed += r.mw.LaneOwed(w, peer)
 		}
 	}

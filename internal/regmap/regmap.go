@@ -3,10 +3,11 @@
 // read-dominated application the paper's conclusion targets.
 //
 // Each key is an independent instance of the multi-writer register
-// (core.MWProc) restricted to the key's writer set (core.WithMWWriters), so
-// each process hosts one alternating-bit lane per (key, writer) and writes
-// run the READ/PROCEED freshness round per key. A key with one writer is
-// the same register with one lane.
+// (core.MWProc), so each process hosts one alternating-bit lane per (key,
+// process) and writes run the READ/PROCEED freshness round per key. A key's
+// writer set (Config) is admission only: writes through other processes are
+// refused before they start (Node.IsWriter, cluster.ErrNotWriter), so their
+// lanes stay empty. A key with one writer is the same register.
 //
 // On the wire, a message is the register's own two-bit message wrapped with
 // its key (KeyedMsg), so the per-register control information is still

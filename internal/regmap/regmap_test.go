@@ -11,6 +11,7 @@ import (
 	"twobitreg/internal/metrics"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
+	"twobitreg/internal/wire"
 )
 
 // store is the keyed store as a running system: one regmap.Node per
@@ -222,6 +223,61 @@ func TestStoreRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestNodeDropsFramesItCannotTake: the wire decodes frames no register of an
+// n-process store can take — a lane address at or past n, a bare unkeyed
+// frame, a keyed frame whose inner type the register does not speak. A
+// peer's bad frame must not panic the node's event loop: Deliver drops and
+// counts it, delivers the good subframes of a multi-frame, and the node
+// goes on serving.
+func TestNodeDropsFramesItCannotTake(t *testing.T) {
+	t.Parallel()
+	const n = 3
+	nd, err := regmap.NewNode(0, regmap.Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := func(w int) proto.Message {
+		return core.LaneMsg{Writer: w, M: core.WriteMsg{Bit: 1, Val: proto.Value("v")}}
+	}
+	bad := []proto.Message{
+		regmap.KeyedMsg{Key: "k", Inner: lane(n)},
+		regmap.KeyedMsg{Key: "k", Inner: core.LaneCompactMsg{Writer: 255, Bit: 1, Count: 2, Val: proto.Value("v")}},
+		regmap.KeyedMsg{Key: "k", Inner: core.LaneBatchMsg{Writer: n + 1, Bit: 1, Vals: []proto.Value{{1}, {2}}}},
+		regmap.KeyedMsg{Key: "k", Inner: core.WriteMsg{Bit: 1, Val: proto.Value("v")}},
+		core.ReadMsg{},
+		lane(1),
+		regmap.MultiMsg{Frames: []regmap.KeyedMsg{
+			{Key: "m", Inner: core.ReadMsg{}},
+			{Key: "m", Inner: lane(7)},
+		}},
+	}
+	for _, m := range bad {
+		b, err := wire.Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		got, err := wire.Decode(b)
+		if err != nil {
+			t.Fatalf("the wire refuses %T (%v); this test wants frames a peer can send", m, err)
+		}
+		nd.Deliver(1, got)
+	}
+	if got, want := nd.Dropped(), len(bad); got != want {
+		t.Fatalf("Dropped() = %d, want %d (every bad frame, and the multi-frame's bad subframe)", got, want)
+	}
+	if keys := fmt.Sprint(nd.Keys()); keys != "[m]" {
+		t.Fatalf("hosted keys %s, want [m]: only the good subframe may create a register", keys)
+	}
+	// The node still serves: a peer's freshness request is answered.
+	eff := nd.Deliver(1, regmap.KeyedMsg{Key: "k", Inner: core.ReadMsg{}})
+	if len(eff.Sends) != 1 || eff.Sends[0].To != 1 {
+		t.Fatalf("READ after the bad frames produced %v, want one PROCEED to p1", eff.Sends)
+	}
+	if m, ok := eff.Sends[0].Msg.(regmap.KeyedMsg); !ok || m.Inner != (core.ProceedMsg{}) {
+		t.Fatalf("READ answered with %v, want a keyed PROCEED", eff.Sends[0].Msg)
+	}
+}
+
 func TestStoreStopUnblocksPending(t *testing.T) {
 	t.Parallel()
 	s := newStore(t, 3)
@@ -254,13 +310,18 @@ func TestStoreDefaultAdmitsEveryWriter(t *testing.T) {
 	}
 }
 
-// TestStoreSingleWriterKeyRunsTheRegister: a key with one writer is the
-// same multi-writer register with one lane, not a second register type.
+// TestStoreSingleWriterKeyRunsTheRegister: a key with one writer runs the
+// same n-lane register as every other key. The writer set is admission
+// only: a write through another process fails with ErrNotWriter before it
+// reaches the register, so only the writer's lane ever holds a value.
 func TestStoreSingleWriterKeyRunsTheRegister(t *testing.T) {
 	t.Parallel()
 	s := startStore(t, regmap.Config{N: 3, Writers: map[string][]int{"solo": {1}}}, nil)
 	if err := s.WriteVia(1, "solo", []byte("one")); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.WriteVia(0, "solo", []byte("x")); !errors.Is(err, cluster.ErrNotWriter) {
+		t.Fatalf("p0 write to solo: %v, want ErrNotWriter", err)
 	}
 	v, err := s.Read(0, "solo")
 	if err != nil || string(v) != "one" {
@@ -272,8 +333,13 @@ func TestStoreSingleWriterKeyRunsTheRegister(t *testing.T) {
 		if mw == nil {
 			t.Fatalf("p%d hosts no register for the single-writer key", pid)
 		}
-		if ws := mw.Writers(); len(ws) != 1 || ws[0] != 1 {
-			t.Fatalf("p%d: register writers %v, want [1]", pid, ws)
+		for w := 0; w < 3; w++ { // one lane per process: LaneTop panics past n
+			if top := mw.LaneTop(w); w != 1 && top != 0 {
+				t.Fatalf("p%d: lane %d holds %d values; only the writer's lane may", pid, w, top)
+			}
 		}
+	}
+	if top := s.procs[1].MW("solo").LaneTop(1); top != 1 {
+		t.Fatalf("the writer's own lane top is %d, want 1", top)
 	}
 }
