@@ -36,8 +36,10 @@
 // With -data <dir> the process logs to a write-ahead log under dir, and
 // the same command line again — after a clean stop or a kill -9 — recovers
 // from it and rejoins by itself: the mesh handshake shows the peers a new
-// incarnation and both ends of every link reset. Without -data the process
-// is volatile and must not be restarted into a running cluster.
+// incarnation and both ends of every link reset. Members with and without
+// -data may share a cluster: a volatile member resets its links to a
+// restarted peer like any other. Only a member without -data must not be
+// restarted into a running cluster, since it would come back empty.
 //
 // SIGINT or SIGTERM shuts the process down in order (shard.Member.Close):
 // the node stops, so requests in flight end as unavailable and clients

@@ -243,17 +243,19 @@
 // group members) — consumed by cmd/regctl and bench/ alike. The
 // sharded throughput scaling is recorded in EXPERIMENTS.md E-SH1.
 //
-// # Durable registers: crash-restart recovery
+// # The durable register: crash-restart recovery
 //
-// The paper's model is crash-stop; internal/storage makes the registers
-// crash-RESTART capable. StableStorage is the pluggable persistence
+// The paper's model is crash-stop, and the SWMR registers (core.Proc,
+// core.FastProc) stay Figure 1's crash-stop processes. internal/storage
+// makes the register the store serves — the multi-writer core.MWProc, and
+// regmap.Node hosting it — crash-RESTART capable. StableStorage is the pluggable persistence
 // interface (an in-memory log with injectable sync-loss for tests, a
 // file-backed append-only WAL with explicit Sync points for deployments),
 // and the durability contract is one line: log every lane append, sync
 // before any attestation leaves. Every outbound message attests to lane
 // state — a WRITE echo fills a quorum, a PROCEED certifies a freshness
 // bar, a completion acknowledges a client — so a process syncs where it
-// releases: core.Proc and core.MWProc at each drain fixpoint, the regmap
+// releases: a bare core.MWProc at each drain fixpoint, the regmap
 // node once per burst (group commit, EXPERIMENTS.md E-GC1); what was
 // never synced was never attested and may be lost. Recovery
 // (storage.Recoverable: Recover replays the log into a fresh process,
@@ -261,12 +263,15 @@
 // re-ships backlogs from position zero) restores exactly the attested
 // state; link counters deliberately restart at zero because wSync doubles
 // as a receive count and in-flight frames died with the old incarnation.
+// The link reset is the restart protocol's, not the log's: a volatile
+// peer of a restarted durable process runs it too.
 // The explorer's crashrestart strategy is the adversary for this layer:
 // victims (drawn from ALL pids, writer included) crash at a seeded
 // protocol phase, their unsynced tail is discarded, and a seeded
 // virtual-time later they revive behind the simulator's incarnation fence
 // (transport.SimNet.Revive) — only this adversary catches the durability
-// cheats mut-wal-skipsync and mut-wal-earlyrelease.
+// cheats mut-wal-skipsync and mut-wal-earlyrelease. An algorithm that is
+// not storage.Recoverable (every SWMR one) runs crash-stop under it.
 // BenchmarkWALWrite prices the contract (file-backed synced vs unsynced
 // vs in-memory appends; EXPERIMENTS.md E-WAL1), and BENCHMARK.json's
 // durable-pipelined workload measures it on the served path. On the TCP
@@ -274,9 +279,9 @@
 // and storage (regnode -data <dir>, again, after a kill -9) and a peer
 // that sees the higher incarnation fences its predecessor's connections
 // and resets the link, as the restarted member does, before a frame
-// crosses it (shard.LocalCluster.ReviveProc under load, on one shard and
-// on two, and scripts/shard_smoke.sh rehearse it — zero acknowledged
-// writes lost).
+// crosses it (shard.LocalCluster.ReviveProc under load, on one shard, on
+// two, and with only the restarted member durable, and
+// scripts/shard_smoke.sh rehearse it — zero acknowledged writes lost).
 //
 // # Registered algorithms
 //
@@ -309,7 +314,7 @@
 //   - mut-lane-resend — relay forwards a run's index twice on one link
 //   - mut-lane-coldread — a READ does not turn the link to its sender eager
 //   - mut-regmap-frame — receiver drops cross-key multi-frame tails
-//   - mut-wal-skipsync — WAL appends never sync, a crash empties the log
+//   - mut-wal-skipsync — MWMR register's WAL never syncs, a crash empties it
 //   - mut-wal-earlyrelease — keyed store releases a step before its sync
 //
 // ARCHITECTURE.md maps how these pieces fit — the package graph from proto
@@ -327,7 +332,7 @@
 // the freshness-round/append boundary (crashwrite — the victim dies on its
 // k-th PROCEED delivery, probing the padded-append window), crash-restart
 // faults replayed from stable storage (crashrestart — see the durable
-// registers section), and PCT-style random-priority scheduling (pct). Runs that quiesce with an operation
+// register section), and PCT-style random-priority scheduling (pct). Runs that quiesce with an operation
 // still pending on a process that never crashed are flagged as liveness
 // violations (Result.Stalled). Every explored run is described by a
 // compact descriptor — algorithm, strategy, seed, sizes — that serializes

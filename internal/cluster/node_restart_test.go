@@ -5,13 +5,17 @@ import (
 	"testing"
 
 	"twobitreg/internal/cluster"
-	"twobitreg/internal/core"
 	"twobitreg/internal/proto"
+	"twobitreg/internal/regmap"
 	"twobitreg/internal/storage"
 )
 
-// restartMesh wires storage-attached single-register nodes through a swappable routing
-// table: killing a node nils its slot (sends toward it drop, like loss
+// restartKey is the one key the restart tests write and read.
+const restartKey = "k"
+
+// restartMesh wires storage-attached keyed stores (regmap.Node on the
+// KeyedNode event loop, the composition regnode serves) through a
+// swappable routing table: killing a node nils its slot (sends toward it drop, like loss
 // toward a crashed peer), and reviving swaps the recovered node in.
 // During a revival, frames toward the victim are held rather than
 // dropped — the in-memory analogue of the TCP transport's bounded queue
@@ -43,9 +47,9 @@ func newRestartMesh(t *testing.T, n int) *restartMesh {
 	}
 	for i := 0; i < n; i++ {
 		m.logs[i] = storage.NewMemLog()
-		p := core.Algorithm().New(i, n, 0)
-		p.(storage.Recoverable).AttachStorage(m.logs[i])
-		m.nodes[i] = cluster.NewKeyedNode(i, cluster.Sequential(p, 0), m.sender(i))
+		st := newRestartStore(t, i, n)
+		st.AttachStorage(m.logs[i])
+		m.nodes[i] = cluster.NewKeyedNode(i, st, m.sender(i))
 	}
 	t.Cleanup(func() {
 		// Snapshot, then Stop outside the lock: Stop joins the node's
@@ -61,6 +65,15 @@ func newRestartMesh(t *testing.T, n int) *restartMesh {
 		}
 	})
 	return m
+}
+
+func newRestartStore(t *testing.T, id, n int) *regmap.Node {
+	t.Helper()
+	st, err := regmap.NewNode(id, regmap.Config{N: n, Coalesce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func (m *restartMesh) sender(from int) func(to int, msg proto.Message) {
@@ -120,11 +133,11 @@ func (m *restartMesh) revive(t *testing.T, pid int) {
 			peer.PeerRestarted(pid)
 		}
 	}
-	fresh := core.Algorithm().New(pid, m.n, 0)
-	if err := fresh.(storage.Recoverable).Recover(m.logs[pid]); err != nil {
+	fresh := newRestartStore(t, pid, m.n)
+	if err := fresh.Recover(m.logs[pid]); err != nil {
 		t.Fatalf("recover p%d: %v", pid, err)
 	}
-	nd := cluster.NewKeyedNode(pid, cluster.Sequential(fresh, 0), m.sender(pid))
+	nd := cluster.NewKeyedNode(pid, fresh, m.sender(pid))
 	for j := 0; j < m.n; j++ {
 		if j == pid {
 			continue
@@ -150,16 +163,16 @@ func TestNodeRestartReader(t *testing.T) {
 	t.Parallel()
 	m := newRestartMesh(t, 3)
 	for _, v := range []string{"w1", "w2", "w3"} {
-		if err := m.node(0).Put("", val(v)); err != nil {
+		if err := m.node(0).Put(restartKey, val(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.kill(2)
-	if err := m.node(0).Put("", val("w4")); err != nil {
+	if err := m.node(0).Put(restartKey, val("w4")); err != nil {
 		t.Fatal(err)
 	}
 	m.revive(t, 2)
-	got, err := m.node(2).Get("")
+	got, err := m.node(2).Get(restartKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +188,12 @@ func TestNodeRestartWriter(t *testing.T) {
 	t.Parallel()
 	m := newRestartMesh(t, 3)
 	for _, v := range []string{"w1", "w2"} {
-		if err := m.node(0).Put("", val(v)); err != nil {
+		if err := m.node(0).Put(restartKey, val(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.kill(0)
-	got, err := m.node(1).Get("")
+	got, err := m.node(1).Get(restartKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,18 +201,18 @@ func TestNodeRestartWriter(t *testing.T) {
 		t.Fatalf("read during writer downtime got %q, want w2", got)
 	}
 	m.revive(t, 0)
-	got, err = m.node(0).Get("")
+	got, err = m.node(0).Get(restartKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(val("w2")) {
 		t.Fatalf("revived writer read %q, want w2 (acknowledged write lost)", got)
 	}
-	if err := m.node(0).Put("", val("w3")); err != nil {
+	if err := m.node(0).Put(restartKey, val("w3")); err != nil {
 		t.Fatal(err)
 	}
 	for pid := 0; pid < 3; pid++ {
-		got, err := m.node(pid).Get("")
+		got, err := m.node(pid).Get(restartKey)
 		if err != nil {
 			t.Fatalf("node %d: %v", pid, err)
 		}

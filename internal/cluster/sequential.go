@@ -9,6 +9,8 @@ import "twobitreg/internal/proto"
 // is ignored — and writers is its writer set, which the node consults
 // (IsWriter) to reject a foreign write before the protocol sees it. The
 // adapter is pure: no goroutine, no lock; KeyedNode serializes every call.
+// It adapts a plain register and nothing else: a durable or coalescing
+// store (regmap.Node) is a KeyedProcess itself.
 func Sequential(proc proto.Process, writers ...int) KeyedProcess {
 	return &sequential{proc: proc, writers: writers}
 }
@@ -49,23 +51,6 @@ func (s *sequential) Start(_ string, op proto.OpID, kind proto.OpKind, val proto
 
 func (s *sequential) Deliver(from int, msg proto.Message) proto.Effects {
 	return s.pump(s.proc.Deliver(from, msg))
-}
-
-// PeerRestarted forwards the restart protocol's link reset; the inner
-// process must implement storage.Recoverable.
-func (s *sequential) PeerRestarted(peer int) proto.Effects {
-	return s.pump(s.proc.(linkResetter).PeerRestarted(peer))
-}
-
-// PendingFlush and Flush forward proto.Flusher when the inner process
-// buffers frames; otherwise there is never anything to flush.
-func (s *sequential) PendingFlush() bool {
-	f, ok := s.proc.(proto.Flusher)
-	return ok && f.PendingFlush()
-}
-
-func (s *sequential) Flush() proto.Effects {
-	return s.pump(s.proc.(proto.Flusher).Flush())
 }
 
 // pump absorbs one step's effects and starts queued invocations freed by

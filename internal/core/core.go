@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"twobitreg/internal/proto"
-	"twobitreg/internal/storage"
 )
 
 type options struct {
@@ -110,12 +109,6 @@ type Proc struct {
 	// sends is the Effects.Sends scratch reused across steps (see the
 	// proto.Effects contract: callers consume Sends before re-entering).
 	sends []proto.Send
-
-	// store, when attached, receives every lane append and is synced at the
-	// end of every dirty drain — BEFORE the step's outbound messages are
-	// released (see durable.go). dirty marks appends since the last sync.
-	store storage.StableStorage
-	dirty bool
 }
 
 type pendingRead struct {
@@ -297,10 +290,6 @@ func (p *Proc) drain(eff *proto.Effects) {
 	// one per peer; transient depths during drain do not count.
 	p.lane.NoteQuiesced()
 	p.maybeGC()
-	// Durability point: everything this step appended becomes stable before
-	// the step's outbound messages (the write's completion, the echoes that
-	// fill peers' quorums, PROCEED attestations) leave the process.
-	p.syncStorage()
 }
 
 func (p *Proc) flushPendingReads(eff *proto.Effects) bool {

@@ -134,68 +134,15 @@ func (m *durableMesh) idleLinks() bool {
 	return true
 }
 
-func TestProcDurableRecovery(t *testing.T) {
-	const n = 3
-	procs := make([]proto.Process, n)
-	logs := make([]*storage.MemLog, n)
-	for i := 0; i < n; i++ {
-		p := New(i, n, 0)
-		logs[i] = storage.NewMemLog()
-		p.AttachStorage(logs[i])
-		procs[i] = p
-	}
-	m := newDurableMesh(t, procs)
-
-	for k := 1; k <= 5; k++ {
-		m.write(0, proto.OpID(k), proto.Value(fmt.Sprintf("v%d", k)))
-	}
-	for i := 0; i < n; i++ {
-		// Sync-before-attest: every adopted entry is durable by quiescence.
-		if logs[i].SyncedLen() != 5 {
-			t.Fatalf("p%d has %d durable records, want 5", i, logs[i].SyncedLen())
-		}
-	}
-
-	// Crash and revive the WRITER — the hardest case: its local-read fast
-	// path and its stream position both depend entirely on recovery.
-	m.crash(0)
-	logs[0].DropUnsynced()
-	fresh := New(0, n, 0)
-	if err := fresh.Recover(logs[0]); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if fresh.HistoryLen() != 6 || fresh.WSync(0) != 5 {
-		t.Fatalf("recovered writer: HistoryLen=%d WSync=%d, want 6/5", fresh.HistoryLen(), fresh.WSync(0))
-	}
-	m.revive(0, fresh)
-
-	if err := CheckGlobalInvariants([]*Proc{m.procs[0].(*Proc), m.procs[1].(*Proc), m.procs[2].(*Proc)}); err != nil {
-		t.Fatalf("post-revival invariants: %v", err)
-	}
-	// The revived writer's local fast path must serve the recovered value.
-	if got := m.read(0, 100); string(got) != "v5" {
-		t.Fatalf("revived writer read %q, want v5", got)
-	}
-	// And its stream continues where it left off.
-	m.write(0, 101, proto.Value("v6"))
-	if got := m.read(1, 102); string(got) != "v6" {
-		t.Fatalf("reader read %q after post-revival write, want v6", got)
-	}
-	if err := CheckGlobalInvariants([]*Proc{m.procs[0].(*Proc), m.procs[1].(*Proc), m.procs[2].(*Proc)}); err != nil {
-		t.Fatalf("final invariants: %v", err)
-	}
-}
-
+// TestProcReaderRevivedFromPeers: a revived READER of the multi-writer
+// register with an empty log (it lost its disk entirely, so nothing
+// replays) must catch back up from the peers' backlog re-ship.
 func TestProcReaderRevivedFromPeers(t *testing.T) {
-	// A revived READER with an empty log (it was attached late, so nothing
-	// replayed) must catch back up from the peers' backlog re-ship.
 	const n = 3
 	procs := make([]proto.Process, n)
-	logs := make([]*storage.MemLog, n)
 	for i := 0; i < n; i++ {
-		p := New(i, n, 0)
-		logs[i] = storage.NewMemLog()
-		p.AttachStorage(logs[i])
+		p := NewMWMR(i, n)
+		p.AttachStorage(storage.NewMemLog())
 		procs[i] = p
 	}
 	m := newDurableMesh(t, procs)
@@ -203,35 +150,54 @@ func TestProcReaderRevivedFromPeers(t *testing.T) {
 		m.write(0, proto.OpID(k), proto.Value(fmt.Sprintf("v%d", k)))
 	}
 	m.crash(2)
-	fresh := New(2, n, 0)
-	if err := fresh.Recover(storage.NewMemLog()); err != nil { // lost its disk entirely
+	fresh := NewMWMR(2, n)
+	if err := fresh.Recover(storage.NewMemLog()); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	m.revive(2, fresh)
-	if fresh.HistoryLen() != 5 {
-		t.Fatalf("revived reader caught up to %d entries, want 5", fresh.HistoryLen())
+	if got := fresh.LaneTop(0); got != 4 {
+		t.Fatalf("revived reader caught up to index %d of the writer's lane, want 4", got)
 	}
 	if got := m.read(2, 100); string(got) != "v4" {
 		t.Fatalf("revived reader read %q, want v4", got)
 	}
 }
 
+// TestProcWALSkipSyncLosesEverything pins the mut-wal-skipsync fault on the
+// served register: the write completes with its records logged but never
+// synced, so the crash empties the log and the revived writer recovers
+// nothing while its peers hold its stream.
 func TestProcWALSkipSyncLosesEverything(t *testing.T) {
-	p := New(0, 3, 0, WithFault(FaultWALSkipSync))
+	const n = 3
+	procs := make([]proto.Process, n)
 	log := storage.NewMemLog()
-	p.AttachStorage(log)
-	eff := p.StartWrite(1, proto.Value("doomed"))
-	_ = eff
+	for i := 0; i < n; i++ {
+		var p *MWProc
+		if i == 0 {
+			p = NewMWMR(i, n, WithMWFault(MWFaultWALSkipSync))
+			p.AttachStorage(log)
+		} else {
+			p = NewMWMR(i, n)
+			p.AttachStorage(storage.NewMemLog())
+		}
+		procs[i] = p
+	}
+	m := newDurableMesh(t, procs)
+	m.write(0, 1, proto.Value("doomed"))
 	if log.SyncedLen() != 0 {
 		t.Fatalf("skip-sync mutant synced %d records", log.SyncedLen())
 	}
-	log.DropUnsynced() // crash
-	fresh := New(0, 3, 0, WithFault(FaultWALSkipSync))
+	m.crash(0)
+	log.DropUnsynced()
+	fresh := NewMWMR(0, n, WithMWFault(MWFaultWALSkipSync))
 	if err := fresh.Recover(log); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.HistoryLen() != 1 {
-		t.Fatalf("mutant recovered %d entries, want just v0", fresh.HistoryLen())
+	if got := fresh.LaneTop(0); got != 0 {
+		t.Fatalf("mutant recovered its lane to index %d, want just v0", got)
+	}
+	if got := procs[1].(*MWProc).LaneTop(0); got != 1 {
+		t.Fatalf("peer holds index %d of the writer's lane, want 1", got)
 	}
 }
 
@@ -275,49 +241,22 @@ func TestMWProcDurableRecovery(t *testing.T) {
 }
 
 func TestRecoverRecordValidation(t *testing.T) {
-	p := New(0, 3, 0)
-	if err := p.RecoverRecord(storage.Record{Lane: 1, Index: 1, Val: proto.Value("x")}); err == nil {
-		t.Fatal("foreign-lane record accepted")
-	}
-	if err := p.RecoverRecord(storage.Record{Lane: 0, Index: 2, Val: proto.Value("x")}); err == nil {
-		t.Fatal("gapped record accepted")
-	}
-	if err := p.RecoverRecord(storage.Record{Lane: 0, Index: 1, Val: proto.Value("x")}); err != nil {
-		t.Fatalf("valid record rejected: %v", err)
-	}
-	log := storage.NewMemLog()
-	log.Append(storage.Record{Key: "k1", Lane: 0, Index: 2, Val: proto.Value("y")})
-	if err := log.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Recover(log); err == nil {
-		t.Fatal("keyed record accepted by bare register")
-	}
-
 	mw := NewMWMR(0, 3)
 	if err := mw.RecoverRecord(storage.Record{Lane: 3, Index: 1, Val: proto.Value("x")}); err == nil {
 		t.Fatal("record for a lane past n accepted")
 	}
+	if err := mw.RecoverRecord(storage.Record{Lane: 2, Index: 2, Val: proto.Value("x")}); err == nil {
+		t.Fatal("gapped record accepted")
+	}
 	if err := mw.RecoverRecord(storage.Record{Lane: 2, Index: 1, Val: proto.Value("x")}); err != nil {
 		t.Fatalf("valid lane record rejected: %v", err)
 	}
-}
-
-func TestAttachStorageRejectsNonRecoverable(t *testing.T) {
-	for name, p := range map[string]*Proc{
-		"explicit-seqnums": New(0, 3, 0, WithExplicitSeqnums()),
-		"history-gc":       New(0, 3, 0, WithHistoryGC()),
-	} {
-		if p.RecoveryEnabled() {
-			t.Fatalf("%s reports RecoveryEnabled", name)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s AttachStorage did not panic", name)
-				}
-			}()
-			p.AttachStorage(storage.NewMemLog())
-		}()
+	log := storage.NewMemLog()
+	log.Append(storage.Record{Key: "k1", Lane: 2, Index: 2, Val: proto.Value("y")})
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Recover(log); err == nil {
+		t.Fatal("keyed record accepted by bare register")
 	}
 }

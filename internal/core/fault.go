@@ -30,17 +30,6 @@ const (
 	// with the overwritten value: exactly the linearizability cheat the
 	// explorer must catch (mut-fastread-skipconfirm).
 	FaultSkipConfirm
-	// FaultWALSkipSync breaks the durability contract of a storage-attached
-	// process (AttachStorage): lane appends are still logged, but the Sync
-	// call that must precede every outbound attestation — the write's own
-	// acknowledgement path and the echoes that fill peers' quorums — is
-	// skipped, so nothing ever becomes durable. A crash then loses every
-	// acknowledged write; the revived process recovers an empty history and,
-	// as the writer, serves its local-read fast path from v0 and restarts
-	// its stream at index 1 against peers holding the real history — the
-	// lost-acknowledged-write violations the crashrestart adversary must
-	// catch (mut-wal-skipsync).
-	FaultWALSkipSync
 )
 
 // WithFault builds the broken protocol variant f. Mutation testing only —

@@ -41,7 +41,7 @@ import "fmt"
 func laneInvariants(lanes []*Lane, owner int) error {
 	ownerLane := lanes[owner]
 	n := len(lanes)
-	pipelined := lanes[owner].Pipelined()
+	pipelined := ownerLane.pipelined
 
 	for i, li := range lanes {
 		// Lemma 3.

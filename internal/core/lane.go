@@ -112,9 +112,10 @@ func NewLane(self, n int, initial proto.Value, explicitSeqnums bool) *Lane {
 }
 
 // EnablePipelining switches the lane to pipelined sending (see the sent
-// field): per-link send dedup plus eager whole-backlog shipping. It must be
-// called before any message flows and is incompatible with the
-// explicit-seqnum ablation.
+// field): per-link send dedup plus eager whole-backlog shipping. A lane's
+// mode is its owner's choice, made once at construction — the multi-writer
+// register pipelines every lane, the SWMR Proc none — and never switched
+// while messages flow. Incompatible with the explicit-seqnum ablation.
 func (l *Lane) EnablePipelining() {
 	if l.explicit {
 		panic("core: pipelined lanes are incompatible with the explicit-seqnum ablation")
@@ -123,9 +124,6 @@ func (l *Lane) EnablePipelining() {
 	cursors := make([]int, 2*l.n) // one allocation: a keyed store hosts a lane per (key, writer)
 	l.sent, l.runFwd = cursors[:l.n:l.n], cursors[l.n:]
 }
-
-// Pipelined reports whether EnablePipelining was called.
-func (l *Lane) Pipelined() bool { return l.pipelined }
 
 // ForwardWhereServed hands a pipelined lane its host's view of who waits on
 // this stream's echoes: owner is the stream's writer (its line-3 wait), and

@@ -197,6 +197,15 @@ const (
 	// soon as fewer than a quorum of processes serve the register. Needs
 	// processes that never invoke an operation (Schedule.Clients).
 	MWFaultColdRead
+	// MWFaultWALSkipSync breaks the durability contract of a
+	// storage-attached process (AttachStorage): lane appends are still
+	// logged, but the Sync that must precede every outbound attestation —
+	// the write's own acknowledgement and the echoes that fill peers'
+	// quorums — is skipped, so nothing ever becomes durable. A crash then
+	// loses every acknowledged write: the revived process recovers empty
+	// lanes while its peers hold its stream, the lost-acknowledged-write
+	// violation the crashrestart adversary must catch (mut-wal-skipsync).
+	MWFaultWALSkipSync
 )
 
 // WithMWFault builds the broken variant f. Mutation testing only.

@@ -101,8 +101,8 @@ func TestCrashRestartDeterminism(t *testing.T) {
 
 // TestWALSkipSyncCaughtToken pins a replayable witness for the seeded
 // durability bug: the committed token must keep failing (the revived
-// writer's log is empty while its readers hold the stream — Lemma 4 at the
-// first post-revival probe, or a stale read soon after).
+// process's lanes are empty while its peers hold its stream — conservation
+// or Lemma 2 at the first post-revival probe, or a stale read soon after).
 func TestWALSkipSyncCaughtToken(t *testing.T) {
 	t.Parallel()
 	caughtByToken(t, "xb1:mut-wal-skipsync:crashrestart:2:5:30:0.6:1", "mut-wal-skipsync")

@@ -326,17 +326,15 @@ func Run(s Schedule) (Result, error) {
 		}
 	}
 
-	// Crash-restart runs arm stable storage on every process — uniformly,
-	// so the invariant probes see one consistent lane mode (attaching
-	// pipelines SWMR lanes) — before the transport reads the FIFO
-	// declaration at construction. An algorithm without recovery support
-	// (or with it disabled, e.g. under history GC) degrades to plain
-	// crash-stop: victims die at the same seeded phase and stay down.
+	// Crash-restart runs arm stable storage on every process before any
+	// message flows. An algorithm without recovery support (every SWMR
+	// register: Figure 1 is crash-stop) degrades to plain crash-stop:
+	// victims die at the same seeded phase and stay down.
 	restartable := strat.restart
 	var logs []*storage.MemLog
 	if strat.restart {
 		for _, p := range procs {
-			if r, ok := p.(storage.Recoverable); !ok || !r.RecoveryEnabled() {
+			if _, ok := p.(storage.Recoverable); !ok {
 				restartable = false
 				break
 			}
@@ -529,14 +527,6 @@ func Run(s Schedule) (Result, error) {
 			}
 			procs[pid] = fresh
 			switch p := fresh.(type) {
-			case *core.Proc:
-				if len(coreProcs) == s.N {
-					coreProcs[pid] = p
-				}
-			case *core.FastProc:
-				if len(coreProcs) == s.N {
-					coreProcs[pid] = p.Base()
-				}
 			case *core.MWProc:
 				if len(mwProcs) == s.N {
 					mwProcs[pid] = p

@@ -77,15 +77,15 @@ func buildRegistry() map[string]proto.Algorithm {
 		// (core.FaultSkipConfirm).
 		"mut-fastread-skipconfirm": proto.Alg("mut-fastread-skipconfirm",
 			core.FastAlgorithm(core.WithFault(core.FaultSkipConfirm)).New),
-		// The durability cheat: appends are logged but the pre-attestation
-		// Sync is skipped, so a crash loses the whole log and the revived
-		// writer serves reads from the initial value and restarts its
-		// stream at index 1 (core.FaultWALSkipSync). Invisible to every
-		// crash-stop adversary — only the crashrestart strategy, reviving a
-		// writer victim, exposes it (the post-revival invariant probe sees
-		// readers holding more of the writer's stream than the writer).
+		// The durability cheat on the served register: appends are logged
+		// but the pre-attestation Sync is skipped, so a crash loses the
+		// whole log and the revived process comes back with empty lanes
+		// (core.MWFaultWALSkipSync). Invisible to every crash-stop
+		// adversary — only the crashrestart strategy, reviving a victim
+		// that wrote, exposes it (the post-revival invariant probe sees
+		// peers holding more of a writer's stream than the writer).
 		"mut-wal-skipsync": proto.Alg("mut-wal-skipsync",
-			core.Algorithm(core.WithFault(core.FaultWALSkipSync)).New),
+			core.MWMRAlgorithm(core.WithMWFault(core.MWFaultWALSkipSync)).New),
 		"mut-stale-read": proto.Alg("mut-stale-read", newStaleReader),
 		"mut-mwmr-stale": proto.Alg("mut-mwmr-stale", newMWMRStaleReader),
 		// The lost-write bug of the multi-writer two-bit register: the
@@ -153,6 +153,7 @@ var mwmrCapableSet = map[string]bool{
 	"mut-lane-batch":       true,
 	"mut-lane-resend":      true,
 	"mut-lane-coldread":    true,
+	"mut-wal-skipsync":     true,
 	"mut-regmap-frame":     true,
 	"mut-wal-earlyrelease": true,
 }

@@ -43,8 +43,9 @@ type strategy struct {
 	// log, rejoins through the bilateral PeerRestarted reset, and resumes
 	// its operation stream. Victims are drawn from ALL pids — including
 	// writer 0, whose recovered-then-reused state is where durability bugs
-	// (mut-wal-skipsync) surface. Algorithms without recovery support
-	// degrade to plain crash-stop under this strategy.
+	// (mut-wal-skipsync) surface. Algorithms without recovery support —
+	// every SWMR register, Figure 1 being crash-stop — degrade to plain
+	// crash-stop under this strategy.
 	restart bool
 }
 

@@ -71,10 +71,6 @@ func (nd *Node) commit() {
 	}
 }
 
-// RecoveryEnabled implements storage.Recoverable: every register this node
-// hosts is recoverable (core.MWProc.RecoveryEnabled).
-func (nd *Node) RecoveryEnabled() bool { return true }
-
 // AttachStorage arms durability logging on every hosted register, current
 // and future (lazily created registers attach at creation). Must be called
 // before any message flows.
@@ -141,9 +137,6 @@ func (nd *Node) PeerRestarted(peer int) proto.Effects {
 }
 
 // --- KeyedProc: recovery delegates to the node ---
-
-// RecoveryEnabled delegates to the node.
-func (p *KeyedProc) RecoveryEnabled() bool { return p.node.RecoveryEnabled() }
 
 // AttachStorage delegates to the node.
 func (p *KeyedProc) AttachStorage(s storage.StableStorage) { p.node.AttachStorage(s) }

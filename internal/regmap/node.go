@@ -111,10 +111,10 @@ func (nd *Node) reg(key string) *reg {
 		r = &reg{mw: core.NewMWMR(nd.id, nd.sh.n)}
 		if nd.store != nil {
 			r.mw.AttachStorage(keyStore{key: key, nd: nd})
-			for peer, was := range nd.reset {
-				if was {
-					r.mw.PeerRestarted(peer) // nothing to re-ship yet: only marks the link
-				}
+		}
+		for peer, was := range nd.reset {
+			if was {
+				r.mw.PeerRestarted(peer) // nothing to re-ship yet: only marks the link
 			}
 		}
 		nd.regs[key] = r

@@ -120,20 +120,32 @@ func TestLocalClusterKillRacesReaders(t *testing.T) {
 // shard may fail, none may read anything but the latest acknowledged write,
 // a write the victim acknowledged just before its crash must survive in its
 // log and read back through it, and each surviving peer must have counted
-// the restart once — the other shard's members not at all.
+// the restart once — the other shard's members not at all. In the mixed
+// input only the victim has a log: its volatile peers must reset their
+// links to it all the same.
 func TestLocalClusterReviveRacesReaders(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		mixed  bool
+	}{{"shards=1", 1, false}, {"shards=2", 2, false}, {"mixed-durability", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := tc.shards
+			vs := shards - 1 // the victim's shard
 			logs := make([][]*storage.MemLog, shards)
 			for s := range logs {
 				logs[s] = []*storage.MemLog{storage.NewMemLog(), storage.NewMemLog(), storage.NewMemLog()}
 			}
-			lc, err := shard.StartLocal(shards, 3, func(s, i int) storage.StableStorage { return logs[s][i] })
+			lc, err := shard.StartLocal(shards, 3, func(s, i int) storage.StableStorage {
+				if tc.mixed && (s != vs || i != 0) {
+					return nil // volatile: a nil interface, not a nil *MemLog
+				}
+				return logs[s][i]
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer lc.Close()
-			vs := shards - 1 // the victim's shard
 			victimAddr := lc.Config.Shards[vs].Procs[0].Client
 
 			stop := make(chan struct{})

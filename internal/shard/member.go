@@ -70,9 +70,9 @@ func (c *ClusterConfig) MemberSpec(s, i int) (MemberSpec, []string, error) {
 // clients. Frames that peers deliver in between are held, not dropped.
 //
 // Restart needs no call on anybody: the mesh's handshake tells each side
-// when the other is a new incarnation, and a member with Storage answers
-// with the restart protocol's link reset (peerRestarted). The restarted
-// member resets its own links as it starts.
+// when the other is a new incarnation, and every member, with Storage or
+// without, answers with the restart protocol's link reset
+// (peerRestarted). The restarted member resets its own links as it starts.
 type Member struct {
 	spec      MemberSpec
 	store     *regmap.Node
@@ -169,9 +169,7 @@ func bind(spec MemberSpec) (*Member, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard %d member %d: %w", spec.Shard, spec.ID, err)
 	}
-	if spec.Storage != nil { // only a durable store can reset a link
-		m.mesh.OnPeerRestart(m.peerRestarted)
-	}
+	m.mesh.OnPeerRestart(m.peerRestarted)
 	if m.ln, err = net.Listen("tcp", spec.ClientAddr); err != nil {
 		m.mesh.Close()
 		return nil, fmt.Errorf("shard %d member %d: client listener: %w", spec.Shard, spec.ID, err)

@@ -9,14 +9,15 @@
 // returns BEFORE anything the records back — echoes and freshness answers
 // to peers, completions to clients — leaves the process, so everything a
 // process has told a peer or a client is on stable storage and everything
-// still buffered at a crash was never attested. A bare register releases,
-// and syncs, every protocol step; the keyed store (regmap.Node) once per
-// burst of steps — the sync point is the burst boundary. Recovery
-// replays the log in append order and rebuilds the lane histories; the
-// volatile link-synchronisation counters (w_sync columns for peers,
-// r_sync) are NOT persisted — they are re-established by the restart
-// protocol (Recoverable.PeerRestarted), which resets both ends of every
-// link of the revived process and re-ships the backlog.
+// still buffered at a crash was never attested. The durable register is
+// the multi-writer one (core.MWProc): a bare register releases, and
+// syncs, every protocol step; the keyed store hosting it (regmap.Node)
+// once per burst of steps — the sync point is the burst boundary.
+// Recovery replays the log in append order and rebuilds the lane
+// histories; the volatile link-synchronisation counters (w_sync columns
+// for peers, r_sync) are NOT persisted — they are re-established by the
+// restart protocol (Recoverable.PeerRestarted), which resets both ends of
+// every link of the revived process and re-ships the backlog.
 //
 // Two implementations:
 //
@@ -62,7 +63,9 @@ type StableStorage interface {
 }
 
 // Recoverable is implemented by register processes that support
-// crash-restart recovery through a StableStorage. The lifecycle:
+// crash-restart recovery through a StableStorage: the multi-writer
+// register (core.MWProc) and the keyed store that hosts it (regmap.Node,
+// regmap.KeyedProc). The lifecycle:
 //
 //	p := alg.New(id, n, writer)   // fresh process
 //	p.(Recoverable).Recover(log)  // replay durable state, attach log
@@ -71,12 +74,11 @@ type StableStorage interface {
 //	// both ends of every link reset to zero and re-ship their backlog.
 //
 // AttachStorage alone (no Recover) arms logging on a process starting
-// from scratch. RecoveryEnabled reports whether this configuration can
-// recover at all — variants whose state cannot be replayed (history GC,
-// explicit sequence numbers) return false and degrade
-// to plain crash-stop under the restart adversary.
+// from scratch. PeerRestarted needs no storage: a volatile peer of a
+// restarted process resets its end of the link too. A process that does
+// not implement Recoverable (the SWMR registers of Figure 1, which are
+// crash-stop) degrades to plain crash-stop under the restart adversary.
 type Recoverable interface {
-	RecoveryEnabled() bool
 	AttachStorage(s StableStorage)
 	Recover(s StableStorage) error
 	PeerRestarted(peer int) proto.Effects

@@ -16,10 +16,11 @@ import (
 	"twobitreg/internal/wire"
 )
 
-// tcpRig wires n single-register nodes (the cluster.KeyedNode event loop
-// around a cluster.Sequential adapter) over loopback TCP meshes — the full
-// production stack (state machine + event loop + 2-bit wire format + TCP)
-// inside one test process. The register is addressed by the empty key.
+// tcpRig wires n processes on the cluster.KeyedNode event loop over
+// loopback TCP meshes — the full production stack (state machine + event
+// loop + 2-bit wire format + TCP) inside one test process. A single
+// register sits behind a cluster.Sequential adapter and is addressed by
+// the empty key.
 type tcpRig struct {
 	nodes  []*cluster.KeyedNode
 	meshes []*transport.Mesh
@@ -31,7 +32,22 @@ func startTCPRig(t *testing.T, n int) *tcpRig {
 	return startTCPRigAlg(t, n, core.Algorithm())
 }
 
+// startTCPRigAlg runs alg's processes as single registers. Every process
+// may write: the multi-writer algorithms are driven through all of them,
+// and the SWMR tests only ever write through process 0.
 func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
+	t.Helper()
+	writers := make([]int, n)
+	for i := range writers {
+		writers[i] = i
+	}
+	return startTCPRigProc(t, n, func(i int) cluster.KeyedProcess {
+		return cluster.Sequential(alg.New(i, n, 0), writers...)
+	})
+}
+
+// startTCPRigProc runs the process newProc builds for each pid.
+func startTCPRigProc(t *testing.T, n int, newProc func(i int) cluster.KeyedProcess) *tcpRig {
 	t.Helper()
 	rig := &tcpRig{
 		nodes:  make([]*cluster.KeyedNode, n),
@@ -60,16 +76,10 @@ func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 			t.Fatal(err)
 		}
 	}
-	// Phase 2: the nodes, sending through their mesh. Every process may
-	// write: the multi-writer algorithms are driven through all of them,
-	// and the SWMR tests only ever write through process 0.
-	writers := make([]int, n)
-	for i := range writers {
-		writers[i] = i
-	}
+	// Phase 2: the nodes, sending through their mesh.
 	for i := 0; i < n; i++ {
 		i := i
-		rig.nodes[i] = cluster.NewKeyedNode(i, cluster.Sequential(alg.New(i, n, 0), writers...), func(to int, msg proto.Message) {
+		rig.nodes[i] = cluster.NewKeyedNode(i, newProc(i), func(to int, msg proto.Message) {
 			if err := rig.meshes[i].Send(to, msg); err != nil {
 				t.Errorf("node %d send to %d: %v", i, to, err)
 			}
@@ -203,16 +213,21 @@ func TestMeshRejectsBadConfig(t *testing.T) {
 }
 
 // TestTCPKeyedStoreCoalescedFrames runs the coalescing keyed store over
-// real loopback TCP: every process hosts a regmap node (multi-writer key,
-// cross-key coalescer on), so KeyedMsg — and, under concurrent load whose
-// mailbox bursts trigger the idle-flush, MultiMsg — frames cross the wire
-// codec. A single-key space keeps reads assertable: after each write
-// settles, every node must read it back.
+// real loopback TCP: every process hosts a regmap node directly on its
+// event loop (cross-key coalescer on, as shard.Member runs it), so KeyedMsg
+// — and, under concurrent load whose mailbox bursts trigger the
+// idle-flush, MultiMsg — frames cross the wire codec. One key keeps reads
+// assertable: after each write settles, every node must read it back.
 func TestTCPKeyedStoreCoalescedFrames(t *testing.T) {
 	t.Parallel()
 	n := 3
-	alg := regmap.NewKeyedAlgorithm("tcp-keyed", 1, regmap.Config{Coalesce: true})
-	rig := startTCPRigAlg(t, n, alg)
+	rig := startTCPRigProc(t, n, func(i int) cluster.KeyedProcess {
+		st, err := regmap.NewNode(i, regmap.Config{N: n, Coalesce: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	})
 	for round := 0; round < 3; round++ {
 		for w := 0; w < n; w++ {
 			val := fmt.Sprintf("r%d-w%d", round, w)
