@@ -67,9 +67,10 @@
 //     catch-up), and a coalescing emitter packs each link's
 //     consecutive-index run from one drain into a single frame. A
 //     mixed-value run ships as a LaneBatch frame — two control bits per
-//     logical entry, plus the one-byte lane id and a one-byte length, both
+//     logical entry, plus the one-byte lane id and a uvarint count, both
 //     census-accounted as addressing (metrics.EntryCounter/Addressed keep
-//     Theorem 2's two-bits-per-entry accounting exact).
+//     Theorem 2's two-bits-per-entry accounting exact). Runs are cut only
+//     between stretches of equal values, so a padded write is one frame.
 //   - Lane compaction: a dominated writer's padding run is G copies of one
 //     value, so it ships as a LaneCompact frame — the head and tail entries
 //     (two bits each) plus the count needed to re-anchor the alternating
@@ -96,9 +97,9 @@
 // every other peer the index is owed (MWProc.LaneOwed): the link's send
 // cursor stays behind and the run leaves as one frame in the step that
 // delivers that peer's first READ, that starts this process's own first
-// operation, that resets the link (PeerRestarted), that answers a lagging
-// sender (Rule R2), or — so a lazy link never owes more than one frame —
-// just before the run would outgrow MaxBatchEntries. An echo held at its
+// operation, that resets the link (PeerRestarted), or that answers a lagging
+// sender (Rule R2) — however long the run has grown, since no count caps a
+// frame. An echo held at its
 // sender is an echo delayed in the channel, which an asynchronous system
 // already allows, so no execution's safety and no operation's termination
 // changes; a write costs 2(n-1) + n(n-1) - c(c-1) frames with c members
@@ -313,6 +314,7 @@
 //   - mut-lane-batch — receiver tears batched lane frames
 //   - mut-lane-resend — relay forwards a run's index twice on one link
 //   - mut-lane-coldread — a READ does not turn the link to its sender eager
+//   - mut-lane-splitrun — emitter cuts a padded write's run across frames
 //   - mut-regmap-frame — receiver drops cross-key multi-frame tails
 //   - mut-wal-skipsync — MWMR register's WAL never syncs, a crash empties it
 //   - mut-wal-earlyrelease — keyed store releases a step before its sync

@@ -41,9 +41,11 @@ type Lane struct {
 	// prefix up to index α.
 	wSync []int
 	// pending buffers, per peer, WRITE messages parked on the line-11 parity
-	// guard. Property P1 bounds its quiescent depth at 1 per peer;
-	// maxPending records the observed maximum so tests can verify the bound.
+	// guard, oldest first from head[j]. Property P1 bounds its quiescent
+	// depth at 1 per peer; maxPending records the observed maximum so tests
+	// can verify the bound.
 	pending    [][]WriteMsg
+	head       []int
 	maxPending int
 	// parked counts the WRITEs held in pending across all peers, so an owner
 	// hosting many lanes skips the ones with nothing to drain (Parked).
@@ -108,6 +110,7 @@ func NewLane(self, n int, initial proto.Value, explicitSeqnums bool) *Lane {
 		history:  []proto.Value{initial.Clone()},
 		wSync:    make([]int, n),
 		pending:  make([][]WriteMsg, n),
+		head:     make([]int, n),
 	}
 }
 
@@ -152,9 +155,9 @@ func (l *Lane) lazy(j int) bool {
 
 // Owed returns how many indices this process holds that p_j neither was
 // sent nor has shown to hold: Top - max(sent[j], wSync[j]), pipelined lanes
-// only. On a lazy link that is the run waiting for the next ShipBacklog
-// (at most MaxBatchEntries, see Drain); on the others it is what pacing
-// withholds until p_j's next echo.
+// only. On a lazy link that is the run waiting for the next ShipBacklog,
+// however long; on the others it is what pacing withholds until p_j's next
+// echo.
 func (l *Lane) Owed(j int) int {
 	if !l.pipelined || j == l.self {
 		return 0
@@ -246,15 +249,15 @@ func (l *Lane) emitOne(to, wsn int, emit emitFn) {
 // intersection), hence overlaps the rejoiner's catch-up read — returning
 // the newer stable value to concurrent reads is allowed. Lemma 4 weakens
 // accordingly on pipelined lanes: a history entry may be a copy of a later
-// owner entry (see laneInvariants). The re-anchor only applies when the gap
-// fits one compact frame, so no partially-anchored frame boundary is ever
-// exposed; larger backlogs fall back to the honest mixed replay.
+// owner entry (see laneInvariants). The re-anchor applies when the gap fits
+// one compact frame (MaxFrameEntries), so no partially-anchored frame
+// boundary is ever exposed; larger backlogs fall back to the honest replay.
 func (l *Lane) ShipBacklog(to int, emit emitFn) {
 	if !l.pipelined {
 		panic("core: ShipBacklog on a non-pipelined lane")
 	}
 	top := l.Top()
-	if gap := top - l.sent[to]; gap >= 2 && gap <= MaxBatchEntries &&
+	if gap := top - l.sent[to]; gap >= 2 && gap <= MaxFrameEntries &&
 		l.CountGE(top) >= proto.QuorumSize(l.n) {
 		v := l.histAt(top)
 		for k := l.sent[to] + 1; k <= top; k++ {
@@ -271,7 +274,9 @@ func (l *Lane) ShipBacklog(to int, emit emitFn) {
 }
 
 // Enqueue parks a received WRITE behind the line-11 parity guard; Drain
-// processes whatever has become processable.
+// processes whatever has become processable. Values are adopted by
+// reference, as padding is at the writer (AppendRef): nobody mutates a
+// delivered value, so a compact run's entries share one.
 func (l *Lane) Enqueue(from int, m WriteMsg) {
 	l.pending[from] = append(l.pending[from], m)
 	l.parked++
@@ -285,20 +290,8 @@ func (l *Lane) Parked() int { return l.parked }
 // every parked WRITE whose line-11 guard has become true (lines 12-18). It
 // returns whether any message was processed; callers loop it to a fixpoint
 // together with their own guards.
-//
-// On a pipelined lane it first settles what this Drain could push past a
-// frame on a lazy link: every parked WRITE may become an adopted index, so
-// a link whose unsent run would outgrow MaxBatchEntries ships it now, while
-// it still ends where a step ended. A lazy link therefore never owes more
-// than one frame, and no frame boundary falls inside a run adopted in one
-// step.
 func (l *Lane) Drain(emit emitFn) bool {
-	for j := range l.runFwd {
-		l.runFwd[j] = 0 // runs are scoped to one Drain
-		if l.lazy(j) && l.Top()-l.sent[j]+l.parked > MaxBatchEntries {
-			l.ShipBacklog(j, emit)
-		}
-	}
+	clear(l.runFwd) // runs are scoped to one Drain
 	progress := false
 	for j := 0; j < l.n; j++ {
 		for {
@@ -316,20 +309,24 @@ func (l *Lane) Drain(emit emitFn) bool {
 // nextFromPending pops a buffered WRITE from peer j if it passes the line-11
 // guard: its parity must equal (wSync[j]+1) mod 2 — or, in the ablation
 // mode, its explicit sequence number must be exactly wSync[j]+1.
+// Over a FIFO link the oldest one passes, and popping it advances head[j],
+// so a frame of C entries drains in O(C); only a reordered strict lane (P1:
+// one entry per peer) shifts what it skipped. An emptied queue reuses its
+// backing array, keeping the pop allocation-free; vacated slots are cleared.
 func (l *Lane) nextFromPending(j int) (WriteMsg, bool) {
-	queue := l.pending[j]
-	for k, m := range queue {
-		if l.guardLine11(j, m) {
-			// Shift in place: the queue is only reachable through
-			// l.pending, so reusing its backing array is safe and keeps
-			// the pop allocation-free. Clear the vacated tail slot so the
-			// parked value does not outlive the queue entry.
-			copy(queue[k:], queue[k+1:])
-			queue[len(queue)-1] = WriteMsg{}
-			l.pending[j] = queue[:len(queue)-1]
-			l.parked--
-			return m, true
+	queue, h := l.pending[j], l.head[j]
+	for k := h; k < len(queue); k++ {
+		m := queue[k]
+		if !l.guardLine11(j, m) {
+			continue
 		}
+		copy(queue[h+1:k+1], queue[h:k]) // keep the skipped ones, in order
+		queue[h] = WriteMsg{}
+		if l.head[j] = h + 1; l.head[j] == len(queue) {
+			l.pending[j], l.head[j] = queue[:0], 0
+		}
+		l.parked--
+		return m, true
 	}
 	return WriteMsg{}, false
 }
@@ -353,7 +350,7 @@ func (l *Lane) processWrite(from int, m WriteMsg, emit emitFn) {
 		// wSync[from] == wsn-1 and receives the forward — that echo is
 		// the alternating-bit acknowledgement.
 		l.wSync[l.self] = wsn
-		l.appendHistory(wsn, m.Val.Clone())
+		l.appendHistory(wsn, m.Val)
 		if l.pipelined {
 			l.forwardRun(wsn, emit)
 		} else {
@@ -493,11 +490,9 @@ func (l *Lane) ResetLink(j int) {
 	if l.pipelined {
 		l.sent[j] = 0
 	}
-	for k := range l.pending[j] {
-		l.pending[j][k] = WriteMsg{}
-	}
-	l.parked -= len(l.pending[j])
-	l.pending[j] = l.pending[j][:0]
+	clear(l.pending[j])
+	l.parked -= l.PendingDepth(j)
+	l.pending[j], l.head[j] = l.pending[j][:0], 0
 }
 
 // histAt returns history[x]. Accessing a compacted index is a bug in the
@@ -546,10 +541,8 @@ func (l *Lane) NoteQuiesced() {
 	if l.parked == 0 {
 		return
 	}
-	for _, q := range l.pending {
-		if len(q) > l.maxPending {
-			l.maxPending = len(q)
-		}
+	for j := range l.pending {
+		l.maxPending = max(l.maxPending, l.PendingDepth(j))
 	}
 }
 
@@ -562,7 +555,7 @@ func (l *Lane) MaxPendingDepth() int { return l.maxPending }
 
 // PendingDepth returns the number of WRITEs from peer j currently parked on
 // the line-11 guard.
-func (l *Lane) PendingDepth(j int) int { return len(l.pending[j]) }
+func (l *Lane) PendingDepth(j int) int { return len(l.pending[j]) - l.head[j] }
 
 // Sent returns the highest stream index shipped to peer j (pipelined lanes
 // only; 0 otherwise).

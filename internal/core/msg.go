@@ -1,6 +1,10 @@
 package core
 
-import "twobitreg/internal/proto"
+import (
+	"math/bits"
+
+	"twobitreg/internal/proto"
+)
 
 // The paper's four message types. WRITE0/WRITE1 carry a data value plus one
 // parity bit folded into the type; READ and PROCEED carry nothing but their
@@ -71,24 +75,28 @@ func (ProceedMsg) DataBytes() int { return 0 }
 // of telling lanes apart.
 const WriterIDBits = 8
 
-// BatchLenBits is the framing cost of a batched lane frame: a one-byte
-// entry count. Like the writer id, it is addressing/framing — accounted
-// honestly in ControlBits but separate from the two per-entry protocol
-// bits, so the Theorem-2 census (exactly two control bits per logical
-// entry) stays exact for batched runs.
+// BatchLenBits is the framing cost of one byte of a frame's uvarint entry
+// count (one byte below 128). Like the writer id, it is addressing/framing —
+// accounted honestly in ControlBits but separate from the two per-entry
+// protocol bits, so the Theorem-2 census (exactly two control bits per
+// logical entry) stays exact for batched runs.
 const BatchLenBits = 8
 
-// MaxBatchEntries bounds one batched frame at what its one-byte length
-// field can carry; longer runs are split by the emitter.
-const MaxBatchEntries = 255
+// CountBits is the framing cost of the uvarint count c.
+func CountBits(c int) int { return BatchLenBits * ((bits.Len(uint(c|1)) + 6) / 7) }
 
-// MaxBatchDataBytes bounds the value payload packed into one multi-value
-// batch frame, so a legal batch always encodes well under the stream
-// transports' 1<<24 frame cap (wire.MaxValueLen / transport maxFrame). The
-// emitter splits runs that would exceed it; a single value larger than
-// this ships as its own LaneMsg, subject to the same per-value transport
-// limits as the SWMR register's WRITEs.
+// MaxBatchDataBytes is the one byte budget of framing: laneBatcher.flush
+// and regmap's coalescer end a frame where the next stretch of equal values
+// (or keyed subframe) would push it past this many bytes, far below the
+// transports' frame cap. One bigger on its own ships alone.
 const MaxBatchDataBytes = 1 << 20
+
+// MaxFrameEntries bounds the entries a lane frame stands for, so a compact
+// frame of a few bytes from a corrupt peer cannot make its receiver append
+// more history slots (decoders refuse it). Only a padded stretch this long —
+// 1<<20 foreign writes on one register while its writer was silent — is
+// ever cut (laneBatcher.flush).
+const MaxFrameEntries = MaxBatchDataBytes
 
 // LaneMsg wraps one lane's WRITE with the id of the writer whose stream it
 // belongs to (multi-writer register only). READ and PROCEED need no wrapper:
@@ -118,7 +126,7 @@ func (m LaneMsg) AddressingBits() int { return WriterIDBits }
 // entry i carries Vals[i] at parity (Bit+i) mod 2, so the receiver unpacks
 // it into the same parity-gated reorder buffer that sequences single
 // WRITEs. Each logical entry still costs exactly two control bits; the
-// writer id and the one-byte length are addressing/framing, accounted like
+// writer id and the uvarint count are addressing/framing, accounted like
 // regmap's key. Batches collapse the per-entry flood rounds of lane padding
 // and catch-up (Rule R2) into one link round.
 type LaneBatchMsg struct {
@@ -130,9 +138,9 @@ type LaneBatchMsg struct {
 // TypeName returns "WRITEB".
 func (LaneBatchMsg) TypeName() string { return "WRITEB" }
 
-// ControlBits is two bits per logical entry plus writer-id and length
+// ControlBits is two bits per logical entry plus writer-id and count
 // framing.
-func (m LaneBatchMsg) ControlBits() int { return 2*len(m.Vals) + WriterIDBits + BatchLenBits }
+func (m LaneBatchMsg) ControlBits() int { return 2*len(m.Vals) + m.AddressingBits() }
 
 // DataBytes sums the carried values.
 func (m LaneBatchMsg) DataBytes() int {
@@ -147,7 +155,7 @@ func (m LaneBatchMsg) DataBytes() int {
 func (m LaneBatchMsg) LogicalEntries() int { return len(m.Vals) }
 
 // AddressingBits implements metrics.Addressed.
-func (LaneBatchMsg) AddressingBits() int { return WriterIDBits + BatchLenBits }
+func (m LaneBatchMsg) AddressingBits() int { return WriterIDBits + CountBits(len(m.Vals)) }
 
 // LaneCompactMsg is the lane-compaction frame: a run of Count consecutive
 // entries that all carry the same value Val — the padding a dominated
@@ -160,7 +168,7 @@ func (LaneBatchMsg) AddressingBits() int { return WriterIDBits + BatchLenBits }
 type LaneCompactMsg struct {
 	Writer int
 	Bit    uint8 // parity of the head entry
-	Count  int   // total entries represented, >= 2
+	Count  int   // total entries represented, 2..MaxFrameEntries
 	Val    proto.Value
 }
 
@@ -168,9 +176,9 @@ type LaneCompactMsg struct {
 func (LaneCompactMsg) TypeName() string { return "WRITEC" }
 
 // ControlBits is two bits for the head entry, two for the tail, plus
-// writer-id and length framing. The Count-2 intermediate entries never ship
+// writer-id and count framing. The Count-2 intermediate entries never ship
 // as entries — that is the compaction.
-func (LaneCompactMsg) ControlBits() int { return 2 + 2 + WriterIDBits + BatchLenBits }
+func (m LaneCompactMsg) ControlBits() int { return 2 + 2 + m.AddressingBits() }
 
 // DataBytes is the shared value, shipped once.
 func (m LaneCompactMsg) DataBytes() int { return len(m.Val) }
@@ -179,7 +187,7 @@ func (m LaneCompactMsg) DataBytes() int { return len(m.Val) }
 func (LaneCompactMsg) LogicalEntries() int { return 2 }
 
 // AddressingBits implements metrics.Addressed.
-func (LaneCompactMsg) AddressingBits() int { return WriterIDBits + BatchLenBits }
+func (m LaneCompactMsg) AddressingBits() int { return WriterIDBits + CountBits(m.Count) }
 
 var (
 	_ proto.Message = WriteMsg{}

@@ -206,6 +206,12 @@ const (
 	// lanes while its peers hold its stream, the lost-acknowledged-write
 	// violation the crashrestart adversary must catch (mut-wal-skipsync).
 	MWFaultWALSkipSync
+	// MWFaultSplitRun is the one-byte count's cut at a bound of two:
+	// laneBatcher.flush ends every frame after two entries, inside a padded
+	// write's stretch too. A read fixing its vector between the frames pins
+	// an intermediate index, which can order the value before a write it
+	// overwrote (mut-lane-splitrun).
+	MWFaultSplitRun
 )
 
 // WithMWFault builds the broken variant f. Mutation testing only.
@@ -263,9 +269,10 @@ func (p *MWProc) emitLane(w int) emitFn {
 // laneBatcher coalesces consecutive-index lane emissions into per-link
 // runs. Because pipelined lanes ship each link's indices strictly
 // consecutively, all emissions for one (lane, peer) pair within one drain
-// form a single run; flush renders each run as the smallest honest frame —
+// form a single run; flush renders each run as the smallest honest frames —
 // a lone LaneMsg, a same-value LaneCompactMsg (head+tail padding summary),
-// or a mixed-value LaneBatchMsg — splitting at the one-byte length limit.
+// or a mixed-value LaneBatchMsg — cut only between stretches of equal
+// values.
 type laneBatcher struct {
 	runs []batchRun
 	// free recycles the runs' value slices across flushes; the values
@@ -304,30 +311,19 @@ func (b *laneBatcher) newVals(val proto.Value) []proto.Value {
 	return append(make([]proto.Value, 0, 8), val)
 }
 
-// flush renders and clears the accumulated runs, in emission order. Chunks
-// split at the one-byte length limit AND at MaxBatchDataBytes of payload:
-// an oversized mixed-value batch would be rejected by the stream
-// transports' frame cap, and pipelined send dedup means a rejected frame
-// could never be re-shipped — so frames must always be encodable.
+// flush renders and clears the accumulated runs, in emission order. A run
+// is cut only between stretches (maximal sequences of equal values): a
+// padded write is one stretch, so every process adopts it from one frame in
+// one step (see the file comment), while a cut between two stretches is
+// just two writes arriving in order. A chunk ends where the next stretch
+// would push it past MaxBatchDataBytes encoded — pipelined send dedup never
+// re-ships a frame the transport refused — and a stretch too big for a
+// batch ships alone, compact, up to MaxFrameEntries.
 func (b *laneBatcher) flush(p *MWProc, eff *proto.Effects) {
 	for ri := range b.runs {
 		r := &b.runs[ri]
 		for off := 0; off < len(r.vals); {
-			end, bytes, same := off, 0, true
-			for end < len(r.vals) && end-off < MaxBatchEntries {
-				v := r.vals[end]
-				nextBytes := bytes + len(v)
-				nextSame := same && (end == off || v.Equal(r.vals[off]))
-				// A same-value run ships one value however long it is, so
-				// the byte cap only splits mixed-value chunks; the first
-				// entry always fits (a lone oversized value ships as its
-				// own LaneMsg).
-				if end > off && nextBytes > MaxBatchDataBytes && !nextSame {
-					break
-				}
-				bytes, same = nextBytes, nextSame
-				end++
-			}
+			end, stretches := chunkEnd(r.vals, off, p.opts.fault == MWFaultSplitRun)
 			chunk := r.vals[off:end]
 			start := r.start + off
 			off = end
@@ -335,7 +331,7 @@ func (b *laneBatcher) flush(p *MWProc, eff *proto.Effects) {
 			switch {
 			case len(chunk) == 1:
 				eff.AddSend(r.to, LaneMsg{Writer: r.w, M: WriteMsg{Bit: bit, Val: chunk[0]}})
-			case sameValue(chunk):
+			case stretches == 1:
 				eff.AddSend(r.to, LaneCompactMsg{Writer: r.w, Bit: bit, Count: len(chunk), Val: chunk[0]})
 			default:
 				vals := make([]proto.Value, len(chunk))
@@ -347,22 +343,31 @@ func (b *laneBatcher) flush(p *MWProc, eff *proto.Effects) {
 		// Recycle the run's slice; LaneBatchMsg took its own copy and the
 		// compact/lone frames hold the values, not this slice. Clear the
 		// slots so recycled headers do not pin shipped values.
-		for i := range r.vals {
-			r.vals[i] = nil
-		}
+		clear(r.vals)
 		b.free = append(b.free, r.vals[:0])
 		r.vals = nil
 	}
 	b.runs = b.runs[:0]
 }
 
-func sameValue(vals []proto.Value) bool {
-	for _, v := range vals[1:] {
-		if !v.Equal(vals[0]) {
-			return false
+// chunkEnd returns where the chunk of vals from off ends, and how many
+// stretches it holds: the first stretch, then each next one that fits
+// MaxBatchDataBytes encoded as batch entries (a four-byte length plus the
+// value each). splitRun is MWFaultSplitRun.
+func chunkEnd(vals []proto.Value, off int, splitRun bool) (end, stretches int) {
+	size := 0
+	for end = off; end < len(vals); stretches++ {
+		next := end + 1
+		for next < len(vals) && next-end < MaxFrameEntries && vals[next].Equal(vals[end]) && !(splitRun && next-off >= 2) {
+			next++
 		}
+		size += (next - end) * (4 + len(vals[end]))
+		if end > off && (size > MaxBatchDataBytes || splitRun && end-off >= 2) {
+			break
+		}
+		end = next
 	}
-	return true
+	return end, stretches
 }
 
 // serve records that p_j — or, for j == id, this process — has an operation
@@ -484,7 +489,7 @@ func (p *MWProc) Deliver(from int, msg proto.Message) proto.Effects {
 			l.Enqueue(from, WriteMsg{Bit: p.tornBit(m.Bit, i, len(m.Vals)), Val: v})
 		}
 	case LaneCompactMsg:
-		if m.Count < 2 {
+		if m.Count < 2 || m.Count > MaxFrameEntries {
 			panic(fmt.Sprintf("core: process %d received compact lane frame with count %d", p.id, m.Count))
 		}
 		l := p.lane(m.Writer)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"twobitreg/internal/proto"
 )
@@ -228,5 +229,70 @@ func TestMWBatcherSplitsOversizedRuns(t *testing.T) {
 	}
 	if _, ok := eff2.Sends[0].Msg.(LaneCompactMsg); !ok {
 		t.Fatalf("same-value run shipped as %T, want LaneCompactMsg", eff2.Sends[0].Msg)
+	}
+
+	// The byte cap never cuts a stretch either: in [a, b, b] with b over
+	// half the budget, the frame ends before b's padding, not inside it
+	// (a cut after [a, b] would hand a reader index 2 without index 3).
+	var b3 laneBatcher
+	a, bb := proto.Value("a"), append(big[:len(big)-1:len(big)-1], 'b')
+	for i, v := range []proto.Value{a, bb, bb} {
+		b3.add(0, 1, i+1, v)
+	}
+	var eff3 proto.Effects
+	b3.flush(p, &eff3)
+	shipped := 0
+	for _, s := range eff3.Sends {
+		switch m := s.Msg.(type) {
+		case LaneMsg:
+			shipped++
+		case LaneBatchMsg:
+			shipped += len(m.Vals)
+		case LaneCompactMsg:
+			shipped += m.Count
+		}
+		if shipped == 2 {
+			t.Fatalf("[a, b, b] shipped as %d frames with one ending inside the b stretch", len(eff3.Sends))
+		}
+	}
+	if shipped != 3 {
+		t.Fatalf("[a, b, b] shipped %d entries, want 3", shipped)
+	}
+}
+
+// TestMWLongCompactRunDrainsLinearly: with no count cap left, one compact
+// frame can stand for a very long run, and the receiver parks every entry
+// of it behind the line-11 guard before adopting them in one drain. Popping
+// from the head keeps that linear in the run; shifting the reorder buffer
+// down per pop, as it once did, costs O(C²) element moves — about 9·10⁹
+// at this length, over 20 s on a 2-vCPU x86 host, where the linear drain
+// takes under a tenth of a second. Every adopted index shares the run's one
+// value, and the relay forwards the run as the one frame it arrived as.
+func TestMWLongCompactRunDrainsLinearly(t *testing.T) {
+	t.Parallel()
+	const n, count = 3, 1 << 17
+	p := NewMWMR(1, n)
+	p.StartRead(1) // forward everywhere: p1 has an operation of its own
+	start := time.Now()
+	eff := p.Deliver(0, LaneCompactMsg{Writer: 0, Bit: 1, Count: count, Val: val("pad")})
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("draining a %d-entry compact frame took %v", count, took)
+	}
+	if top := p.LaneTop(0); top != count {
+		t.Fatalf("adopted %d of %d entries", top, count)
+	}
+	// Each adopted index costs one reference to the run's value, as at the
+	// writer (AppendRef), not a copy of it.
+	if head, tail := p.LaneHistAt(0, 1), p.LaneHistAt(0, count); &head[0] != &tail[0] {
+		t.Fatal("the run's entries hold copies of its value, not one shared value")
+	}
+	fwd := 0
+	for _, s := range eff.Sends {
+		if c, ok := s.Msg.(LaneCompactMsg); ok && c.Count == count {
+			fwd++
+		}
+	}
+	if fwd != n-1 {
+		t.Fatalf("the run left in %d whole compact frames, want %d (one per peer)", fwd, n-1)
 	}
 }

@@ -112,14 +112,15 @@ func TestMWIdleProcessFirstOperation(t *testing.T) {
 	h.checkInvariants()
 }
 
-// TestMWLazyLinkOwesAtMostOneFrame drives lanes far past one frame's worth
-// of indices while two processes only relay, with long padded runs in the
-// stream. The link between the two never owes more than MaxBatchEntries
-// (checked after every delivery, and by laneInvariants with everything
-// else); it carries about one frame per MaxBatchEntries indices in each
-// direction instead of one per index; no frame on it ends inside a run the
-// sender adopted in one step; and a read by one of them still finds the
-// last write.
+// TestMWLazyLinkOwesAtMostOneFrame drives lanes far past the 255 entries a
+// one-byte count once capped a frame at, while two processes only relay,
+// with long padded runs in the stream. While both ends only relay, the link
+// between them carries no frame at all, however much it owes: no frame
+// size forces a run out early. p3's first READ then empties each direction
+// with one frame per lane — what a link owes ships in one frame per
+// MaxBatchDataBytes of encoded values, never cut inside a stretch — no
+// frame on it ends inside a run the sender adopted in one step, and the
+// read still finds the last write.
 func TestMWLazyLinkOwesAtMostOneFrame(t *testing.T) {
 	t.Parallel()
 	const n, burst, bursts = 4, 100, 7
@@ -128,14 +129,15 @@ func TestMWLazyLinkOwesAtMostOneFrame(t *testing.T) {
 	// returned; cum[i][j][w] counts the entries i shipped to j on lane w.
 	tops := map[[2]int]map[int]bool{}
 	cum := map[[3]int]int{}
-	frames := map[[2]int]int{}
+	frames := map[[3]int]int{}
 	for _, i := range []int{2, 3} {
 		for _, w := range []int{0, 1} {
 			tops[[2]int{i, w}] = map[int]bool{0: true}
 		}
 	}
-	pump := func() {
-		for len(h.queue) > 0 {
+	// deliver takes the k oldest messages in flight off the queue.
+	deliver := func(k int) {
+		for ; k > 0; k-- {
 			q := h.queue[0]
 			h.queue = h.queue[1:]
 			if q.from >= 2 && q.to >= 2 {
@@ -149,10 +151,7 @@ func TestMWLazyLinkOwesAtMostOneFrame(t *testing.T) {
 					w, entries = m.Writer, m.Count
 				}
 				if w >= 0 {
-					frames[[2]int{q.from, q.to}]++
-					if entries > MaxBatchEntries {
-						t.Fatalf("lane %d frame p%d -> p%d carries %d entries", w, q.from, q.to, entries)
-					}
+					frames[[3]int{q.from, q.to, w}]++
 					key := [3]int{q.from, q.to, w}
 					cum[key] += entries
 					if !tops[[2]int{q.from, w}][cum[key]] {
@@ -166,14 +165,12 @@ func TestMWLazyLinkOwesAtMostOneFrame(t *testing.T) {
 					tops[[2]int{q.to, w}][h.procs[q.to].LaneTop(w)] = true
 				}
 			}
-			for _, i := range []int{2, 3} {
-				for _, w := range []int{0, 1} {
-					if owed := h.procs[i].LaneOwed(w, 5-i); owed > MaxBatchEntries {
-						t.Fatalf("p%d owes p%d %d indices of lane %d, more than one frame", i, 5-i, owed, w)
-					}
-				}
-			}
 			h.checkInvariants()
+		}
+	}
+	pump := func() {
+		for len(h.queue) > 0 {
+			deliver(1)
 		}
 	}
 	// p0 and p1 take turns writing a burst each: the first write of a turn
@@ -188,25 +185,36 @@ func TestMWLazyLinkOwesAtMostOneFrame(t *testing.T) {
 		}
 	}
 	indices := h.procs[2].LaneTop(0)
-	if indices < 2*MaxBatchEntries {
-		t.Fatalf("lane 0 reached only index %d, want past two frames' worth", indices)
+	if indices < 2*255 {
+		t.Fatalf("lane 0 reached only index %d, want past two one-byte counts' worth", indices)
 	}
-	for _, link := range [][2]int{{2, 3}, {3, 2}} {
-		// Two lanes, about one frame per MaxBatchEntries indices each — and
-		// an answer in kind from the other end (Rule R2).
-		if got, most := frames[link], 2*2*(indices/MaxBatchEntries+1); got == 0 || got > most {
-			t.Fatalf("lazy link p%d -> p%d carried %d frames for %d indices a lane, want between 1 and %d", link[0], link[1], got, indices, most)
+	if len(frames) != 0 {
+		t.Fatalf("the relays exchanged lane frames %v while neither had an operation", frames)
+	}
+	for _, i := range []int{2, 3} {
+		for _, w := range []int{0, 1} {
+			if owed, top := h.procs[i].LaneOwed(w, 5-i), h.procs[i].LaneTop(w); owed != top {
+				t.Fatalf("p%d owes p%d %d of lane %d's %d indices, want all of them", i, 5-i, owed, w, top)
+			}
 		}
 	}
 
-	// p3's first operation empties both directions in its first link round.
+	// p3's first operation empties both directions in its first link round,
+	// one frame per lane each way: the owed values fit one budget.
 	op++
 	h.read(3, op)
-	h.round()
+	deliver(len(h.queue))
 	if owedAnywhere(h.procs[3], 2) != 0 || owedAnywhere(h.procs[2], 3) != 0 {
 		t.Fatalf("after p3's READ reached p2 they still owe each other %d and %d", owedAnywhere(h.procs[3], 2), owedAnywhere(h.procs[2], 3))
 	}
 	pump()
+	for _, link := range [][2]int{{2, 3}, {3, 2}} {
+		for _, w := range []int{0, 1} {
+			if got := frames[[3]int{link[0], link[1], w}]; got != 1 {
+				t.Fatalf("lane %d: p%d -> p%d shipped its owed run in %d frames, want 1", w, link[0], link[1], got)
+			}
+		}
+	}
 	if c := h.mustComplete(op); !c.Value.Equal(val(fmt.Sprintf("w%d", op-1))) {
 		t.Fatalf("read after %d writes = %q, want the last one", op-1, c.Value)
 	}

@@ -24,9 +24,22 @@ import (
 // the {p0,p1} majority. When p2 thaws, the delayed index-1 frame arrives,
 // p2 adopts it and echoes — and p1, seeing p2 lag by a whole backlog that
 // is stable at a quorum, re-anchors indices 2..5 with one compact frame.
+//
+// The second input freezes p2 through 300 writes: a gap wider than the 255
+// entries a one-byte count could carry, which used to fall back to a mixed
+// replay over several frames. It re-anchors in one compact frame too.
 func TestMWRejoinCatchUpReplaysCompactReAnchor(t *testing.T) {
 	t.Parallel()
-	const n, writes = 3, 5
+	for _, writes := range []int{5, 300} {
+		t.Run(fmt.Sprint("writes=", writes), func(t *testing.T) {
+			t.Parallel()
+			testRejoinReAnchor(t, writes)
+		})
+	}
+}
+
+func testRejoinReAnchor(t *testing.T, writes int) {
+	const n = 3
 	h := &mwHarness{t: t}
 	for i := 0; i < n; i++ {
 		h.procs = append(h.procs, NewMWMR(i, n))

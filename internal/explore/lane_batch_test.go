@@ -107,3 +107,34 @@ func TestLaneResendCaughtToken(t *testing.T) {
 		t.Fatalf("correct register fails the mutant's descriptor %s: %s", r.Token, r.Violation())
 	}
 }
+
+// TestLaneSplitRunCaughtToken pins the witness that lane runs must not be
+// cut inside a padded write (mut-lane-splitrun: the emitter ends every frame
+// after two entries, as the one-byte count did after 255): the committed
+// crash-free token must keep failing on atomicity — a read pinned on an
+// intermediate padded index orders w2.000003 against w1.000006 both ways —
+// and the correct register, which ships each stretch in one frame, must
+// pass the same descriptor.
+func TestLaneSplitRunCaughtToken(t *testing.T) {
+	t.Parallel()
+	const token = "xb1:mut-lane-splitrun:burst:22:3:60:0.6:0:3"
+	s, err := ParseToken(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `no write order serializes value "w2.000003" (write 20) and value "w1.000006" (write 60)`
+	if !r.Failed() || !strings.Contains(r.Violation(), want) {
+		t.Fatalf("token %s: failed=%v (%s), want the atomicity violation %q", token, r.Failed(), r.Violation(), want)
+	}
+	s.Alg = "twobit-mwmr"
+	if r, err = Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if r.Failed() {
+		t.Fatalf("correct register fails the mutant's descriptor %s: %s", r.Token, r.Violation())
+	}
+}

@@ -17,10 +17,17 @@ const mutationBudget = 140
 // is ahead), and mut-lane-coldread with only the writers invoking operations:
 // its bug lives on links toward processes that serve no client, and a process
 // with an operation of its own has none.
+//
+// One mutant sits out the hunt: mut-lane-splitrun fails about one schedule
+// in 600 of its shape (EXPERIMENTS.md E-SR1), far past this budget, so its
+// committed token pins it instead (TestLaneSplitRunCaughtToken).
 func TestMutantsAreCaughtWithinBudget(t *testing.T) {
 	t.Parallel()
 	for _, mutant := range MutantNames() {
 		mutant := mutant
+		if mutant == "mut-lane-splitrun" {
+			continue
+		}
 		t.Run(mutant, func(t *testing.T) {
 			t.Parallel()
 			writers, clients := 0, 0

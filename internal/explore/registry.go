@@ -116,6 +116,10 @@ func buildRegistry() map[string]proto.Algorithm {
 		// Only schedules that leave processes idle (Schedule.Clients) expose
 		// it: a process with an operation of its own forwards everywhere.
 		"mut-lane-coldread": proto.Alg("mut-lane-coldread", core.MWMRAlgorithm(core.WithMWFault(core.MWFaultColdRead)).New),
+		// The split-run bug (core.MWFaultSplitRun): the emitter cuts a
+		// padded write's run across frames. Too rare to hunt within the
+		// budget; TestLaneSplitRunCaughtToken pins it.
+		"mut-lane-splitrun": proto.Alg("mut-lane-splitrun", core.MWMRAlgorithm(core.WithMWFault(core.MWFaultSplitRun)).New),
 		// The lost-cross-key-frame bug of the coalescing keyed store: a
 		// receiver silently drops the last subframe of every cross-key
 		// multi-frame (regmap.FaultDropMultiTail). The key that subframe
@@ -153,6 +157,7 @@ var mwmrCapableSet = map[string]bool{
 	"mut-lane-batch":       true,
 	"mut-lane-resend":      true,
 	"mut-lane-coldread":    true,
+	"mut-lane-splitrun":    true,
 	"mut-wal-skipsync":     true,
 	"mut-regmap-frame":     true,
 	"mut-wal-earlyrelease": true,

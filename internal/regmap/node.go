@@ -252,19 +252,21 @@ func (nd *Node) Flush() proto.Effects {
 }
 
 // releaseFrames ships the held frames: per destination (ascending, so the
-// order is deterministic), a lone frame ships bare and a burst ships as
-// MultiMsg chunks of at most MaxMultiFrames subframes, preserving emission
-// order on each link.
+// order is deterministic), in emission order, as MultiMsgs of whole
+// subframes. A multi-frame ends where the next subframe — its key, the five
+// bytes that frame it, and its payload — would push it past
+// core.MaxBatchDataBytes, the budget lane frames are cut to as well; a lone
+// subframe ships bare.
 func (nd *Node) releaseFrames(out *proto.Effects) {
-	for to := range nd.hold {
-		frames := nd.hold[to]
-		if len(frames) == 0 {
-			continue
-		}
+	for to, frames := range nd.hold {
 		for off := 0; off < len(frames); {
-			end := off + MaxMultiFrames
-			if end > len(frames) {
-				end = len(frames)
+			end, size := off, 0
+			for end < len(frames) {
+				size += 5 + len(frames[end].Key) + frames[end].DataBytes()
+				if end > off && size > core.MaxBatchDataBytes {
+					break
+				}
+				end++
 			}
 			if end-off == 1 {
 				out.AddSend(to, frames[off])

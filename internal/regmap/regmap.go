@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sort"
 
+	"twobitreg/internal/core"
 	"twobitreg/internal/metrics"
 	"twobitreg/internal/proto"
 )
@@ -41,15 +42,6 @@ var ErrKeyTooLong = errors.New("regmap: key too long")
 
 // MaxKeyLen bounds key sizes (they travel in every message).
 const MaxKeyLen = 255
-
-// MaxMultiFrames bounds the subframes one MultiMsg carries (its count
-// travels in one byte); the coalescer splits longer bursts.
-const MaxMultiFrames = 255
-
-// MultiCountBits is the framing cost of a cross-key multi-frame: a one-byte
-// subframe count, accounted as addressing exactly like the lane batch
-// length byte.
-const MultiCountBits = 8
 
 // Fault selects a deliberately broken store variant for mutation-testing
 // the detection machinery. The zero value is the correct protocol.
@@ -187,8 +179,8 @@ func (m KeyedMsg) AddressingBits() int {
 
 // MultiMsg is the cross-key coalescing frame: keyed frames from different
 // keys headed down the same link, shipped as one message. Each subframe
-// keeps its own key addressing; the one-byte subframe count is framing,
-// accounted as addressing like the lane batch length byte.
+// keeps its own key addressing; the uvarint subframe count is framing,
+// accounted as addressing like a lane batch's count (core.CountBits).
 type MultiMsg struct {
 	Frames []KeyedMsg
 }
@@ -196,9 +188,9 @@ type MultiMsg struct {
 // TypeName returns "MULTI".
 func (MultiMsg) TypeName() string { return "MULTI" }
 
-// ControlBits sums the subframes plus the count byte.
+// ControlBits sums the subframes plus the count bytes.
 func (m MultiMsg) ControlBits() int {
-	bits := MultiCountBits
+	bits := core.CountBits(len(m.Frames))
 	for _, f := range m.Frames {
 		bits += f.ControlBits()
 	}
@@ -223,10 +215,10 @@ func (m MultiMsg) LogicalEntries() int {
 	return n
 }
 
-// AddressingBits implements metrics.Addressed: the count byte plus every
+// AddressingBits implements metrics.Addressed: the count bytes plus every
 // subframe's addressing.
 func (m MultiMsg) AddressingBits() int {
-	bits := MultiCountBits
+	bits := core.CountBits(len(m.Frames))
 	for _, f := range m.Frames {
 		bits += f.AddressingBits()
 	}

@@ -56,7 +56,7 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 	for i := 0; i < 2; i++ { // AllocsPerRun's warm-up call plus one run
 		msgs = append(msgs, big, small, small, big, small)
 	}
-	fr := NewFrameReader(bytes.NewReader(frameStream(t, msgs...)), maxFrame)
+	fr := NewFrameReader(bytes.NewReader(frameStream(t, msgs...)), MaxFrame)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < perRun; i++ {
 			if _, err := fr.Next(); err != nil {
@@ -80,12 +80,12 @@ func TestFrameReaderRejectsBadSizes(t *testing.T) {
 		size uint32
 	}{
 		{"zero", 0},
-		{"huge", maxFrame + 1},
+		{"huge", MaxFrame + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var hdr [4]byte
 			binary.BigEndian.PutUint32(hdr[:], tc.size)
-			fr := NewFrameReader(bytes.NewReader(hdr[:]), maxFrame)
+			fr := NewFrameReader(bytes.NewReader(hdr[:]), MaxFrame)
 			if _, err := readFrame(fr); err == nil {
 				t.Fatal("bad frame size accepted")
 			}
@@ -102,7 +102,7 @@ func TestFrameReaderDecodedValuesSurviveReuse(t *testing.T) {
 	stream := frameStream(t,
 		core.WriteMsg{Bit: 0, Val: v1},
 		core.WriteMsg{Bit: 1, Val: v2})
-	fr := NewFrameReader(bytes.NewReader(stream), maxFrame)
+	fr := NewFrameReader(bytes.NewReader(stream), MaxFrame)
 	body, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestFrameReaderBurstInOneRead(t *testing.T) {
 		want = append(want, core.WriteMsg{Bit: uint8(i % 2), Val: []byte{byte(i)}})
 	}
 	src := &chunkReader{chunks: [][]byte{append(helloBytes(7, 9), frameStream(t, want...)...)}}
-	fr := NewFrameReader(src, maxFrame)
+	fr := NewFrameReader(src, MaxFrame)
 	if hello, err := fr.Take(helloLen); err != nil || !bytes.Equal(hello, helloBytes(7, 9)) {
 		t.Fatalf("hello = %v, %v; want process 7 at incarnation 9", hello, err)
 	}
@@ -198,7 +198,7 @@ func TestFrameReaderReassemblesSplitFrames(t *testing.T) {
 	stream := append(helloBytes(3, 9), frameStream(t, want...)...)
 	check := func(name string, chunks [][]byte) {
 		t.Helper()
-		fr := NewFrameReader(&chunkReader{chunks: chunks}, maxFrame)
+		fr := NewFrameReader(&chunkReader{chunks: chunks}, MaxFrame)
 		if hello, err := fr.Take(helloLen); err != nil || !bytes.Equal(hello, helloBytes(3, 9)) {
 			t.Fatalf("%s: hello = %v, %v; want process 3 at incarnation 9", name, hello, err)
 		}
@@ -227,19 +227,19 @@ func TestFrameReaderReassemblesSplitFrames(t *testing.T) {
 func TestFrameReaderStreamEnd(t *testing.T) {
 	stream := frameStream(t, core.WriteMsg{Bit: 1, Val: []byte("abcdef")})
 	for cut := 1; cut < len(stream); cut++ {
-		fr := NewFrameReader(bytes.NewReader(stream[:cut]), maxFrame)
+		fr := NewFrameReader(bytes.NewReader(stream[:cut]), MaxFrame)
 		if _, err := fr.Next(); err != io.ErrUnexpectedEOF {
 			t.Fatalf("stream cut at byte %d of %d: %v, want io.ErrUnexpectedEOF", cut, len(stream), err)
 		}
 	}
-	if _, err := NewFrameReader(bytes.NewReader(nil), maxFrame).Next(); err != io.EOF {
+	if _, err := NewFrameReader(bytes.NewReader(nil), MaxFrame).Next(); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
-	if _, err := NewFrameReader(bytes.NewReader(nil), maxFrame).Take(helloLen); err != io.EOF {
+	if _, err := NewFrameReader(bytes.NewReader(nil), MaxFrame).Take(helloLen); err != io.EOF {
 		t.Fatalf("empty stream, hello: %v, want io.EOF", err)
 	}
 	src := &chunkReader{chunks: [][]byte{{0xff, 0xff, 0xff, 0xff}, bytes.Repeat([]byte{1}, 64)}}
-	if _, err := NewFrameReader(src, maxFrame).Next(); err == nil || src.reads != 1 {
+	if _, err := NewFrameReader(src, MaxFrame).Next(); err == nil || src.reads != 1 {
 		t.Fatalf("oversized length: err = %v after %d reads, want a refusal on the header's read alone", err, src.reads)
 	}
 }

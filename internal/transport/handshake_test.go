@@ -131,7 +131,7 @@ func TestHandshakeInboundRestart(t *testing.T) {
 	log.wantExactly(t, "recv a1", "recv a2", "restart 1", "recv b1", "recv b2")
 	stale := dialAs(t, m, 10, valMsg("a3"))
 	log.wantExactly(t, "recv a1", "recv a2", "restart 1", "recv b1", "recv b2")
-	wantNoMoreFrames(t, NewFrameReader(stale, maxFrame))
+	wantNoMoreFrames(t, NewFrameReader(stale, MaxFrame))
 	if st := m.Stats(); st.PeerRestarts != 1 {
 		t.Fatalf("%d restarts counted, want 1 (%v)", st.PeerRestarts, st)
 	}
@@ -260,7 +260,7 @@ func TestHandshakeOutboundRestart(t *testing.T) {
 	send("a1")
 	first := sp.accept()
 	reply(t, first, 10)
-	if got := nextVal(t, NewFrameReader(first, maxFrame)); got != "a1" {
+	if got := nextVal(t, NewFrameReader(first, MaxFrame)); got != "a1" {
 		t.Fatalf("first connection carried %q, want a1", got)
 	}
 	first.Close() // the peer dies
@@ -285,14 +285,14 @@ func TestHandshakeOutboundRestart(t *testing.T) {
 	<-stopped
 	reply(t, second, 20)
 	log.wantExactly(t, "restart 1")
-	wantNoMoreFrames(t, NewFrameReader(second, maxFrame))
+	wantNoMoreFrames(t, NewFrameReader(second, MaxFrame))
 
 	send("still void") // the subscriber has not reset yet
 	m.PeerRestarted(1)
 	send("b1")
 	third := sp.accept()
 	reply(t, third, 20)
-	fr := NewFrameReader(third, maxFrame)
+	fr := NewFrameReader(third, MaxFrame)
 	if got := nextVal(t, fr); got != "b1" {
 		t.Fatalf("the new incarnation's first frame is %q, want b1: only what follows the reset may reach it", got)
 	}
@@ -343,13 +343,13 @@ func TestHandshakeStraddlingDialNotPublished(t *testing.T) {
 	straddler := sp.accept() // hello read, reply withheld: the dial is in progress
 	m.PeerRestarted(1)
 	waitUntil(t, "the batch to be dropped", func() bool { return m.Stats().FramesDropped == 1 })
-	wantNoMoreFrames(t, NewFrameReader(straddler, maxFrame))
+	wantNoMoreFrames(t, NewFrameReader(straddler, MaxFrame))
 	if err := m.Send(1, valMsg("after")); err != nil {
 		t.Fatal(err)
 	}
 	fresh := sp.accept()
 	reply(t, fresh, 10)
-	fr := NewFrameReader(fresh, maxFrame)
+	fr := NewFrameReader(fresh, MaxFrame)
 	if got := nextVal(t, fr); got != "after" {
 		t.Fatalf("the fresh connection's first frame is %q, want after", got)
 	}

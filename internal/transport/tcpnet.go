@@ -25,8 +25,10 @@ type Codec interface {
 	Decode(b []byte) (proto.Message, error)
 }
 
-// maxFrame bounds inbound frames against corrupt or malicious peers.
-const maxFrame = 1 << 24
+// MaxFrame bounds inbound frames against corrupt or malicious peers: the
+// largest value a client may Put (1<<24 bytes) plus 1 KiB for its keyed
+// frame's headers, a relation wire's tests pin.
+const MaxFrame = 1<<24 + 1<<10
 
 // maxBatchBytes flushes a sender's coalescing buffer mid-drain once it
 // grows past this size, bounding memory and syscall payload alike.
@@ -781,7 +783,7 @@ func (m *Mesh) serveConn(conn net.Conn) {
 	}()
 	// The hello and the frames share one buffered reader: a read that took
 	// both must not lose the frames.
-	fr := NewFrameReader(conn, maxFrame)
+	fr := NewFrameReader(conn, MaxFrame)
 	hello, err := fr.Take(helloLen)
 	if err != nil {
 		return

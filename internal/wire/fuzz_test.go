@@ -50,6 +50,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x20, 0x02, 0x01, 'a', 0, 0, 0, 1, 0x02})
 	f.Add([]byte{0x20, 0x01, 0x01, 'a', 0, 0, 0, 1, 0x02})
 	f.Add([]byte{0x20, 0x02, 0x01, 'a', 0, 0, 0, 2, 0x0C, 0x01, 0x03, 'p', 0x01, 'b', 0, 0, 0, 1, 0x02})
+	// Multi-byte uvarint counts: a compact run of 300, a batch of 128, a
+	// non-minimal count, one past MaxFrameEntries, and a truncated varint.
+	f.Add([]byte{0x0C, 0x01, 0xAC, 0x02, 'p'})
+	f.Add(append([]byte{0x08, 0x01, 0x80, 0x01}, bytes.Repeat([]byte{0, 0, 0, 0}, 128)...))
+	f.Add([]byte{0x0C, 0x01, 0x82, 0x00, 'p'})
+	f.Add([]byte{0x0C, 0x01, 0x81, 0x80, 0x40, 'p'})
+	f.Add([]byte{0x20, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(data)
 		if err != nil {

@@ -23,15 +23,17 @@
 //
 // A batch is count consecutive entries (entry i at parity b+i mod 2, two
 // control bits each); a compact frame is a count-long same-value padding
-// run shipped as its head+tail summary. The writer id and count bytes are
-// the addressing/framing cost accounted in the messages' ControlBits.
+// run shipped as its head+tail summary. The writer id is one byte; counts
+// are uvarints (one byte below 128) in 2..core.MaxFrameEntries. The writer
+// id and count bytes are the addressing/framing cost accounted in the
+// messages' ControlBits.
 //
 // The keyed store's frames (internal/regmap) use bit 4 of the header byte:
 //
 //	0x10  keyed frame:  header, key len, key, inner message (encoded as
 //	      above — any non-keyed frame)
 //	0x20  keyed multi:  header, count, count x (key len, key, u32 inner
-//	      len, inner message) — cross-key coalescing, count >= 2
+//	      len, inner message) — cross-key coalescing, a uvarint count >= 2
 //
 // The key bytes (and the count/length framing) are addressing, accounted in
 // the regmap messages' ControlBits; the inner frames keep their exact
@@ -124,10 +126,10 @@ func AppendEncode(dst []byte, msg proto.Message) ([]byte, error) {
 		if err := checkLane(m.Writer, m.Bit, 0); err != nil {
 			return dst, err
 		}
-		if len(m.Vals) < 2 || len(m.Vals) > core.MaxBatchEntries {
-			return dst, fmt.Errorf("wire: lane batch with %d entries (want 2..%d)", len(m.Vals), core.MaxBatchEntries)
+		if len(m.Vals) < 2 || len(m.Vals) > core.MaxFrameEntries {
+			return dst, fmt.Errorf("wire: lane batch with %d entries (want 2..%d)", len(m.Vals), core.MaxFrameEntries)
 		}
-		dst = append(dst, frameBatch|m.Bit, byte(m.Writer), byte(len(m.Vals)))
+		dst = binary.AppendUvarint(append(dst, frameBatch|m.Bit, byte(m.Writer)), uint64(len(m.Vals)))
 		for _, v := range m.Vals {
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(v)))
 			dst = append(dst, v...)
@@ -137,10 +139,10 @@ func AppendEncode(dst []byte, msg proto.Message) ([]byte, error) {
 		if err := checkLane(m.Writer, m.Bit, 0); err != nil {
 			return dst, err
 		}
-		if m.Count < 2 || m.Count > core.MaxBatchEntries {
-			return dst, fmt.Errorf("wire: lane compact frame with count %d (want 2..%d)", m.Count, core.MaxBatchEntries)
+		if m.Count < 2 || m.Count > core.MaxFrameEntries {
+			return dst, fmt.Errorf("wire: lane compact frame with count %d (want 2..%d)", m.Count, core.MaxFrameEntries)
 		}
-		dst = append(dst, frameCompact|m.Bit, byte(m.Writer), byte(m.Count))
+		dst = binary.AppendUvarint(append(dst, frameCompact|m.Bit, byte(m.Writer)), uint64(m.Count))
 		return append(dst, m.Val...), nil
 	case regmap.KeyedMsg:
 		out, err := appendKeyedInner(append(dst, frameKeyed), m)
@@ -149,10 +151,10 @@ func AppendEncode(dst []byte, msg proto.Message) ([]byte, error) {
 		}
 		return out, nil
 	case regmap.MultiMsg:
-		if len(m.Frames) < 2 || len(m.Frames) > regmap.MaxMultiFrames {
-			return dst, fmt.Errorf("wire: keyed multi-frame with %d subframes (want 2..%d)", len(m.Frames), regmap.MaxMultiFrames)
+		if len(m.Frames) < 2 {
+			return dst, fmt.Errorf("wire: keyed multi-frame with %d subframes (want >= 2)", len(m.Frames))
 		}
-		out := append(dst, frameMulti, byte(len(m.Frames)))
+		out := binary.AppendUvarint(append(dst, frameMulti), uint64(len(m.Frames)))
 		for _, f := range m.Frames {
 			if err := checkKeyed(f); err != nil {
 				return dst, err
@@ -228,12 +230,7 @@ func Decode(b []byte) (proto.Message, error) {
 	if hdr&frameMask == 0 {
 		switch hdr & 0b11 {
 		case codeWrite0, codeWrite1:
-			var v proto.Value
-			if len(b) > 1 {
-				v = make(proto.Value, len(b)-1)
-				copy(v, b[1:])
-			}
-			return core.WriteMsg{Bit: hdr & 1, Val: v}, nil
+			return core.WriteMsg{Bit: hdr & 1, Val: valueOf(b[1:])}, nil
 		case codeRead:
 			if len(b) != 1 {
 				return nil, fmt.Errorf("wire: READ with %d trailing bytes", len(b)-1)
@@ -257,60 +254,31 @@ func Decode(b []byte) (proto.Message, error) {
 	writer := int(b[1])
 	switch hdr & frameMask {
 	case frameLane:
-		var v proto.Value
-		if len(b) > 2 {
-			v = make(proto.Value, len(b)-2)
-			copy(v, b[2:])
-		}
-		return core.LaneMsg{Writer: writer, M: core.WriteMsg{Bit: bit, Val: v}}, nil
+		return core.LaneMsg{Writer: writer, M: core.WriteMsg{Bit: bit, Val: valueOf(b[2:])}}, nil
 	case frameBatch:
-		if len(b) < 3 {
-			return nil, ErrTruncated
-		}
-		count := int(b[2])
-		if count < 2 {
-			return nil, fmt.Errorf("wire: lane batch with count %d (want >= 2)", count)
+		// Every entry carries at least its four-byte length.
+		count, rest, err := readCount(b[2:], 4, "lane batch")
+		if err != nil {
+			return nil, err
 		}
 		vals := make([]proto.Value, 0, count)
-		rest := b[3:]
 		for k := 0; k < count; k++ {
-			if len(rest) < 4 {
-				return nil, ErrTruncated
+			var v []byte
+			if v, rest, err = splitLen(rest, "batch value"); err != nil {
+				return nil, err
 			}
-			vlen := binary.BigEndian.Uint32(rest[:4])
-			if vlen > MaxValueLen {
-				return nil, fmt.Errorf("wire: batch value of %d bytes exceeds limit", vlen)
-			}
-			rest = rest[4:]
-			if len(rest) < int(vlen) {
-				return nil, ErrTruncated
-			}
-			var v proto.Value
-			if vlen > 0 {
-				v = make(proto.Value, vlen)
-				copy(v, rest[:vlen])
-			}
-			vals = append(vals, v)
-			rest = rest[vlen:]
+			vals = append(vals, valueOf(v))
 		}
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("wire: lane batch with %d trailing bytes", len(rest))
 		}
 		return core.LaneBatchMsg{Writer: writer, Bit: bit, Vals: vals}, nil
 	default: // frameCompact
-		if len(b) < 3 {
-			return nil, ErrTruncated
+		count, rest, err := readCount(b[2:], 0, "lane compact frame")
+		if err != nil {
+			return nil, err
 		}
-		count := int(b[2])
-		if count < 2 {
-			return nil, fmt.Errorf("wire: lane compact frame with count %d (want >= 2)", count)
-		}
-		var v proto.Value
-		if len(b) > 3 {
-			v = make(proto.Value, len(b)-3)
-			copy(v, b[3:])
-		}
-		return core.LaneCompactMsg{Writer: writer, Bit: bit, Count: count, Val: v}, nil
+		return core.LaneCompactMsg{Writer: writer, Bit: bit, Count: count, Val: valueOf(rest)}, nil
 	}
 }
 
@@ -328,43 +296,70 @@ func decodeKeyed(hdr byte, rest []byte) (proto.Message, error) {
 		}
 		return regmap.KeyedMsg{Key: key, Inner: msg}, nil
 	}
-	if len(rest) < 1 {
-		return nil, ErrTruncated
+	// Every subframe carries at least its key length, its four-byte inner
+	// length and a one-byte inner header.
+	count, rest, err := readCount(rest, 6, "keyed multi-frame")
+	if err != nil {
+		return nil, err
 	}
-	count := int(rest[0])
-	if count < 2 {
-		return nil, fmt.Errorf("wire: keyed multi-frame with count %d (want >= 2)", count)
-	}
-	rest = rest[1:]
 	frames := make([]regmap.KeyedMsg, 0, count)
 	for k := 0; k < count; k++ {
 		key, after, err := splitKey(rest)
 		if err != nil {
 			return nil, err
 		}
-		if len(after) < 4 {
-			return nil, ErrTruncated
+		var inner []byte
+		if inner, rest, err = splitLen(after, "keyed subframe"); err != nil {
+			return nil, err
 		}
-		ilen := binary.BigEndian.Uint32(after[:4])
-		if ilen > MaxValueLen {
-			return nil, fmt.Errorf("wire: keyed subframe of %d bytes exceeds limit", ilen)
-		}
-		after = after[4:]
-		if len(after) < int(ilen) {
-			return nil, ErrTruncated
-		}
-		msg, err := decodeKeyedInner(after[:ilen])
+		msg, err := decodeKeyedInner(inner)
 		if err != nil {
 			return nil, err
 		}
 		frames = append(frames, regmap.KeyedMsg{Key: key, Inner: msg})
-		rest = after[ilen:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("wire: keyed multi-frame with %d trailing bytes", len(rest))
 	}
 	return regmap.MultiMsg{Frames: frames}, nil
 }
+
+// readCount consumes a frame's uvarint count, refusing a truncated,
+// overflowing or non-minimal varint (one encoding per frame), a count below
+// 2 or above core.MaxFrameEntries, and one the rest cannot hold at perEntry
+// bytes an entry.
+func readCount(b []byte, perEntry int, what string) (int, []byte, error) {
+	c, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return 0, nil, ErrTruncated
+	case n < 0 || (n > 1 && b[n-1] == 0):
+		return 0, nil, fmt.Errorf("wire: %s with a malformed count", what)
+	case c < 2 || c > core.MaxFrameEntries:
+		return 0, nil, fmt.Errorf("wire: %s with count %d (want 2..%d)", what, c, core.MaxFrameEntries)
+	case perEntry > 0 && c > uint64((len(b)-n)/perEntry):
+		return 0, nil, fmt.Errorf("wire: %s with count %d in %d bytes", what, c, len(b)-n)
+	}
+	return int(c), b[n:], nil
+}
+
+// splitLen consumes a u32-length-prefixed body of at most MaxValueLen bytes.
+func splitLen(b []byte, what string) ([]byte, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, ErrTruncated
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > MaxValueLen {
+		return nil, nil, fmt.Errorf("wire: %s of %d bytes exceeds limit", what, n)
+	}
+	if b = b[4:]; len(b) < int(n) {
+		return nil, nil, ErrTruncated
+	}
+	return b[:n], b[n:], nil
+}
+
+// valueOf copies a decoded value out of the frame buffer (nil when empty).
+func valueOf(b []byte) proto.Value { return append(proto.Value(nil), b...) }
 
 // splitKey consumes a length-prefixed key.
 func splitKey(b []byte) (string, []byte, error) {

@@ -268,10 +268,15 @@ func TestLaneFrameRejects(t *testing.T) {
 	}
 }
 
-// TestBatchBoundsMatchWireCounts pins each batch bound the emitters split
-// at to the one-byte count that carries it: a lane batch and a compact frame
-// of core.MaxBatchEntries entries, and a keyed multi-frame of
-// regmap.MaxMultiFrames subframes, round-trip; one more is refused.
+// TestBatchBoundsMatchWireCounts pins the uvarint counts of the lane batch,
+// the lane compact frame and the keyed multi-frame: counts on both sides of
+// each varint byte boundary, and one far past the one byte they used to
+// travel in, round-trip; below 128 a count is the single byte it always
+// was, so those frames keep their exact bytes. The decoder refuses a count
+// below 2, a truncated, overflowing or non-minimal varint, a compact count
+// above core.MaxFrameEntries (a frame of a few bytes must not make its
+// receiver materialize more), a count the remaining bytes cannot hold, and
+// trailing bytes.
 func TestBatchBoundsMatchWireCounts(t *testing.T) {
 	t.Parallel()
 	vals := func(n int) []proto.Value {
@@ -288,35 +293,104 @@ func TestBatchBoundsMatchWireCounts(t *testing.T) {
 		}
 		return out
 	}
-	const entries, subframes = core.MaxBatchEntries, regmap.MaxMultiFrames
+	for _, count := range []int{2, 127, 128, 255, 256, 70_000} {
+		for _, tc := range []struct {
+			name   string
+			msg    proto.Message
+			prefix []byte // header bytes ahead of the count
+		}{
+			{"lane batch", core.LaneBatchMsg{Writer: 1, Bit: 1, Vals: vals(count)}, []byte{0x09, 0x01}},
+			{"lane compact", core.LaneCompactMsg{Writer: 1, Count: count, Val: proto.Value("pad")}, []byte{0x0C, 0x01}},
+			{"keyed multi", regmap.MultiMsg{Frames: frames(count)}, []byte{0x20}},
+		} {
+			b, err := Encode(tc.msg)
+			if err != nil {
+				t.Fatalf("%s of %d: %v", tc.name, count, err)
+			}
+			if !bytes.HasPrefix(b, tc.prefix) {
+				t.Fatalf("%s of %d starts %x, want %x", tc.name, count, b[:len(tc.prefix)], tc.prefix)
+			}
+			c := b[len(tc.prefix):]
+			if count < 128 && c[0] != byte(count) {
+				t.Fatalf("%s of %d: count byte %#x, want the one-byte form %#x", tc.name, count, c[0], count)
+			}
+			if count >= 128 && c[0]&0x80 == 0 {
+				t.Fatalf("%s of %d: count byte %#x carries no continuation", tc.name, count, c[0])
+			}
+			// ControlBits charges the count's varint bytes as framing.
+			n := 1
+			for c[n-1]&0x80 != 0 {
+				n++
+			}
+			if got := core.CountBits(count); got != 8*n {
+				t.Fatalf("%s of %d: CountBits = %d for a %d-byte varint", tc.name, count, got, n)
+			}
+			got, err := Decode(b)
+			if err != nil {
+				t.Fatalf("%s of %d: decode: %v", tc.name, count, err)
+			}
+			if !reflect.DeepEqual(got, tc.msg) {
+				t.Fatalf("%s of %d did not round-trip", tc.name, count)
+			}
+			// Trailing bytes are refused, except after a compact frame's
+			// value, which runs to the end of the frame.
+			if _, err := Decode(append(b, 0)); err == nil && tc.name != "lane compact" {
+				t.Fatalf("%s of %d accepted a trailing byte", tc.name, count)
+			}
+		}
+	}
+
+	if _, err := Encode(core.LaneCompactMsg{Writer: 1, Count: core.MaxFrameEntries, Val: proto.Value("p")}); err != nil {
+		t.Fatalf("compact frame at MaxFrameEntries: %v", err)
+	}
+	if _, err := Encode(core.LaneCompactMsg{Writer: 1, Count: core.MaxFrameEntries + 1}); err == nil {
+		t.Fatal("encoder accepted a compact count past MaxFrameEntries")
+	}
 	for _, tc := range []struct {
-		name      string
-		atBound   proto.Message
-		pastBound proto.Message
+		name string
+		b    []byte
 	}{
-		{"lane batch",
-			core.LaneBatchMsg{Writer: 1, Bit: 1, Vals: vals(entries)},
-			core.LaneBatchMsg{Writer: 1, Bit: 1, Vals: vals(entries + 1)}},
-		{"lane compact",
-			core.LaneCompactMsg{Writer: 1, Count: entries, Val: proto.Value("pad")},
-			core.LaneCompactMsg{Writer: 1, Count: entries + 1, Val: proto.Value("pad")}},
-		{"keyed multi",
-			regmap.MultiMsg{Frames: frames(subframes)},
-			regmap.MultiMsg{Frames: frames(subframes + 1)}},
+		{"compact count 1", []byte{0x0C, 0x01, 0x01, 'v'}},
+		{"multi count 1", []byte{0x20, 0x01, 0x01, 'a', 0, 0, 0, 1, 0x02}},
+		{"compact count truncated", []byte{0x0C, 0x01, 0x80}},
+		{"batch count truncated", []byte{0x08, 0x01, 0xFF}},
+		{"multi count truncated", []byte{0x20, 0x80}},
+		{"compact count non-minimal", []byte{0x0C, 0x01, 0x82, 0x00, 'v'}},
+		{"multi count non-minimal", []byte{0x20, 0x82, 0x00, 0x01, 'a', 0, 0, 0, 1, 0x02, 0x01, 'b', 0, 0, 0, 1, 0x03}},
+		{"compact count overflows", []byte{0x0C, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}},
+		{"compact count 2^40", []byte{0x0C, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 'v'}},
+		{"compact count MaxFrameEntries+1", []byte{0x0C, 0x01, 0x81, 0x80, 0x40, 'v'}},
+		{"batch count past its bytes", []byte{0x08, 0x01, 0x80, 0x80, 0x04, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"multi count past its bytes", []byte{0x20, 0x90, 0x4E, 0x01, 'a', 0, 0, 0, 1, 0x02, 0x01, 'b', 0, 0, 0, 1, 0x03}},
 	} {
-		b, err := Encode(tc.atBound)
+		if m, err := Decode(tc.b); err == nil {
+			t.Fatalf("%s: decoder accepted %x as %#v", tc.name, tc.b, m)
+		}
+	}
+}
+
+// TestMaxValueFramesFitTheMesh pins the mesh's frame cap to the client
+// protocol's value cap: a value as large as a client may Put (MaxValueLen)
+// under the longest key travels between members as one keyed lane frame —
+// a lone LaneMsg, or a compact frame at the largest count — and a mesh
+// FrameReader at transport.MaxFrame must take it. A refused frame drops the
+// connection, and the lanes never resend what it carried.
+func TestMaxValueFramesFitTheMesh(t *testing.T) {
+	t.Parallel()
+	key := string(bytes.Repeat([]byte{'k'}, regmap.MaxKeyLen))
+	v := make(proto.Value, MaxValueLen)
+	for _, inner := range []proto.Message{
+		core.LaneMsg{Writer: 255, M: core.WriteMsg{Bit: 1, Val: v}},
+		core.LaneCompactMsg{Writer: 255, Bit: 1, Count: core.MaxFrameEntries, Val: v},
+	} {
+		m := regmap.KeyedMsg{Key: key, Inner: inner}
+		fr := transport.NewFrameReader(bytes.NewReader(frameStream(t, m)), transport.MaxFrame)
+		got, err := readFrame(fr)
 		if err != nil {
-			t.Fatalf("%s at the bound: %v", tc.name, err)
+			t.Fatalf("keyed %T of a %d-byte value: %v", inner, MaxValueLen, err)
 		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("%s at the bound: decode: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got, tc.atBound) {
-			t.Fatalf("%s at the bound did not round-trip", tc.name)
-		}
-		if _, err := Encode(tc.pastBound); err == nil {
-			t.Fatalf("%s one past the bound encoded", tc.name)
+		if got.DataBytes() != MaxValueLen || got.TypeName() != m.TypeName() {
+			t.Fatalf("keyed %T came back as %s of %d bytes", inner, got.TypeName(), got.DataBytes())
 		}
 	}
 }
