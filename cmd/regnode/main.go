@@ -41,6 +41,15 @@
 // restarted peer like any other. Only a member without -data must not be
 // restarted into a running cluster, since it would come back empty.
 //
+// The log is dir/shard<s>-proc<i>.wal: an 8-byte magic ending in the
+// format version, then one checksummed frame per sync, then zeros — the
+// file grows a chunk at a time, so its size runs ahead of the log. A kill
+// mid-sync leaves a torn final frame, which is dropped whole at the next
+// start, with nothing of it acknowledged. A log of any other format —
+// one written before the magic existed included — is refused, and so is
+// one damaged before its last frame: regnode exits 1 naming the file.
+// There is no migration.
+//
 // SIGINT or SIGTERM shuts the process down in order (shard.Member.Close):
 // the node stops, so requests in flight end as unavailable and clients
 // fail over; the client server closes once those requests have returned;
@@ -68,7 +77,7 @@ func main() {
 	clients := flag.String("clients", "", "client address table, same shape as -peers")
 	shardIdx := flag.Int("shard", 0, "this process's shard index")
 	id := flag.Int("id", 0, "this process's index within its shard")
-	dataDir := flag.String("data", "", "directory for this process's write-ahead log (empty: volatile, not restartable)")
+	dataDir := flag.String("data", "", "directory for this process's write-ahead log, refused if in another format (empty: volatile, not restartable)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"twobitreg/internal/regclient"
 	"twobitreg/internal/shard"
+	"twobitreg/internal/storage"
 )
 
 // freeAddrs reserves n loopback addresses by binding and releasing them.
@@ -102,6 +105,22 @@ func TestRunRejectsOutOfRangeSlot(t *testing.T) {
 		if !errors.As(err, &cerr) || cerr.Field != tc.field {
 			t.Errorf("-shard %d -id %d: %v, want a *shard.ConfigError at %q", tc.shard, tc.id, err, tc.field)
 		}
+	}
+}
+
+// TestRunRefusesForeignLog: a -data directory whose log is in another
+// format — here one record of the format before the WAL had a magic — is
+// refused naming the file, never served as an empty register.
+func TestRunRefusesForeignLog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard0-proc1.wal")
+	old := []byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 'k', 'v', '1'}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), "", "a:1,b:1,c:1", "d:1,e:1,f:1", 0, 1, dir)
+	if !errors.Is(err, storage.ErrWALFormat) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("run with a foreign log: %v, want storage.ErrWALFormat naming %s", err, path)
 	}
 }
 

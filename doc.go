@@ -251,7 +251,11 @@
 // makes the register the store serves — the multi-writer core.MWProc, and
 // regmap.Node hosting it — crash-RESTART capable. StableStorage is the pluggable persistence
 // interface (an in-memory log with injectable sync-loss for tests, a
-// file-backed append-only WAL with explicit Sync points for deployments),
+// file-backed WAL with explicit Sync points for deployments: a versioned
+// magic, then one CRC-32C-checked frame per Sync written into space the
+// file already has — it grows by whole chunks of zeros — so a Sync
+// replays whole or not at all, a torn final frame is cut at open, and a
+// log in another format or damaged before its last frame is refused),
 // and the durability contract is one line: log every lane append, sync
 // before any attestation leaves. Every outbound message attests to lane
 // state — a WRITE echo fills a quorum, a PROCEED certifies a freshness

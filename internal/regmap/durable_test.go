@@ -2,7 +2,6 @@ package regmap
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -660,8 +659,10 @@ func TestNodeRestartCoversKeysCreatedLater(t *testing.T) {
 // TestKeyStateGrowsWithHistory pins today's unbounded growth at n=3: after
 // each of N sequential writes to one key by p0, every node retains v0 plus
 // every written value on the writer's lane and v0 on the other two (N+3
-// entries), and its FileWAL holds one 20-byte record per write (16-byte
-// header, 1-byte key, 3-byte value). Nothing compacts a served key's lanes
+// entries), and its FileWAL's logical length (FileWAL.Len, not the file's
+// size, which runs ahead in chunks of zeros) is the 8-byte magic plus one
+// 28-byte frame per write: an 8-byte frame header and one 20-byte record
+// (16-byte header, 1-byte key, 3-byte value). Nothing compacts a served key's lanes
 // or truncates its log, so both numbers grow with history; a bound on
 // either belongs in this table. The store runs uncoalesced here — coalescing
 // changes framing only, not what a register retains or logs.
@@ -669,27 +670,26 @@ func TestKeyStateGrowsWithHistory(t *testing.T) {
 	const n = 3
 	dir := t.TempDir()
 	nodes := make([]*Node, n)
-	paths := make([]string, n)
+	wals := make([]*storage.FileWAL, n)
 	for i := range nodes {
 		nd, err := NewNode(i, Config{N: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths[i] = filepath.Join(dir, fmt.Sprintf("p%d.wal", i))
-		wal, err := storage.OpenFileWAL(paths[i])
+		wal, err := storage.OpenFileWAL(filepath.Join(dir, fmt.Sprintf("p%d.wal", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { wal.Close() })
 		nd.AttachStorage(wal)
-		nodes[i] = nd
+		nodes[i], wals[i] = nd, wal
 	}
 	m := newKeyedMesh(t, nodes)
 	op := proto.OpID(0)
 	for _, row := range []struct {
 		writes, retained int
 		walBytes         int64
-	}{{10, 13, 200}, {20, 23, 400}, {40, 43, 800}} {
+	}{{10, 13, 8 + 280}, {20, 23, 8 + 560}, {40, 43, 8 + 1120}} {
 		for op < proto.OpID(row.writes) {
 			op++
 			m.start(0, "k", op, proto.OpWrite, proto.Value(fmt.Sprintf("v%02d", op)))
@@ -699,13 +699,9 @@ func TestKeyStateGrowsWithHistory(t *testing.T) {
 			for w := 0; w < n; w++ {
 				retained += nd.MW("k").LaneRetained(w)
 			}
-			fi, err := os.Stat(paths[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if retained != row.retained || fi.Size() != row.walBytes {
+			if got := wals[i].Len(); retained != row.retained || got != row.walBytes {
 				t.Errorf("after %d writes p%d retains %d entries and logs %d bytes, want %d and %d",
-					row.writes, i, retained, fi.Size(), row.retained, row.walBytes)
+					row.writes, i, retained, got, row.retained, row.walBytes)
 			}
 		}
 	}

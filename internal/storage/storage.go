@@ -24,14 +24,23 @@
 //   - MemLog: deterministic in-memory fake for the explorer. A crash is
 //     modelled by DropUnsynced (buffered records vanish), and
 //     LoseNextSyncs injects sync-loss faults (fsync that lies).
-//   - FileWAL: file-backed append-only write-ahead log with explicit
-//     Sync points (buffered encode on Append, write+fsync on Sync) and a
-//     torn-tail-tolerant Replay.
+//   - FileWAL: file-backed write-ahead log with explicit Sync points
+//     (buffered encode on Append, write+fsync on Sync). The file is an
+//     8-byte magic that ends in the format version, then one frame per
+//     Sync — u32 length, u32 CRC-32C, the records — then zeros: the file
+//     grows by whole chunks, so a steady-state Sync overwrites allocated
+//     space instead of changing the file's size. A Sync replays whole or
+//     not at all, as on a MemLog: a torn final frame fails its checksum
+//     and is cut at open. A log in another format (ErrWALFormat) or with
+//     a bad frame before a whole one (ErrWALCorrupt) is refused.
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
@@ -148,157 +157,287 @@ func (m *MemLog) SyncedLen() int { return len(m.synced) }
 // tests asserting the sync-before-attest discipline).
 func (m *MemLog) Syncs() int { return m.syncs }
 
-// FileWAL is the file-backed append-only write-ahead log. Append encodes
-// the record into an in-memory buffer; Sync writes the buffer to the
-// file and fsyncs it — one write+fsync per release point (a step, or a
-// keyed node's burst), whatever it covers. Replay tolerates a torn tail: a final
-// record truncated by a crash mid-write is ignored, matching the
-// durability contract (it was never claimed durable, because its Sync
-// never returned).
+// FileWAL is the file-backed write-ahead log. Append encodes the record
+// into an in-memory frame; Sync writes the frame at the log's logical end
+// and fsyncs the file — one write+fsync per release point (a step, or a
+// keyed node's burst), whatever it covers.
+//
+// On disk the file is the 8-byte magic (its last byte the format
+// version), then one frame per Sync: a little-endian u32 body length, a
+// u32 CRC-32C of the body, and the body, which is the Sync's records in
+// Append order. Past the last frame the file holds zeros: a frame that
+// would run past the file's size first grows it by whole chunks of zeros
+// (walChunk), so a steady-state Sync overwrites space the file already
+// has and its fsync changes the size once per chunk, not once per Sync.
+//
+// A Sync replays whole or not at all. Replay reads frames until EOF, a
+// zero length (the preallocated zeros) or a frame whose checksum fails —
+// a torn final Sync, which was never claimed durable because it never
+// returned. OpenFileWAL cuts the file there, so the next Sync lands right
+// after the last whole frame. It refuses, leaving the file as it is, a
+// file in any other format (ErrWALFormat) and a failed frame followed by
+// a valid one (ErrWALCorrupt: a later Sync was acknowledged, so the bad
+// frame is corruption, not a torn tail). A flip inside a length field, or
+// inside the final frame, still reads as a torn tail and is cut.
 type FileWAL struct {
 	f       *os.File
-	buf     []byte
-	scratch [16]byte
-	noFsync bool // benchmarks only: measure encode+write without the fsync
+	buf     []byte // the pending frame: its header, then the records
+	end     int64  // logical end, just past the last whole frame; 0 before the magic
+	size    int64  // the file's size: end, then zeros
+	noFsync bool   // benchmarks only: measure encode+write without the fsync
 }
 
-// walNilVal marks a nil Value (distinct from an empty one — the protocol
-// distinguishes them) in the on-disk length field.
-const walNilVal = ^uint32(0)
+const (
+	walFrameHdr  = 8          // u32 body length, u32 CRC-32C of the body
+	walRecordHdr = 16         // u32 key length, lane, index, value length
+	walNilVal    = ^uint32(0) // the value-length marker of a nil Value (distinct from an empty one)
+
+	// walChunk is what the file grows by. Three concurrent 100- and
+	// 200-byte write+fsync loops (2 vCPUs, ext4 on virtio) ran as fast
+	// over 4 KiB to 256 KiB chunks of zeros, and faster than
+	// appending, so the chunk is small: the file's size then tracks its
+	// log to within one chunk (EXPERIMENTS.md E-PA1).
+	walChunk = 8 << 10
+)
+
+var (
+	// walMagic opens every FileWAL; its last byte is the format version.
+	walMagic   = [8]byte{'2', 'b', 'r', 'e', 'g', 'W', 'L', 1}
+	walZeros   [walChunk]byte // what a FileWAL grows by
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// ErrWALFormat: the file is not a FileWAL of this format — a log written
+// before the magic existed, another version, or not a log at all.
+// ErrWALCorrupt: a frame fails its checksum but the frame after it is
+// whole, so acknowledged records follow the damage. OpenFileWAL returns
+// both wrapped with the path and leaves the file untouched.
+var (
+	ErrWALFormat  = errors.New("not a write-ahead log of this format")
+	ErrWALCorrupt = errors.New("write-ahead log corrupt before its last frame")
+)
 
 // OpenFileWAL opens (creating if absent) the WAL at path for appending
-// and replay. A torn tail left by a crash mid-Sync is cut off first:
-// Replay stops at the first incomplete frame, so a record appended after
-// it would never be read back.
+// and replay. A torn final frame and the zeros after the last frame are
+// cut off first. An empty file, or one holding only a prefix of the magic
+// (a crash at creation, before anything was synced), opens as an empty
+// log.
 func OpenFileWAL(path string) (*FileWAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	rd := newTornReader(f)
-	for ok := true; ok && err == nil; {
-		_, ok, err = rd.next()
+	fi, err := f.Stat()
+	var end int64
+	if err == nil {
+		end, err = scanWAL(f, fi.Size(), nil)
 	}
 	if err == nil {
-		err = f.Truncate(rd.end)
-	}
-	if err == nil {
-		_, err = f.Seek(rd.end, io.SeekStart)
+		err = f.Truncate(end)
 	}
 	if err != nil {
 		f.Close()
+		if errors.Is(err, ErrWALFormat) || errors.Is(err, ErrWALCorrupt) {
+			err = fmt.Errorf("storage: %s: %w", path, err)
+		}
 		return nil, err
 	}
-	return &FileWAL{f: f}, nil
+	return &FileWAL{f: f, buf: make([]byte, walFrameHdr), end: end, size: end}, nil
 }
 
-// Append encodes r into the pending buffer. The frame layout is four
-// little-endian uint32s — key length, lane, index, value length (or the
-// nil marker) — followed by the key bytes and the value bytes.
+// Append encodes r into the pending frame: four little-endian u32s — key
+// length, lane, index, value length (or the nil marker) — then the key
+// bytes and the value bytes.
 func (w *FileWAL) Append(r Record) {
-	b := w.scratch[:]
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(r.Key)))
-	binary.LittleEndian.PutUint32(b[4:], uint32(r.Lane))
-	binary.LittleEndian.PutUint32(b[8:], uint32(r.Index))
+	vl := uint32(len(r.Val))
 	if r.Val == nil {
-		binary.LittleEndian.PutUint32(b[12:], walNilVal)
-	} else {
-		binary.LittleEndian.PutUint32(b[12:], uint32(len(r.Val)))
+		vl = walNilVal
 	}
-	w.buf = append(w.buf, b...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(r.Key)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(r.Lane))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(r.Index))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, vl)
 	w.buf = append(w.buf, r.Key...)
 	w.buf = append(w.buf, r.Val...)
 }
 
-// Sync writes the pending buffer and fsyncs the file. A Sync with
+// Sync writes the pending frame at the logical end, growing the file
+// first if the frame would run past it, and fsyncs the file. A Sync with
 // nothing buffered is a no-op — a process step that appended nothing
 // costs no I/O.
 func (w *FileWAL) Sync() error {
-	if len(w.buf) == 0 {
+	body := w.buf[walFrameHdr:]
+	if len(body) == 0 {
 		return nil
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	binary.LittleEndian.PutUint32(w.buf[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(w.buf[4:], crc32.Checksum(body, castagnoli))
+	at := max(w.end, int64(len(walMagic)))
+	for w.size < at+int64(len(w.buf)) {
+		if _, err := w.f.WriteAt(walZeros[:], w.size); err != nil {
+			return err
+		}
+		w.size += walChunk
+	}
+	if w.end == 0 {
+		if _, err := w.f.WriteAt(walMagic[:], 0); err != nil {
+			return err
+		}
+	}
+	if _, err := w.f.WriteAt(w.buf, at); err != nil {
 		return err
 	}
-	w.buf = w.buf[:0]
+	w.end = at + int64(len(w.buf))
+	w.buf = w.buf[:walFrameHdr]
 	if w.noFsync {
 		return nil
 	}
 	return w.f.Sync()
 }
 
-// Replay streams every durable record from the start of the file. A
-// torn final record (crash mid-write) terminates the replay silently.
+// Replay streams every durable record from the start of the file.
 func (w *FileWAL) Replay(fn func(r Record) error) error {
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	defer w.f.Seek(0, io.SeekEnd)
-	rd := newTornReader(w.f)
-	for {
-		r, ok, err := rd.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
+	_, err := scanWAL(w.f, w.end, fn)
+	return err
 }
+
+// Len is the log's logical length in bytes: the magic and every synced
+// frame, not the zeros the file has grown by.
+func (w *FileWAL) Len() int64 { return w.end }
 
 // Close closes the underlying file without syncing pending records (they
 // were never claimed durable).
 func (w *FileWAL) Close() error { return w.f.Close() }
 
-// tornReader decodes WAL frames, treating any truncated tail as
-// end-of-log. end is the offset just past the last whole frame read.
-type tornReader struct {
-	r   io.Reader
-	hdr [16]byte
-	end int64
+// scanWAL reads the first size bytes of f through one buffered reader,
+// passing each record of each whole frame to fn (nil: check only), and
+// returns the logical end: just past the last whole frame, or 0 for an
+// empty log that has no magic yet.
+func scanWAL(f *os.File, size int64, fn func(Record) error) (int64, error) {
+	rd := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
+	var magic [len(walMagic)]byte
+	n, err := io.ReadFull(rd, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, err
+	}
+	if magic != walMagic {
+		k := 0
+		for k < n && magic[k] == walMagic[k] {
+			k++
+		}
+		zeros, err := onlyZeros(rd, magic[k:n])
+		if err != nil {
+			return 0, err
+		}
+		if !zeros {
+			return 0, fmt.Errorf("%w (no magic %q)", ErrWALFormat, walMagic[:])
+		}
+		return 0, nil // a crash at creation: nothing was ever synced
+	}
+	end := int64(len(walMagic))
+	for {
+		body, ok, err := readFrame(rd, size-end)
+		if err != nil || body == nil {
+			return end, err
+		}
+		if !ok {
+			// A torn final Sync is followed by nothing whole: Syncs are
+			// serial, and this one never returned.
+			next, nextOK, err := readFrame(rd, size-end-int64(walFrameHdr+len(body)))
+			if err != nil {
+				return end, err
+			}
+			if next != nil && nextOK {
+				return end, fmt.Errorf("%w: frame at offset %d fails its checksum", ErrWALCorrupt, end)
+			}
+			return end, nil
+		}
+		if err := decodeRecords(body, fn); err != nil {
+			return end, err
+		}
+		end += int64(walFrameHdr + len(body))
+	}
 }
 
-func newTornReader(r io.Reader) *tornReader { return &tornReader{r: r} }
+// readFrame reads the next frame of a log with left bytes remaining. It
+// returns a nil body at the end of the frames — EOF, a zero length or a
+// length past the file's end — and ok reports the checksum.
+func readFrame(rd *bufio.Reader, left int64) (body []byte, ok bool, err error) {
+	var hdr [walFrameHdr]byte
+	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = nil
+		}
+		return nil, false, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:])
+	if n == 0 || int64(n) > left-walFrameHdr {
+		return nil, false, nil
+	}
+	body = make([]byte, n)
+	if _, err := io.ReadFull(rd, body); err != nil {
+		return nil, false, err
+	}
+	return body, crc32.Checksum(body, castagnoli) == binary.LittleEndian.Uint32(hdr[4:]), nil
+}
 
-func (t *tornReader) next() (Record, bool, error) {
-	if _, err := io.ReadFull(t.r, t.hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, false, nil
+// onlyZeros reports whether head and everything rd has left are zeros.
+func onlyZeros(rd io.Reader, head []byte) (bool, error) {
+	var buf [4096]byte
+	for b := head; ; {
+		for _, c := range b {
+			if c != 0 {
+				return false, nil
+			}
 		}
-		return Record{}, false, err
-	}
-	keyLen := binary.LittleEndian.Uint32(t.hdr[0:])
-	lane := binary.LittleEndian.Uint32(t.hdr[4:])
-	index := binary.LittleEndian.Uint32(t.hdr[8:])
-	valLen := binary.LittleEndian.Uint32(t.hdr[12:])
-	const maxFrame = 1 << 24
-	vl := valLen
-	if valLen == walNilVal {
-		vl = 0
-	}
-	if keyLen > maxFrame || vl > maxFrame {
-		return Record{}, false, fmt.Errorf("storage: corrupt WAL frame (keyLen=%d valLen=%d)", keyLen, valLen)
-	}
-	payload := make([]byte, keyLen+vl)
-	if _, err := io.ReadFull(t.r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, false, nil // torn tail: never claimed durable
+		n, err := rd.Read(buf[:])
+		if err == io.EOF {
+			return true, nil
 		}
-		return Record{}, false, err
+		if err != nil {
+			return false, err
+		}
+		b = buf[:n]
 	}
-	t.end += int64(len(t.hdr) + len(payload))
-	rec := Record{
-		Key:   string(payload[:keyLen]),
-		Lane:  int(lane),
-		Index: int(index),
+}
+
+// errWALRecord: a frame whose body does not split into whole records
+// passed its checksum, so no Sync of this format wrote it.
+var errWALRecord = fmt.Errorf("%w: a frame's records overrun it", ErrWALCorrupt)
+
+// decodeRecords passes each record of a frame's body to fn (nil: check
+// only). A record's value aliases body.
+func decodeRecords(body []byte, fn func(Record) error) error {
+	for len(body) > 0 {
+		if len(body) < walRecordHdr {
+			return errWALRecord
+		}
+		keyLen := uint64(binary.LittleEndian.Uint32(body[0:]))
+		valLen := binary.LittleEndian.Uint32(body[12:])
+		vl := uint64(valLen)
+		if valLen == walNilVal {
+			vl = 0
+		}
+		rest := body[walRecordHdr:]
+		if keyLen+vl > uint64(len(rest)) {
+			return errWALRecord
+		}
+		if fn != nil {
+			r := Record{
+				Key:   string(rest[:keyLen]),
+				Lane:  int(binary.LittleEndian.Uint32(body[4:])),
+				Index: int(binary.LittleEndian.Uint32(body[8:])),
+			}
+			if valLen != walNilVal {
+				r.Val = proto.Value(rest[keyLen : keyLen+vl : keyLen+vl])
+			}
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		body = rest[keyLen+vl:]
 	}
-	if valLen != walNilVal {
-		rec.Val = proto.Value(payload[keyLen:])
-	}
-	return rec, true, nil
+	return nil
 }
 
 var (
