@@ -249,14 +249,15 @@
 // The paper's model is crash-stop, and the SWMR registers (core.Proc,
 // core.FastProc) stay Figure 1's crash-stop processes. internal/storage
 // makes the register the store serves — the multi-writer core.MWProc, and
-// regmap.Node hosting it — crash-RESTART capable. StableStorage is the pluggable persistence
-// interface (an in-memory log with injectable sync-loss for tests, a
-// file-backed WAL with explicit Sync points for deployments: a versioned
+// regmap.Node hosting it — crash-RESTART capable. StableStorage is the
+// pluggable persistence interface and FileWAL its one log — on a file for
+// deployments, on an in-memory file for the explorer and the tests, which
+// crash it with Reopen. The log has explicit Sync points: a versioned
 // magic, then one CRC-32C-checked frame per Sync written into space the
-// file already has — it grows by whole chunks of zeros — so a Sync
-// replays whole or not at all, a torn final frame is cut at open, and a
-// log in another format or damaged before its last frame is refused),
-// and the durability contract is one line: log every lane append, sync
+// file already has (it grows by whole chunks of zeros), so a Sync replays
+// whole or not at all, a torn final frame is cut at open, and a log in
+// another format or damaged before its last frame is refused. The
+// durability contract is one line: log every lane append, sync
 // before any attestation leaves. Every outbound message attests to lane
 // state — a WRITE echo fills a quorum, a PROCEED certifies a freshness
 // bar, a completion acknowledges a client — so a process syncs where it
@@ -272,7 +273,7 @@
 // peer of a restarted durable process runs it too.
 // The explorer's crashrestart strategy is the adversary for this layer:
 // victims (drawn from ALL pids, writer included) crash at a seeded
-// protocol phase, their unsynced tail is discarded, and a seeded
+// protocol phase, their unsynced frame is lost, and a seeded
 // virtual-time later they revive behind the simulator's incarnation fence
 // (transport.SimNet.Revive) — only this adversary catches the durability
 // cheats mut-wal-skipsync and mut-wal-earlyrelease. An algorithm that is

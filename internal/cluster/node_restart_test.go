@@ -24,7 +24,7 @@ const restartKey = "k"
 type restartMesh struct {
 	mu      sync.Mutex
 	nodes   []*cluster.KeyedNode
-	logs    []*storage.MemLog
+	logs    []*storage.FileWAL
 	holding []bool
 	held    [][]heldMsg
 	n       int
@@ -40,7 +40,7 @@ func newRestartMesh(t *testing.T, n int) *restartMesh {
 	t.Helper()
 	m := &restartMesh{
 		nodes:   make([]*cluster.KeyedNode, n),
-		logs:    make([]*storage.MemLog, n),
+		logs:    make([]*storage.FileWAL, n),
 		holding: make([]bool, n),
 		held:    make([][]heldMsg, n),
 		n:       n,
@@ -98,15 +98,17 @@ func (m *restartMesh) node(pid int) *cluster.KeyedNode {
 	return m.nodes[pid]
 }
 
-// kill stops a node and detaches it from the mesh; its unsynced log tail
-// is discarded, as a real crash would.
-func (m *restartMesh) kill(pid int) {
+// kill stops a node and detaches it from the mesh; its log is reopened,
+// losing the unsynced frame, as a real crash would.
+func (m *restartMesh) kill(t *testing.T, pid int) {
 	m.mu.Lock()
 	nd := m.nodes[pid]
 	m.nodes[pid] = nil
 	m.mu.Unlock()
 	nd.Stop()
-	m.logs[pid].DropUnsynced()
+	if err := m.logs[pid].Reopen(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // revive replays the victim's log into a fresh process, restarts its event
@@ -167,7 +169,7 @@ func TestNodeRestartReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.kill(2)
+	m.kill(t, 2)
 	if err := m.node(0).Put(restartKey, val("w4")); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestNodeRestartWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.kill(0)
+	m.kill(t, 0)
 	got, err := m.node(1).Get(restartKey)
 	if err != nil {
 		t.Fatal(err)

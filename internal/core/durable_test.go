@@ -184,11 +184,17 @@ func TestProcWALSkipSyncLosesEverything(t *testing.T) {
 	}
 	m := newDurableMesh(t, procs)
 	m.write(0, 1, proto.Value("doomed"))
-	if log.SyncedLen() != 0 {
-		t.Fatalf("skip-sync mutant synced %d records", log.SyncedLen())
+	synced := 0
+	if err := log.Replay(func(storage.Record) error { synced++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if synced != 0 {
+		t.Fatalf("skip-sync mutant synced %d records", synced)
 	}
 	m.crash(0)
-	log.DropUnsynced()
+	if err := log.Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	fresh := NewMWMR(0, n, WithMWFault(MWFaultWALSkipSync))
 	if err := fresh.Recover(log); err != nil {
 		t.Fatal(err)
@@ -204,7 +210,7 @@ func TestProcWALSkipSyncLosesEverything(t *testing.T) {
 func TestMWProcDurableRecovery(t *testing.T) {
 	const n = 3
 	procs := make([]proto.Process, n)
-	logs := make([]*storage.MemLog, n)
+	logs := make([]*storage.FileWAL, n)
 	for i := 0; i < n; i++ {
 		p := NewMWMR(i, n)
 		logs[i] = storage.NewMemLog()
@@ -218,7 +224,9 @@ func TestMWProcDurableRecovery(t *testing.T) {
 	m.write(0, 4, proto.Value("a2"))
 
 	m.crash(1)
-	logs[1].DropUnsynced()
+	if err := logs[1].Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	fresh := NewMWMR(1, n)
 	if err := fresh.Recover(logs[1]); err != nil {
 		t.Fatalf("Recover: %v", err)

@@ -228,7 +228,7 @@ func TestMWPeerRestartedLeavesLinkEager(t *testing.T) {
 	t.Parallel()
 	const n, victim = 5, 4
 	procs := make([]proto.Process, n)
-	logs := make([]*storage.MemLog, n)
+	logs := make([]*storage.FileWAL, n)
 	for i := range procs {
 		p := NewMWMR(i, n)
 		logs[i] = storage.NewMemLog()
@@ -244,7 +244,9 @@ func TestMWPeerRestartedLeavesLinkEager(t *testing.T) {
 	}
 
 	m.crash(victim)
-	logs[victim].DropUnsynced()
+	if err := logs[victim].Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	fresh := NewMWMR(victim, n)
 	if err := fresh.Recover(logs[victim]); err != nil {
 		t.Fatal(err)
@@ -315,7 +317,7 @@ func TestMWRecoveredRegisterWatchesEveryLink(t *testing.T) {
 	t.Parallel()
 	const n, writes = 5, 3
 	procs := make([]proto.Process, n)
-	logs := make([]*storage.MemLog, n)
+	logs := make([]*storage.FileWAL, n)
 	for i := range procs {
 		p := NewMWMR(i, n)
 		logs[i] = storage.NewMemLog()
@@ -328,7 +330,9 @@ func TestMWRecoveredRegisterWatchesEveryLink(t *testing.T) {
 	}
 	m.crash(4) // stays down while p3 restarts
 	m.crash(3)
-	logs[3].DropUnsynced()
+	if err := logs[3].Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	fresh := NewMWMR(3, n)
 	if err := fresh.Recover(logs[3]); err != nil {
 		t.Fatal(err)

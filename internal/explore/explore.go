@@ -326,12 +326,13 @@ func Run(s Schedule) (Result, error) {
 		}
 	}
 
-	// Crash-restart runs arm stable storage on every process before any
-	// message flows. An algorithm without recovery support (every SWMR
-	// register: Figure 1 is crash-stop) degrades to plain crash-stop:
-	// victims die at the same seeded phase and stay down.
+	// Crash-restart runs arm stable storage — the served FileWAL, on an
+	// in-memory file — on every process before any message flows. An
+	// algorithm without recovery support (every SWMR register: Figure 1 is
+	// crash-stop) degrades to plain crash-stop: victims die at the same
+	// seeded phase and stay down.
 	restartable := strat.restart
-	var logs []*storage.MemLog
+	var logs []*storage.FileWAL
 	if strat.restart {
 		for _, p := range procs {
 			if _, ok := p.(storage.Recoverable); !ok {
@@ -340,7 +341,7 @@ func Run(s Schedule) (Result, error) {
 			}
 		}
 		if restartable {
-			logs = make([]*storage.MemLog, s.N)
+			logs = make([]*storage.FileWAL, s.N)
 			for i, p := range procs {
 				logs[i] = storage.NewMemLog()
 				p.(storage.Recoverable).AttachStorage(logs[i])
@@ -508,18 +509,21 @@ func Run(s Schedule) (Result, error) {
 	// Crash-restart bookkeeping: crashAt records each victim's crash
 	// instant so the liveness judgment can excuse exactly the operations
 	// the old incarnation took to its grave, and revive is the seeded
-	// restart itself — discard the unsynced tail, replay the log into a
-	// fresh process, swap it into the transport and the invariant probes,
-	// run the bilateral PeerRestarted reset with every live peer, and
-	// re-kick the victim's operation stream.
+	// restart itself — reopen the log (its pending frame is lost), replay
+	// it into a fresh process, swap it into the transport and the
+	// invariant probes, run the bilateral PeerRestarted reset with every
+	// live peer, and re-kick the victim's operation stream.
 	everCrashed := make([]bool, s.N)
 	crashAt := make([]float64, s.N)
 	var revive func(pid int)
 	if restartable {
 		revive = func(pid int) {
-			logs[pid].DropUnsynced()
 			fresh := alg.New(pid, s.N, 0)
-			if err := fresh.(storage.Recoverable).Recover(logs[pid]); err != nil {
+			err := logs[pid].Reopen()
+			if err == nil {
+				err = fresh.(storage.Recoverable).Recover(logs[pid])
+			}
+			if err != nil {
 				if res.Invariant == "" {
 					res.Invariant = fmt.Sprintf("recovery of p%d failed: %v", pid, err)
 				}

@@ -38,11 +38,12 @@ type strategy struct {
 	proceedCrash bool
 	// restart, when true, turns crashes into crash-restart faults against
 	// recoverable algorithms (storage.Recoverable): every process logs to
-	// seeded stable storage, a victim's unsynced tail is discarded at the
-	// crash, and a seeded virtual-time later a fresh process replays the
-	// log, rejoins through the bilateral PeerRestarted reset, and resumes
-	// its operation stream. Victims are drawn from ALL pids — including
-	// writer 0, whose recovered-then-reused state is where durability bugs
+	// a FileWAL on an in-memory file, a victim's pending (unsynced) frame
+	// is lost at the crash, and a seeded virtual-time later a fresh
+	// process reopens and replays the log, rejoins through the bilateral
+	// PeerRestarted reset, and resumes its operation stream. Victims are
+	// drawn from ALL pids — including writer 0, whose
+	// recovered-then-reused state is where durability bugs
 	// (mut-wal-skipsync) surface. Algorithms without recovery support —
 	// every SWMR register, Figure 1 being crash-stop — degrade to plain
 	// crash-stop under this strategy.
@@ -77,8 +78,8 @@ type strategy struct {
 //	crashrestart— crash-restart faults: victims crash at a protocol phase
 //	              (like crashphase, but drawn from ALL pids, writer 0
 //	              included) and revive a seeded virtual-time later by
-//	              replaying their stable-storage log — unsynced tail
-//	              discarded — then rejoining via the bilateral link reset.
+//	              replaying their FileWAL — its unsynced frame lost at
+//	              the crash — then rejoining via the bilateral link reset.
 //	              The seeded durability bug (mut-wal-skipsync) only
 //	              surfaces under this adversary.
 //	pct         — random-priority scheduling: delays quantized to a small

@@ -216,9 +216,13 @@ func (s *Session) Put(key string, val []byte) error {
 // sessions, and StatusUnavailable. Safe for concurrent use; sessions are
 // dialed lazily and shared.
 //
-// Failover retries Puts as well as Gets. For a register (last-write-wins,
-// no counters or read-modify-write) re-issuing a possibly-applied write is
-// safe: the worst case is the same value winning twice.
+// Failover retries Puts as well as Gets, and that is a known hole: a Put
+// the failed member may already have applied is issued again on another
+// member's lane at a higher index, so a concurrent Put landing between the
+// two lets sequential reads return v1, v2, v1 inside one Put's interval —
+// the Put takes effect twice and the history is not atomic. ROADMAP V1
+// tracks the witness and the fix (re-issue only a Put that provably never
+// started).
 type Client struct {
 	cfg    *shard.ClusterConfig
 	prefer int

@@ -94,7 +94,7 @@ func TestNodeDurableRecovery(t *testing.T) {
 		"solo": {1}, // single-writer key: a register with one lane
 	}}
 	nodes := make([]*Node, n)
-	logs := make([]*storage.MemLog, n)
+	logs := make([]*storage.FileWAL, n)
 	for i := 0; i < n; i++ {
 		nd, err := NewNode(i, cfg)
 		if err != nil {
@@ -114,7 +114,9 @@ func TestNodeDurableRecovery(t *testing.T) {
 	// Crash node 1 — writer of a lane of both keys — and recover it from its
 	// own log alone.
 	m.crash(1)
-	logs[1].DropUnsynced()
+	if err := logs[1].Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := NewNode(1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +160,7 @@ func TestNodeRecoverRejectsAfterAttach(t *testing.T) {
 }
 
 func TestKeyStoreStampsAndFilters(t *testing.T) {
-	base := storage.NewMemLog()
+	base := &syncCounter{FileWAL: storage.NewMemLog()}
 	nd, err := NewNode(0, Config{N: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +175,13 @@ func TestKeyStoreStampsAndFilters(t *testing.T) {
 	if err := ka.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if !nd.dirty || base.Syncs() != 0 || base.SyncedLen() != 0 {
+	if synced := durableRecords(t, base); !nd.dirty || base.syncs != 0 || synced != 0 {
 		t.Fatalf("keyStore.Sync: dirty=%v syncs=%d synced=%d, want a dirty mark and no I/O",
-			nd.dirty, base.Syncs(), base.SyncedLen())
+			nd.dirty, base.syncs, synced)
 	}
 	nd.commit()
-	if nd.dirty || base.Syncs() != 1 {
-		t.Fatalf("commit: dirty=%v syncs=%d, want one sync", nd.dirty, base.Syncs())
+	if nd.dirty || base.syncs != 1 {
+		t.Fatalf("commit: dirty=%v syncs=%d, want one sync", nd.dirty, base.syncs)
 	}
 	var got []string
 	if err := kb.Replay(func(r storage.Record) error {
@@ -197,6 +199,27 @@ func TestKeyStoreStampsAndFilters(t *testing.T) {
 }
 
 // --- the commit point: the keyed node syncs where it releases ---
+
+// syncCounter counts the Syncs a node asks of its log.
+type syncCounter struct {
+	*storage.FileWAL
+	syncs int
+}
+
+func (c *syncCounter) Sync() error {
+	c.syncs++
+	return c.FileWAL.Sync()
+}
+
+// durableRecords counts the records log replays: the synced ones.
+func durableRecords(t *testing.T, log storage.StableStorage) int {
+	t.Helper()
+	n := 0
+	if err := log.Replay(func(storage.Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
 
 type inFrame struct {
 	from int
@@ -217,7 +240,7 @@ type startOp struct {
 type burstMesh struct {
 	t     *testing.T
 	nodes []*Node
-	logs  []*storage.MemLog
+	logs  []*syncCounter
 	inbox [][]inFrame
 	done  []proto.Completion
 }
@@ -230,7 +253,7 @@ func newBurstMesh(t *testing.T, cfg Config) *burstMesh {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log := storage.NewMemLog()
+		log := &syncCounter{FileWAL: storage.NewMemLog()}
 		nd.AttachStorage(log)
 		m.nodes, m.logs = append(m.nodes, nd), append(m.logs, log)
 	}
@@ -243,7 +266,7 @@ func (m *burstMesh) held(pid, syncs int, eff proto.Effects) {
 	if len(eff.Sends) > 0 || len(eff.Done) > 0 {
 		m.t.Fatalf("p%d: %d sends and %d completions escaped a step before its Flush", pid, len(eff.Sends), len(eff.Done))
 	}
-	if got := m.logs[pid].Syncs(); got != syncs {
+	if got := m.logs[pid].syncs; got != syncs {
 		m.t.Fatalf("p%d synced inside a step (%d -> %d)", pid, syncs, got)
 	}
 }
@@ -251,7 +274,7 @@ func (m *burstMesh) held(pid, syncs int, eff proto.Effects) {
 // steps runs pid's inbox, then starts, as one burst — without the Flush.
 func (m *burstMesh) steps(pid int, starts ...startOp) {
 	m.t.Helper()
-	nd, syncs := m.nodes[pid], m.logs[pid].Syncs()
+	nd, syncs := m.nodes[pid], m.logs[pid].syncs
 	in := m.inbox[pid]
 	m.inbox[pid] = nil
 	for _, f := range in {
@@ -349,14 +372,14 @@ func TestNodeGroupCommitOneSyncPerBurst(t *testing.T) {
 	m.burst(0, writes(1, first...)...)
 	m.burst(1)
 	m.burst(2)
-	if got := m.logs[0].Syncs() + m.logs[1].Syncs() + m.logs[2].Syncs(); got != 0 {
+	if got := m.logs[0].syncs + m.logs[1].syncs + m.logs[2].syncs; got != 0 {
 		t.Fatalf("a freshness round cost %d syncs, want 0", got)
 	}
 	eff := m.burst(0) // the PROCEEDs: k appends
-	if got := m.logs[0].Syncs(); got != 1 {
+	if got := m.logs[0].syncs; got != 1 {
 		t.Fatalf("burst of %d appends cost %d syncs, want 1", k, got)
 	}
-	if got := m.logs[0].SyncedLen(); got != k {
+	if got := durableRecords(t, m.logs[0]); got != k {
 		t.Fatalf("%d records durable after the flush, want %d", got, k)
 	}
 	for _, to := range []int{1, 2} {
@@ -371,20 +394,20 @@ func TestNodeGroupCommitOneSyncPerBurst(t *testing.T) {
 	m.burst(0, writes(proto.OpID(k+1), second...)...)
 	for _, pid := range []int{1, 2} { // adopt and echo: k appends, one sync
 		m.burst(pid)
-		if got := m.logs[pid].Syncs(); got != 1 {
+		if got := m.logs[pid].syncs; got != 1 {
 			t.Fatalf("p%d adopted %d values with %d syncs, want 1", pid, k, got)
 		}
 	}
-	before := m.logs[0].Syncs()
+	before := m.logs[0].syncs
 	m.steps(0)
 	if !m.nodes[0].PendingFlush() {
 		t.Fatal("PendingFlush false with completions, frames and unsynced records held")
 	}
 	eff = m.flush(0)
-	if got := m.logs[0].Syncs(); got != before+1 {
+	if got := m.logs[0].syncs; got != before+1 {
 		t.Fatalf("the burst cost %d syncs, want exactly 1", got-before)
 	}
-	if got := m.logs[0].SyncedLen(); got != 2*k {
+	if got := durableRecords(t, m.logs[0]); got != 2*k {
 		t.Fatalf("%d records durable, want %d", got, 2*k)
 	}
 	if len(eff.Done) != k {
@@ -420,7 +443,7 @@ func TestNodeCrashBeforeFlushLosesOnlyTheUnacked(t *testing.T) {
 			t.Fatalf("write %d did not complete", op)
 		}
 	}
-	durable := m.logs[0].SyncedLen()
+	durable := durableRecords(t, m.logs[0])
 
 	// The doomed burst: the overwrites' freshness rounds answered, three
 	// values appended, nothing flushed.
@@ -431,8 +454,10 @@ func TestNodeCrashBeforeFlushLosesOnlyTheUnacked(t *testing.T) {
 	if !m.nodes[0].dirty {
 		t.Fatal("the doomed burst appended nothing")
 	}
-	m.logs[0].DropUnsynced()
-	if got := m.logs[0].SyncedLen(); got != durable {
+	if err := m.logs[0].Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if got := durableRecords(t, m.logs[0]); got != durable {
 		t.Fatalf("%d records durable after the crash, want the %d acknowledged ones", got, durable)
 	}
 	if len(m.inbox[1])+len(m.inbox[2]) != 0 {
@@ -448,9 +473,9 @@ func TestNodeCrashBeforeFlushLosesOnlyTheUnacked(t *testing.T) {
 	}
 	m.nodes[0] = fresh
 	for _, j := range []int{1, 2} {
-		syncs := m.logs[0].Syncs()
+		syncs := m.logs[0].syncs
 		m.held(0, syncs, fresh.PeerRestarted(j))
-		m.held(j, m.logs[j].Syncs(), m.nodes[j].PeerRestarted(0))
+		m.held(j, m.logs[j].syncs, m.nodes[j].PeerRestarted(0))
 		m.flush(0)
 		m.flush(j)
 	}
@@ -475,7 +500,7 @@ func TestNodeCrashBeforeFlushLosesOnlyTheUnacked(t *testing.T) {
 }
 
 // failingLog is a stable storage whose Sync always fails.
-type failingLog struct{ *storage.MemLog }
+type failingLog struct{ *storage.FileWAL }
 
 func (failingLog) Sync() error { return fmt.Errorf("disk on fire") }
 
@@ -546,13 +571,13 @@ func TestNodeNonCoalescingCommitsPerStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := storage.NewMemLog()
+	log := &syncCounter{FileWAL: storage.NewMemLog()}
 	nd.AttachStorage(log)
 	eff := nd.Deliver(0, multi)
-	if got := log.Syncs(); got != 1 {
+	if got := log.syncs; got != 1 {
 		t.Fatalf("a step dirtying two registers cost %d syncs, want 1", got)
 	}
-	if got := log.SyncedLen(); got != 2 {
+	if got := durableRecords(t, log); got != 2 {
 		t.Fatalf("%d records durable at step end, want 2", got)
 	}
 	if len(eff.Sends) == 0 || nd.PendingFlush() {
@@ -607,7 +632,7 @@ func TestNodeRestartCoversKeysCreatedLater(t *testing.T) {
 	const n, victim = 5, 4
 	cfg := Config{N: n, DefaultWriters: []int{0, 1, 2, 3, 4}}
 	nodes := make([]*Node, n)
-	logs := make([]*storage.MemLog, n)
+	logs := make([]*storage.FileWAL, n)
 	for i := range nodes {
 		nd, err := NewNode(i, cfg)
 		if err != nil {
@@ -621,7 +646,9 @@ func TestNodeRestartCoversKeysCreatedLater(t *testing.T) {
 	m.start(0, "old", 1, proto.OpWrite, proto.Value("o1"))
 
 	m.crash(victim)
-	logs[victim].DropUnsynced()
+	if err := logs[victim].Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := NewNode(victim, cfg)
 	if err != nil {
 		t.Fatal(err)

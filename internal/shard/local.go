@@ -33,9 +33,11 @@ type LocalCluster struct {
 // independent quorum group (every member may write every key of the
 // shard), each member with a mesh peer link and a client-protocol server
 // on ephemeral loopback ports. logs, if non-nil, names each process's
-// stable storage, the same one every time it is asked (a restarted process
-// comes back from it), or nil for a volatile process; a nil logs runs the
-// whole cluster volatile. Callers must Close.
+// stable storage, the same one every time it is asked, or nil for a
+// volatile process; a nil logs runs the whole cluster volatile. A
+// restarted process comes back from its log as it stands, so a caller
+// that models the crash reopens it (storage.FileWAL.Reopen: the unsynced
+// frame is lost) between KillProc and ReviveProc. Callers must Close.
 func StartLocal(shards, procsPerShard int, logs func(shard, proc int) storage.StableStorage) (*LocalCluster, error) {
 	if shards < 1 || shards > MaxShards {
 		return nil, &ConfigError{Field: "shards", Reason: fmt.Sprintf("need 1..%d, got %d", MaxShards, shards)}

@@ -132,13 +132,13 @@ func TestLocalClusterReviveRacesReaders(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			shards := tc.shards
 			vs := shards - 1 // the victim's shard
-			logs := make([][]*storage.MemLog, shards)
+			logs := make([][]*storage.FileWAL, shards)
 			for s := range logs {
-				logs[s] = []*storage.MemLog{storage.NewMemLog(), storage.NewMemLog(), storage.NewMemLog()}
+				logs[s] = []*storage.FileWAL{storage.NewMemLog(), storage.NewMemLog(), storage.NewMemLog()}
 			}
 			lc, err := shard.StartLocal(shards, 3, func(s, i int) storage.StableStorage {
 				if tc.mixed && (s != vs || i != 0) {
-					return nil // volatile: a nil interface, not a nil *MemLog
+					return nil // volatile: a nil interface, not a nil *FileWAL
 				}
 				return logs[s][i]
 			})
@@ -194,7 +194,9 @@ func TestLocalClusterReviveRacesReaders(t *testing.T) {
 			}
 			sess.Close()
 			lc.KillProc(vs, 0)
-			logs[vs][0].DropUnsynced() // the crash: the unsynced tail vanishes
+			if err := logs[vs][0].Reopen(); err != nil { // the crash: the unsynced frame vanishes
+				t.Fatal(err)
+			}
 			held := false
 			logs[vs][0].Replay(func(r storage.Record) error {
 				// The keyed store stamps the key into the stored value.

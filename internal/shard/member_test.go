@@ -9,10 +9,10 @@ import (
 )
 
 // trio starts one shard of three members on ephemeral ports, each logging
-// to its own MemLog.
-func trio(t *testing.T) ([]*Member, []*storage.MemLog, []MemberSpec) {
+// to its own in-memory FileWAL.
+func trio(t *testing.T) ([]*Member, []*storage.FileWAL, []MemberSpec) {
 	t.Helper()
-	logs := make([]*storage.MemLog, 3)
+	logs := make([]*storage.FileWAL, 3)
 	specs := make([]MemberSpec, 3)
 	for i := range specs {
 		logs[i] = storage.NewMemLog()
@@ -62,7 +62,9 @@ func TestMemberReviveHoldsEarlyFrames(t *testing.T) {
 	spec.MeshAddr, spec.ClientAddr = meshAddrs[2], members[2].ClientAddr()
 
 	members[2].Close()
-	logs[2].DropUnsynced() // the crash: the unsynced tail vanishes
+	if err := logs[2].Reopen(); err != nil { // the crash: the unsynced frame vanishes
+		t.Fatal(err)
+	}
 	if members[2].Node() != nil {
 		t.Fatal("a closed member still exposes its node")
 	}

@@ -19,24 +19,23 @@
 // restart protocol (Recoverable.PeerRestarted), which resets both ends of
 // every link of the revived process and re-ships the backlog.
 //
-// Two implementations:
-//
-//   - MemLog: deterministic in-memory fake for the explorer. A crash is
-//     modelled by DropUnsynced (buffered records vanish), and
-//     LoseNextSyncs injects sync-loss faults (fsync that lies).
-//   - FileWAL: file-backed write-ahead log with explicit Sync points
-//     (buffered encode on Append, write+fsync on Sync). The file is an
-//     8-byte magic that ends in the format version, then one frame per
-//     Sync — u32 length, u32 CRC-32C, the records — then zeros: the file
-//     grows by whole chunks, so a steady-state Sync overwrites allocated
-//     space instead of changing the file's size. A Sync replays whole or
-//     not at all, as on a MemLog: a torn final frame fails its checksum
-//     and is cut at open. A log in another format (ErrWALFormat) or with
-//     a bad frame before a whole one (ErrWALCorrupt) is refused.
+// One implementation, FileWAL: a write-ahead log with explicit Sync
+// points (buffered encode on Append, write+fsync on Sync). The file is an
+// 8-byte magic that ends in the format version, then one frame per Sync —
+// u32 length, u32 CRC-32C, the records — then zeros: the file grows by
+// whole chunks, so a steady-state Sync overwrites allocated space instead
+// of changing the file's size. A Sync replays whole or not at all: a torn
+// final frame fails its checksum and is cut at open. A log in another
+// format (ErrWALFormat) or with a bad frame before a whole one
+// (ErrWALCorrupt) is refused. OpenFileWAL puts it on a file on disk;
+// NewMemLog puts it on an in-memory file, where the explorer and the tests
+// crash a process (Reopen: the pending frame is lost) and replay the very
+// bytes a served process writes.
 package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,70 +92,6 @@ type Recoverable interface {
 	PeerRestarted(peer int) proto.Effects
 }
 
-// MemLog is the deterministic in-memory StableStorage the explorer's
-// restart adversary uses. Records buffer in an unsynced tail until Sync
-// promotes them; DropUnsynced models the crash (the tail vanishes);
-// LoseNextSyncs makes the next k Syncs silently discard their records —
-// the injectable sync-loss fault. The zero value is ready to use.
-type MemLog struct {
-	synced    []Record
-	unsynced  []Record
-	loseSyncs int
-	syncs     int
-}
-
-// NewMemLog returns an empty in-memory log.
-func NewMemLog() *MemLog { return &MemLog{} }
-
-// Append buffers r in the unsynced tail.
-func (m *MemLog) Append(r Record) {
-	r.Val = r.Val.Clone()
-	m.unsynced = append(m.unsynced, r)
-}
-
-// Sync promotes the unsynced tail to durable state — unless a
-// LoseNextSyncs fault is armed, in which case the tail is silently
-// discarded (the fsync that lied).
-func (m *MemLog) Sync() error {
-	m.syncs++
-	if m.loseSyncs > 0 {
-		m.loseSyncs--
-		m.unsynced = m.unsynced[:0]
-		return nil
-	}
-	m.synced = append(m.synced, m.unsynced...)
-	m.unsynced = m.unsynced[:0]
-	return nil
-}
-
-// Replay streams the durable (synced) records in append order.
-func (m *MemLog) Replay(fn func(r Record) error) error {
-	for _, r := range m.synced {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close is a no-op.
-func (m *MemLog) Close() error { return nil }
-
-// DropUnsynced models the crash: buffered records that were never synced
-// are lost.
-func (m *MemLog) DropUnsynced() { m.unsynced = m.unsynced[:0] }
-
-// LoseNextSyncs arms the sync-loss fault: the next k calls to Sync
-// silently discard their buffered records instead of promoting them.
-func (m *MemLog) LoseNextSyncs(k int) { m.loseSyncs = k }
-
-// SyncedLen returns the number of durable records.
-func (m *MemLog) SyncedLen() int { return len(m.synced) }
-
-// Syncs returns the number of Sync calls observed (introspection for
-// tests asserting the sync-before-attest discipline).
-func (m *MemLog) Syncs() int { return m.syncs }
-
 // FileWAL is the file-backed write-ahead log. Append encodes the record
 // into an in-memory frame; Sync writes the frame at the log's logical end
 // and fsyncs the file — one write+fsync per release point (a step, or a
@@ -180,11 +115,20 @@ func (m *MemLog) Syncs() int { return m.syncs }
 // frame is corruption, not a torn tail). A flip inside a length field, or
 // inside the final frame, still reads as a torn tail and is cut.
 type FileWAL struct {
-	f       *os.File
-	buf     []byte // the pending frame: its header, then the records
-	end     int64  // logical end, just past the last whole frame; 0 before the magic
-	size    int64  // the file's size: end, then zeros
-	noFsync bool   // benchmarks only: measure encode+write without the fsync
+	f    file
+	buf  []byte // the pending frame: its header, then the records
+	end  int64  // logical end, just past the last whole frame; 0 before the magic
+	size int64  // the file's size: end, then zeros
+}
+
+// file is what a FileWAL does to the file under it: an *os.File, or a
+// memFile.
+type file interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 const (
@@ -227,13 +171,11 @@ func OpenFileWAL(path string) (*FileWAL, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := &FileWAL{f: f, buf: make([]byte, walFrameHdr)}
 	fi, err := f.Stat()
-	var end int64
 	if err == nil {
-		end, err = scanWAL(f, fi.Size(), nil)
-	}
-	if err == nil {
-		err = f.Truncate(end)
+		w.size = fi.Size()
+		err = w.Reopen()
 	}
 	if err != nil {
 		f.Close()
@@ -242,7 +184,29 @@ func OpenFileWAL(path string) (*FileWAL, error) {
 		}
 		return nil, err
 	}
-	return &FileWAL{f: f, buf: make([]byte, walFrameHdr), end: end, size: end}, nil
+	return w, nil
+}
+
+// NewMemLog returns an empty FileWAL on a fresh in-memory file.
+func NewMemLog() *FileWAL {
+	return &FileWAL{f: &memFile{}, buf: make([]byte, walFrameHdr)}
+}
+
+// Reopen is a crash and a restart of the process that owns the log: the
+// pending frame is lost, and the file is scanned and cut after its last
+// whole frame, as OpenFileWAL does. A file in another format or corrupt
+// before its last frame is refused and left as it is.
+func (w *FileWAL) Reopen() error {
+	w.buf = w.buf[:walFrameHdr]
+	end, err := scanWAL(w.f, w.size, nil)
+	if err == nil {
+		err = w.f.Truncate(end)
+	}
+	if err != nil {
+		return err
+	}
+	w.end, w.size = end, end
+	return nil
 }
 
 // Append encodes r into the pending frame: four little-endian u32s — key
@@ -289,9 +253,6 @@ func (w *FileWAL) Sync() error {
 	}
 	w.end = at + int64(len(w.buf))
 	w.buf = w.buf[:walFrameHdr]
-	if w.noFsync {
-		return nil
-	}
 	return w.f.Sync()
 }
 
@@ -313,7 +274,7 @@ func (w *FileWAL) Close() error { return w.f.Close() }
 // passing each record of each whole frame to fn (nil: check only), and
 // returns the logical end: just past the last whole frame, or 0 for an
 // empty log that has no magic yet.
-func scanWAL(f *os.File, size int64, fn func(Record) error) (int64, error) {
+func scanWAL(f io.ReaderAt, size int64, fn func(Record) error) (int64, error) {
 	rd := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
 	var magic [len(walMagic)]byte
 	n, err := io.ReadFull(rd, magic[:])
@@ -440,7 +401,29 @@ func decodeRecords(body []byte, fn func(Record) error) error {
 	return nil
 }
 
-var (
-	_ StableStorage = (*MemLog)(nil)
-	_ StableStorage = (*FileWAL)(nil)
-)
+// memFile is the in-memory file under NewMemLog's FileWAL. A write lands
+// at once and Sync does nothing, so what a crash keeps is what a process
+// crash keeps on disk: every byte a Sync wrote.
+type memFile struct{ data []byte }
+
+func (m *memFile) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(m.data).ReadAt(p, off)
+}
+
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if end := int(off) + len(p); end > len(m.data) {
+		m.data = append(m.data, make([]byte, end-len(m.data))...)
+	}
+	return copy(m.data[off:], p), nil
+}
+
+// Truncate only shortens: a FileWAL cuts its file, never extends it.
+func (m *memFile) Truncate(size int64) error {
+	m.data = m.data[:size]
+	return nil
+}
+
+func (m *memFile) Sync() error  { return nil }
+func (m *memFile) Close() error { return nil }
+
+var _ StableStorage = (*FileWAL)(nil)

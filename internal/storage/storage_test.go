@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -34,6 +35,8 @@ func wantRecords(t *testing.T, got, want []Record) {
 	}
 }
 
+// TestMemLogSyncAndCrash: a crash (Reopen) loses the pending frame and
+// keeps every synced one.
 func TestMemLogSyncAndCrash(t *testing.T) {
 	m := NewMemLog()
 	r1 := Record{Lane: 0, Index: 1, Val: proto.Value("a")}
@@ -46,34 +49,23 @@ func TestMemLogSyncAndCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Append(r2)
-	m.DropUnsynced() // crash before the sync point
+	if err := m.Reopen(); err != nil { // crash before the sync point
+		t.Fatal(err)
+	}
 	wantRecords(t, collect(t, m), []Record{r1})
-	if m.SyncedLen() != 1 {
-		t.Fatalf("SyncedLen = %d, want 1", m.SyncedLen())
-	}
-}
-
-func TestMemLogLoseNextSyncs(t *testing.T) {
-	m := NewMemLog()
-	m.LoseNextSyncs(1)
-	m.Append(Record{Lane: 0, Index: 1, Val: proto.Value("lost")})
+	// The lost frame leaves no gap: the next Sync lands after r1.
+	m.Append(r2)
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, m); len(got) != 0 {
-		t.Fatalf("sync-loss fault leaked records: %v", got)
-	}
-	kept := Record{Lane: 0, Index: 1, Val: proto.Value("kept")}
-	m.Append(kept)
-	if err := m.Sync(); err != nil {
+	if err := m.Reopen(); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords(t, collect(t, m), []Record{kept})
-	if m.Syncs() != 2 {
-		t.Fatalf("Syncs = %d, want 2", m.Syncs())
-	}
+	wantRecords(t, collect(t, m), []Record{r1, r2})
 }
 
+// TestMemLogAppendClonesValue: Append encodes the value, so a caller that
+// reuses its buffer afterwards changes nothing the log replays.
 func TestMemLogAppendClonesValue(t *testing.T) {
 	m := NewMemLog()
 	v := proto.Value("mutate-me")
@@ -82,9 +74,73 @@ func TestMemLogAppendClonesValue(t *testing.T) {
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Reopen(); err != nil {
+		t.Fatal(err)
+	}
 	got := collect(t, m)
-	if string(got[0].Val) != "mutate-me" {
-		t.Fatalf("log aliased caller's value: %q", got[0].Val)
+	if len(got) != 1 || string(got[0].Val) != "mutate-me" {
+		t.Fatalf("log aliased caller's value: %q", got)
+	}
+}
+
+// TestMemLogMatchesFileWAL: one script of Appends and Syncs leaves an
+// in-memory log byte for byte what it leaves in a file — the magic, the
+// frames and the chunks of zeros — and both replay the same records,
+// before a crash (Reopen) and after it.
+func TestMemLogMatchesFileWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	disk := reopen(t, path)
+	defer disk.Close()
+	mem := NewMemLog()
+	logs := []*FileWAL{disk, mem}
+	same := func(when string) {
+		t.Helper()
+		onDisk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inMem := mem.f.(*memFile).data; !bytes.Equal(onDisk, inMem) {
+			t.Fatalf("%s: the file holds %d bytes, the in-memory log %d, or they differ", when, len(onDisk), len(inMem))
+		}
+		if disk.Len() != mem.Len() {
+			t.Fatalf("%s: Len %d on disk, %d in memory", when, disk.Len(), mem.Len())
+		}
+		wantRecords(t, collect(t, mem), collect(t, disk))
+	}
+	big := proto.Value(bytes.Repeat([]byte("b"), walChunk+100)) // a frame past one chunk
+	script := [][]Record{
+		{{Key: "k", Lane: 0, Index: 1, Val: proto.Value("one")}},
+		nil, // an empty Sync writes nothing
+		{{Key: "", Lane: 1, Index: 1, Val: proto.Value{}}, {Key: "k2", Lane: 2, Index: 1, Val: nil}},
+		{{Key: "k", Lane: 0, Index: 2, Val: big}},
+	}
+	for i, fr := range script {
+		for _, w := range logs {
+			for _, r := range fr {
+				w.Append(r)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same(fmt.Sprintf("sync %d", i+1))
+	}
+	for _, w := range logs {
+		w.Append(Record{Key: "k", Lane: 0, Index: 3, Val: proto.Value("pending")})
+		if err := w.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("reopen")
+	for _, w := range logs {
+		w.Append(Record{Key: "k", Lane: 0, Index: 3, Val: proto.Value("after")})
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("sync after reopen")
+	if got := len(collect(t, mem)); got != 5 {
+		t.Fatalf("replayed %d records, want 5", got)
 	}
 }
 
@@ -327,7 +383,7 @@ func TestFileWALSyncKeepsSizeWithinChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	w.noFsync = true
+	w.f = noSync{w.f.(*os.File)}
 	size := func() int64 {
 		fi, err := os.Stat(path)
 		if err != nil {
