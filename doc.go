@@ -323,6 +323,7 @@
 //   - mut-regmap-frame — receiver drops cross-key multi-frame tails
 //   - mut-wal-skipsync — MWMR register's WAL never syncs, a crash empties it
 //   - mut-wal-earlyrelease — keyed store releases a step before its sync
+//   - mut-regmap-lonemulti — coalescer ships a lone subframe as a multi-frame wire refuses
 //
 // ARCHITECTURE.md maps how these pieces fit — the package graph from proto
 // through the lane engine, runtimes, and harnesses, with worked message

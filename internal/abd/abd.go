@@ -216,9 +216,6 @@ func (p *Proc) LocalMemoryBits() int {
 	return tsBits + len(p.val)*8 + 64 /* wcount */ + 64 /* rcount */
 }
 
-// TSNow returns the process's current timestamp (for tests).
-func (p *Proc) TSNow() TS { return p.ts }
-
 // MsgsSent returns the number of messages this process has emitted.
 func (p *Proc) MsgsSent() int { return p.msgsSent }
 

@@ -12,7 +12,9 @@
 // in strategies.go) layered on the deterministic simulator (sim.Scheduler)
 // and the transport delay hooks, driving every registered algorithm and
 // judging each run with the linearizability checkers and, for the two-bit
-// register, the proof invariants.
+// register, the proof invariants. Keyed-store runs (what regnode serves)
+// deliver every message as the wire codec decodes it, and a frame wire
+// refuses fails the run.
 //
 // # Multi-writer workloads
 //
@@ -137,6 +139,7 @@ import (
 	"twobitreg/internal/sim"
 	"twobitreg/internal/storage"
 	"twobitreg/internal/transport"
+	"twobitreg/internal/wire"
 	"twobitreg/internal/workload"
 )
 
@@ -201,7 +204,8 @@ type Result struct {
 	WriterProcs   int `json:"writer_procs,omitempty"`
 	WriteOverlaps int `json:"write_overlaps,omitempty"`
 	// Invariant is the first proof-invariant violation (two-bit register
-	// runs only).
+	// runs only), failed recovery, or keyed-store frame that does not cross
+	// the wire codec.
 	Invariant string `json:"invariant_violation,omitempty"`
 	// Checker names the fast oracle that judged the history (see
 	// check.For), and Atomicity its verdict.
@@ -585,26 +589,48 @@ func Run(s Schedule) (Result, error) {
 			inject(pid)
 		}),
 	)
-	if (strat.phaseCrash || strat.proceedCrash) && len(victims) > 0 {
+	// One delivery hook. Under a phase-crash strategy it trips each victim
+	// on its k-th counted delivery; for a keyed store (exactly what regnode
+	// serves) it hands every recipient the frame as wire decodes it, so the
+	// schedule runs the shipped codec. A frame wire refuses breaks the run
+	// the way a proof invariant does.
+	phaseCrash := (strat.phaseCrash || strat.proceedCrash) && len(victims) > 0
+	ka, keyed := alg.(keyedAlgorithm)
+	if phaseCrash || keyed {
 		delivered := make([]int, s.N)
-		opts = append(opts, transport.WithDeliveryObserver(func(_, to int, msg proto.Message, _ float64) {
-			if strat.proceedCrash && !isQuorumAck(msg) {
-				return
-			}
-			delivered[to]++
-			if trig, ok := victims[to]; ok && delivered[to] == trig {
-				// Crashing on the delivery drops the acknowledgement
-				// itself, so a crashwrite victim dies just before acting
-				// on it — for the two-bit registers, the
-				// freshness-round/append boundary.
-				net.Crash(to)
-				if revive != nil {
-					everCrashed[to] = true
-					crashAt[to] = sched.Now()
-					pid := to
-					sched.After(reviveDelay[pid], func() { revive(pid) })
+		var frame []byte
+		opts = append(opts, transport.WithDeliveryObserver(func(from, to int, msg proto.Message, _ float64) proto.Message {
+			if phaseCrash && (!strat.proceedCrash || isQuorumAck(msg)) {
+				delivered[to]++
+				if trig, ok := victims[to]; ok && delivered[to] == trig {
+					// Crashing on the delivery drops the acknowledgement
+					// itself, so a crashwrite victim dies just before acting
+					// on it — for the two-bit registers, the
+					// freshness-round/append boundary.
+					net.Crash(to)
+					if revive != nil {
+						everCrashed[to] = true
+						crashAt[to] = sched.Now()
+						pid := to
+						sched.After(reviveDelay[pid], func() { revive(pid) })
+					}
+					return msg
 				}
 			}
+			if !keyed {
+				return msg
+			}
+			var err error
+			if frame, err = wire.AppendEncode(frame[:0], msg); err == nil {
+				var got proto.Message
+				if got, err = wire.Decode(frame); err == nil {
+					return got
+				}
+			}
+			if res.Invariant == "" {
+				res.Invariant = fmt.Sprintf("%s %d->%d does not cross wire: %v", msg.TypeName(), from, to, err)
+			}
+			return msg
 		}))
 	}
 	// The invariant probes run after every delivery; each hook keeps one
@@ -720,7 +746,7 @@ func Run(s Schedule) (Result, error) {
 		res.WriteLatency = writeLat / float64(writeN)
 	}
 
-	if ka, ok := alg.(keyedAlgorithm); ok {
+	if keyed {
 		// Keyed stores are judged register by register: the history splits
 		// per key (the key derivation is a pure function of the op id), and
 		// each key's sub-history must linearize on its own. The exhaustive

@@ -135,6 +135,12 @@ func buildRegistry() map[string]proto.Algorithm {
 		// hosts as an empty register there.
 		"mut-wal-earlyrelease": regmap.NewKeyedAlgorithm("mut-wal-earlyrelease", 50,
 			regmap.Config{Coalesce: true, Fault: regmap.FaultEarlyRelease}),
+		// The lone multi-frame (regmap.FaultLoneMulti): the coalescer ships
+		// a single held subframe as a one-frame MultiMsg. Every node takes
+		// it, so only the codec in the delivery path catches it: the frame
+		// does not cross wire.
+		"mut-regmap-lonemulti": regmap.NewKeyedAlgorithm("mut-regmap-lonemulti", 50,
+			regmap.Config{Coalesce: true, Fault: regmap.FaultLoneMulti}),
 	}
 }
 
@@ -161,6 +167,7 @@ var mwmrCapableSet = map[string]bool{
 	"mut-wal-skipsync":     true,
 	"mut-regmap-frame":     true,
 	"mut-wal-earlyrelease": true,
+	"mut-regmap-lonemulti": true,
 }
 
 // MWMRCapable reports whether the named algorithm supports concurrent

@@ -179,3 +179,31 @@ func TestRegmapCoalescingProducesMultiFrames(t *testing.T) {
 		t.Fatalf("entries %d <= frames %d — cross-key coalescing never merged a burst", r.Entries, r.Msgs)
 	}
 }
+
+// TestRegmapLoneMultiCaughtToken pins the witness that keyed-store runs
+// deliver what wire decodes (mut-regmap-lonemulti: the coalescer ships a
+// lone subframe as a one-frame multi-frame, which every node takes and wire
+// refuses): the committed token must keep failing on the codec, and the
+// correct store must pass the same descriptor.
+func TestRegmapLoneMultiCaughtToken(t *testing.T) {
+	t.Parallel()
+	const token = "xb1:mut-regmap-lonemulti:uniform:1:5:30:0.6:1:3"
+	s, err := ParseToken(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(r.Violation(), "does not cross wire") {
+		t.Fatalf("token %s: violation %q, want a frame that does not cross wire", token, r.Violation())
+	}
+	s.Alg = "regmap-mwmr"
+	if r, err = Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if r.Failed() {
+		t.Fatalf("correct store fails the mutant's descriptor %s: %s", r.Token, r.Violation())
+	}
+}

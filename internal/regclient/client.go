@@ -11,6 +11,13 @@
 // operations over the one connection, each tagged with a fresh request id,
 // and the reader goroutine matches pipelined responses back — a slow
 // quorum round on one key never delays another goroutine's response.
+//
+// A failed operation is in one of two classes, and failover is the one
+// place that tells them apart. A member that could not be dialed, answered
+// StatusUnavailable (shard.ErrUnavailable), or whose session died before
+// answering (ErrSessionClosed, a malformed response included) hands the
+// operation to the next member of its shard; a rejection the server
+// answered (ServerError, shard.ErrWrongShard) is returned as is.
 package regclient
 
 import (
@@ -25,20 +32,10 @@ import (
 	"twobitreg/internal/wire"
 )
 
-// Errors a client operation can return beyond transport failures.
-var (
-	// ErrUnavailable: the node answered StatusUnavailable (its local
-	// process is down or mid-restart). Another shard member can serve;
-	// Client fails over on it.
-	ErrUnavailable = errors.New("regclient: node unavailable")
-	// ErrWrongShard: the node answered StatusWrongShard — the routing
-	// table disagrees with the server about key placement. Terminal: a
-	// retry elsewhere in the same shard would fail identically.
-	ErrWrongShard = errors.New("regclient: key is not placed on the addressed shard")
-	// ErrSessionClosed: the session died (Close, connection loss) before
-	// the response arrived. The operation's fate is unknown.
-	ErrSessionClosed = errors.New("regclient: session closed")
-)
+// ErrSessionClosed: the session died (Close, connection loss, a response
+// it could not decode) before the response arrived. The operation's fate
+// is unknown.
+var ErrSessionClosed = errors.New("regclient: session closed")
 
 // ServerError is a StatusErr response: the operation failed terminally on
 // the server (the text says why).
@@ -125,7 +122,7 @@ func (s *Session) readLoop() {
 		}
 		resp, err := wire.DecodeClientResponse(body)
 		if err != nil {
-			s.fail(fmt.Errorf("regclient: malformed response: %w", err))
+			s.fail(fmt.Errorf("%w: malformed response: %w", ErrSessionClosed, err))
 			return
 		}
 		s.mu.Lock()
@@ -181,7 +178,9 @@ func (s *Session) roundTrip(op wire.ClientOp, key string, val []byte) (wire.Clie
 	return resp, nil
 }
 
-// do runs one operation and maps the response status to a value or error.
+// do runs one operation and maps the response status back to a value or
+// to the error the server's statusOf mapped to it: shard.ErrWrongShard,
+// shard.ErrUnavailable, or else a ServerError.
 func (s *Session) do(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 	resp, err := s.roundTrip(op, key, val)
 	if err != nil {
@@ -191,9 +190,9 @@ func (s *Session) do(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 	case wire.StatusOK:
 		return resp.Val, nil
 	case wire.StatusWrongShard:
-		return nil, fmt.Errorf("%w: %s", ErrWrongShard, resp.Err)
+		return nil, fmt.Errorf("%w: %s", shard.ErrWrongShard, resp.Err)
 	case wire.StatusUnavailable:
-		return nil, fmt.Errorf("%w: %s", ErrUnavailable, resp.Err)
+		return nil, fmt.Errorf("%w: %s", shard.ErrUnavailable, resp.Err)
 	default:
 		return nil, &ServerError{Msg: resp.Err}
 	}
@@ -212,9 +211,9 @@ func (s *Session) Put(key string, val []byte) error {
 
 // Client routes keyed operations across a sharded cluster: hash placement
 // picks the shard, and within the shard the members are tried in order
-// from a configurable preferred offset, failing over on dial errors, dead
-// sessions, and StatusUnavailable. Safe for concurrent use; sessions are
-// dialed lazily and shared.
+// from a configurable preferred offset; failover decides, per failure,
+// whether the next member gets the operation. Safe for concurrent use;
+// sessions are dialed lazily and shared.
 //
 // Failover retries Puts as well as Gets, and that is a known hole: a Put
 // the failed member may already have applied is issued again on another
@@ -222,7 +221,7 @@ func (s *Session) Put(key string, val []byte) error {
 // two lets sequential reads return v1, v2, v1 inside one Put's interval —
 // the Put takes effect twice and the history is not atomic. ROADMAP V1
 // tracks the witness and the fix (re-issue only a Put that provably never
-// started).
+// started: failover and the server's statusOf).
 type Client struct {
 	cfg    *shard.ClusterConfig
 	prefer int
@@ -290,31 +289,34 @@ func (c *Client) dialInto(addr string) (*Session, error) {
 	return s, nil
 }
 
+// failover is the client's failure rule: whether an operation that failed
+// with err on one shard member is tried on the next. A member that could
+// not be dialed, answered StatusUnavailable, or whose session died before
+// answering may be replaced by another; a rejection the server answered
+// (StatusErr, StatusWrongShard) would repeat anywhere in the shard.
+func failover(err error) bool {
+	var dial *net.OpError
+	return errors.Is(err, shard.ErrUnavailable) || errors.Is(err, ErrSessionClosed) || errors.As(err, &dial)
+}
+
 // do routes one operation: place the key, then try the shard's members in
-// preference order. Unavailability (dial failure, dead session,
-// StatusUnavailable) fails over to the next member; protocol-level
-// rejections (StatusErr, StatusWrongShard) are terminal.
+// preference order for as long as failover allows.
 func (c *Client) do(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 	si := c.cfg.ShardOf(key)
 	procs := c.cfg.Shards[si].Procs
 	var lastErr error
 	for try := 0; try < len(procs); try++ {
-		p := procs[(c.prefer+try)%len(procs)]
-		s, err := c.session(p.Client)
-		if err != nil {
-			lastErr = err
-			continue
+		s, err := c.session(procs[(c.prefer+try)%len(procs)].Client)
+		if err == nil {
+			var v []byte
+			if v, err = s.do(op, key, val); err == nil {
+				return v, nil
+			}
 		}
-		v, err := s.do(op, key, val)
-		switch {
-		case err == nil:
-			return v, nil
-		case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrSessionClosed):
-			lastErr = err
-			continue
-		default:
+		if !failover(err) {
 			return nil, err
 		}
+		lastErr = err
 	}
 	return nil, fmt.Errorf("regclient: all %d members of shard %d failed for key %q: %w",
 		len(procs), si, key, lastErr)

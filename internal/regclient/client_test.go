@@ -351,44 +351,94 @@ func TestClientFailover(t *testing.T) {
 	}
 }
 
-// StatusUnavailable is retried on the next member; a member that answers
-// (even with an application error) is terminal.
-func TestClientUnavailableRetriesErrDoesNot(t *testing.T) {
-	var unavailCalls, errCalls atomic.Int32
-	unavail := serveStub(t, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-		unavailCalls.Add(1)
-		return nil, shard.ErrUnavailable
-	})
-	healthy := serveStub(t, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-		return []byte("ok"), nil
-	})
-	cl, err := New(oneShardConfig(unavail.Addr(), healthy.Addr()), 0)
+// scriptedMember is a client port that reads one request and answers it
+// with reply's raw bytes, then hangs up (with no reply, it only hangs up).
+// calls counts the requests it read.
+func scriptedMember(t *testing.T, reply []byte, calls *atomic.Int32) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if v, err := cl.Get("k"); err != nil || string(v) != "ok" {
-		t.Fatalf("failover past unavailable member: %q, %v", v, err)
-	}
-	if unavailCalls.Load() != 1 {
-		t.Fatalf("unavailable member tried %d times", unavailCalls.Load())
-	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := transport.NewFrameReader(conn, wire.MaxClientFrame).Next(); err == nil {
+			calls.Add(1)
+			conn.Write(reply)
+		}
+	}()
+	return ln.Addr().String()
+}
 
-	failing := serveStub(t, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-		errCalls.Add(1)
-		return nil, errors.New("application says no")
-	})
-	cl2, err := New(oneShardConfig(failing.Addr(), healthy.Addr()), 0)
-	if err != nil {
-		t.Fatal(err)
+// The failure rule, class by class: the first member fails the Get one way
+// and a healthy member stands behind it. A member that could not be
+// reached or could not answer hands the Get on; a rejection the server
+// answered is returned without trying the next member.
+func TestClientFailoverRule(t *testing.T) {
+	type member func(t *testing.T, calls *atomic.Int32) string
+	refused := func(t *testing.T, _ *atomic.Int32) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.Close()
+		return ln.Addr().String()
 	}
-	defer cl2.Close()
-	var se *ServerError
-	if _, err := cl2.Get("k"); !errors.As(err, &se) {
-		t.Fatalf("application error not surfaced: %v", err)
+	failing := func(err error) member {
+		return func(t *testing.T, calls *atomic.Int32) string {
+			return serveStub(t, func(wire.ClientOp, string, []byte) ([]byte, error) {
+				calls.Add(1)
+				return nil, err
+			}).Addr()
+		}
 	}
-	if errCalls.Load() != 1 {
-		t.Fatalf("terminal error retried: %d calls", errCalls.Load())
+	scripted := func(reply []byte) member {
+		return func(t *testing.T, calls *atomic.Int32) string { return scriptedMember(t, reply, calls) }
+	}
+	var serverErr *ServerError
+	cases := []struct {
+		name  string
+		first member
+		// terminal, when set, is the error the Get must end with; nil means
+		// the healthy member answers it.
+		terminal func(error) bool
+	}{
+		{"dial refused", refused, nil},
+		{"StatusUnavailable", failing(shard.ErrUnavailable), nil},
+		{"closed session", scripted(nil), nil},
+		// A one-byte body: the response decoder runs out of bytes.
+		{"malformed response", scripted([]byte{0, 0, 0, 1, wire.ClientProtoVersion}), nil},
+		{"StatusWrongShard", failing(shard.ErrWrongShard), func(err error) bool { return errors.Is(err, shard.ErrWrongShard) }},
+		{"StatusErr", failing(errors.New("application says no")), func(err error) bool { return errors.As(err, &serverErr) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var firstCalls, healthyCalls atomic.Int32
+			healthy := serveStub(t, func(wire.ClientOp, string, []byte) ([]byte, error) {
+				healthyCalls.Add(1)
+				return []byte("ok"), nil
+			})
+			cl, err := New(oneShardConfig(c.first(t, &firstCalls), healthy.Addr()), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			v, err := cl.Get("k")
+			switch {
+			case c.terminal == nil && (err != nil || string(v) != "ok"):
+				t.Fatalf("Get behind a %s: %q, %v; want the next member's answer", c.name, v, err)
+			case c.terminal != nil && (!c.terminal(err) || healthyCalls.Load() != 0):
+				t.Fatalf("Get behind a %s: %v after %d calls to the next member; want that error, terminal", c.name, err, healthyCalls.Load())
+			}
+			if c.name != "dial refused" && firstCalls.Load() != 1 {
+				t.Fatalf("first member read %d requests, want 1", firstCalls.Load())
+			}
+		})
 	}
 }
 

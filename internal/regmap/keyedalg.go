@@ -101,18 +101,12 @@ func (p *KeyedProc) RequiresFIFOLinks() bool { return true }
 // Node exposes the underlying keyed state machine (tests, invariants).
 func (p *KeyedProc) Node() *Node { return p.node }
 
-// CheckKeyedInvariants runs the multi-writer lane proof invariants per key
+// KeyedInvariantChecker runs the multi-writer lane proof invariants per key
 // across a full set of keyed processes, for every key any process hosts.
 // Registers are created lazily, on first contact, and a revived process
 // hosts only the keys its log named; a process that does not host a key is
-// checked as what it holds of it, an empty register.
-func CheckKeyedInvariants(procs []*KeyedProc) error {
-	var c KeyedInvariantChecker
-	return c.Check(procs)
-}
-
-// KeyedInvariantChecker is CheckKeyedInvariants with reusable scratch that
-// amortizes across post-delivery probes: the sorted union of hosted keys,
+// checked as what it holds of it, an empty register. Its scratch amortizes
+// across post-delivery probes: the sorted union of hosted keys,
 // rescanned only at a process whose node or key count changed since the
 // last probe (a node only ever adds keys; a revival replaces the node), the
 // empty stand-in registers, and the per-key process slice. Not safe for
@@ -126,7 +120,7 @@ type KeyedInvariantChecker struct {
 	mws    []*core.MWProc
 }
 
-// Check runs CheckKeyedInvariants with this checker's scratch.
+// Check runs the invariants over procs with this checker's scratch.
 func (c *KeyedInvariantChecker) Check(procs []*KeyedProc) error {
 	n := len(procs)
 	if n == 0 {

@@ -268,7 +268,7 @@ func (nd *Node) releaseFrames(out *proto.Effects) {
 				}
 				end++
 			}
-			if end-off == 1 {
+			if end-off == 1 && nd.sh.fault != FaultLoneMulti {
 				out.AddSend(to, frames[off])
 			} else {
 				chunk := make([]KeyedMsg, end-off)

@@ -61,6 +61,11 @@ const (
 	// point: a step's frames and completions leave as the step returns,
 	// while the sync covering its appends still waits for Flush.
 	FaultEarlyRelease
+	// FaultLoneMulti ships a lone held subframe as a one-frame MultiMsg.
+	// Every node takes it, but the wire encoding refuses it (a multi-frame
+	// carries at least two), so only a run whose frames cross wire — the
+	// served path, and the explorer's keyed-store runs — can see it.
+	FaultLoneMulti
 )
 
 // Config configures the Node set of one store.

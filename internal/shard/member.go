@@ -7,7 +7,6 @@ package shard
 // grid of them.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -232,26 +231,17 @@ func (m *Member) deliver(from int, msg proto.Message) {
 }
 
 // handle is the client port's Handler: one KeyedNode.Get/Put through the
-// event loop (and from there the shard's quorum).
+// event loop (and from there the shard's quorum). A node closed before or
+// under the request fails it unavailable (statusOf).
 func (m *Member) handle(op wire.ClientOp, key string, val []byte) ([]byte, error) {
 	nd := m.node.Load()
 	if nd == nil {
 		return nil, ErrUnavailable
 	}
-	var out []byte
-	var err error
 	if op == wire.ClientGet {
-		out, err = nd.Get(key)
-	} else {
-		err = nd.Put(key, val)
+		return nd.Get(key)
 	}
-	if errors.Is(err, cluster.ErrStopped) {
-		// The node died under the request (a kill racing the session):
-		// unavailable, not a terminal error — the client should fail
-		// over to a live shard member.
-		return nil, ErrUnavailable
-	}
-	return out, err
+	return nil, nd.Put(key, val)
 }
 
 // peerRestarted is the mesh's restart callback: peer has come back as a new

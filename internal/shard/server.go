@@ -14,16 +14,33 @@ import (
 	"net"
 	"sync"
 
+	"twobitreg/internal/cluster"
 	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
 
 // Handler runs one keyed operation against the local shard member and
-// returns the read value (get) or nil (put). Returning ErrWrongShard or
-// ErrUnavailable maps to the corresponding protocol status; any other
-// error maps to StatusErr with the error text as payload. Handlers must be
+// returns the read value (get) or nil (put). Its error answers with the
+// status statusOf gives it, the error text as payload. Handlers must be
 // safe for concurrent use — the server calls one per in-flight request.
 type Handler func(op wire.ClientOp, key string, val []byte) ([]byte, error)
+
+// statusOf is the served failure rule: the status a handler's outcome
+// answers with. A node that cannot serve — not started, closed, or stopped
+// under the request — answers StatusUnavailable, which sends the client on
+// to another member; a key placed elsewhere answers StatusWrongShard; any
+// other error is a terminal StatusErr.
+func statusOf(err error) wire.ClientStatus {
+	switch {
+	case err == nil:
+		return wire.StatusOK
+	case errors.Is(err, ErrWrongShard):
+		return wire.StatusWrongShard
+	case errors.Is(err, ErrUnavailable), errors.Is(err, cluster.ErrStopped):
+		return wire.StatusUnavailable
+	}
+	return wire.StatusErr
+}
 
 // Server accepts client-protocol sessions for one shard member.
 type Server struct {
@@ -168,22 +185,11 @@ func (c *session) run() {
 		go func(req wire.ClientRequest) {
 			defer c.reqs.Done()
 			val, err := c.srv.handle(req.Op, req.Key, req.Val)
-			resp := wire.ClientResponse{ID: req.ID}
-			switch {
-			case err == nil:
-				resp.Status = wire.StatusOK
-				if req.Op == wire.ClientGet {
-					resp.Val = val
-				}
-			case errors.Is(err, ErrWrongShard):
-				resp.Status = wire.StatusWrongShard
+			resp := wire.ClientResponse{ID: req.ID, Status: statusOf(err)}
+			if err != nil {
 				resp.Err = err.Error()
-			case errors.Is(err, ErrUnavailable):
-				resp.Status = wire.StatusUnavailable
-				resp.Err = err.Error()
-			default:
-				resp.Status = wire.StatusErr
-				resp.Err = err.Error()
+			} else if req.Op == wire.ClientGet {
+				resp.Val = val
 			}
 			c.respond(resp)
 		}(req)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"twobitreg/internal/cluster"
 	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
@@ -161,32 +162,35 @@ func TestServerWrongShard(t *testing.T) {
 	}
 }
 
-// Handler errors map onto protocol statuses, including wrapped sentinels.
+// Handler errors map onto protocol statuses (statusOf), including wrapped
+// sentinels and a node stopped under the request.
 func TestServerStatusMapping(t *testing.T) {
+	cases := []struct {
+		key  string
+		err  error
+		want wire.ClientStatus
+	}{
+		{"ok", nil, wire.StatusOK},
+		{"unavail", ErrUnavailable, wire.StatusUnavailable},
+		{"wrapped", &wrapErr{ErrUnavailable}, wire.StatusUnavailable},
+		{"stopped", cluster.ErrStopped, wire.StatusUnavailable},
+		{"misplaced", ErrWrongShard, wire.StatusWrongShard},
+		{"other", &ConfigError{Field: "x", Reason: "generic failure"}, wire.StatusErr},
+	}
+	errs := make(map[string]error)
+	for _, c := range cases {
+		errs[c.key] = c.err
+	}
 	srv := serveTest(t, 0, 1, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-		switch key {
-		case "unavail":
-			return nil, ErrUnavailable
-		case "wrapped":
-			return nil, &wrapErr{ErrUnavailable}
-		default:
-			return nil, &ConfigError{Field: "x", Reason: "generic failure"}
-		}
+		return nil, errs[key]
 	})
 	conn := dialRaw(t, srv.Addr())
-
-	sendReq(t, conn, wire.ClientRequest{ID: 1, Op: wire.ClientGet, Key: "unavail"})
-	if resp := readResp(t, conn); resp.Status != wire.StatusUnavailable {
-		t.Fatalf("sentinel: %+v", resp)
-	}
-	sendReq(t, conn, wire.ClientRequest{ID: 2, Op: wire.ClientGet, Key: "wrapped"})
-	if resp := readResp(t, conn); resp.Status != wire.StatusUnavailable {
-		t.Fatalf("wrapped sentinel: %+v", resp)
-	}
-	sendReq(t, conn, wire.ClientRequest{ID: 3, Op: wire.ClientGet, Key: "other"})
-	resp := readResp(t, conn)
-	if resp.Status != wire.StatusErr || resp.Err == "" {
-		t.Fatalf("generic error: %+v", resp)
+	for i, c := range cases {
+		sendReq(t, conn, wire.ClientRequest{ID: uint64(i + 1), Op: wire.ClientGet, Key: c.key})
+		resp := readResp(t, conn)
+		if resp.Status != c.want || (c.err != nil) != (resp.Err != "") {
+			t.Fatalf("%s: %+v, want status %d", c.key, resp, c.want)
+		}
 	}
 }
 

@@ -91,9 +91,6 @@ func (s *Scheduler) RandomizeTies(seed int64) {
 	s.tieRng = rand.New(rand.NewSource(seed))
 }
 
-// Executed returns the number of events run so far.
-func (s *Scheduler) Executed() int64 { return s.executed }
-
 // Pending returns the number of events not yet run.
 func (s *Scheduler) Pending() int { return len(s.events) }
 

@@ -26,11 +26,13 @@ import (
 // the completion record, and the virtual time at which it completed.
 type CompletionFn func(pid int, c proto.Completion, at float64)
 
-// DeliveryFn observes a message about to be delivered. It runs before the
-// recipient's Deliver step; if it crashes the recipient (fault injection),
+// DeliveryFn sees a message about to be delivered and returns the message
+// the recipient's Deliver step gets: msg itself, or what a codec makes of
+// it — the schedule explorer hands keyed-store processes the frame that
+// crossed the wire encoding. If it crashes the recipient (fault injection),
 // the message is dropped — that is how the schedule explorer realizes
 // crash-at-protocol-phase triggers.
-type DeliveryFn func(from, to int, msg proto.Message, at float64)
+type DeliveryFn func(from, to int, msg proto.Message, at float64) proto.Message
 
 // SimNet routes messages between proto.Process state machines in virtual
 // time. It owns effect routing: processes never talk to the network
@@ -122,7 +124,8 @@ func WithCompletion(f CompletionFn) Option { return func(n *SimNet) { n.onDone =
 // WithPostDelivery attaches a hook run after every delivery event.
 func WithPostDelivery(f func()) Option { return func(n *SimNet) { n.postDelivery = f } }
 
-// WithDeliveryObserver attaches a hook run immediately before each delivery.
+// WithDeliveryObserver attaches a hook run immediately before each delivery;
+// the recipient gets the message it returns.
 func WithDeliveryObserver(f DeliveryFn) Option { return func(n *SimNet) { n.onDeliver = f } }
 
 // WithFlushWindow grants proto.Flusher processes a flush tick w virtual
@@ -373,7 +376,7 @@ func (n *SimNet) deliver(from, to int, msg proto.Message, fromInc, toInc uint32)
 		return // crash-stop: the recipient takes no further steps
 	}
 	if n.onDeliver != nil {
-		n.onDeliver(from, to, msg, n.sched.Now())
+		msg = n.onDeliver(from, to, msg, n.sched.Now())
 		if n.crashed[to] {
 			return // the observer crashed the recipient mid-phase
 		}

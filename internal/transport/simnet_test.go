@@ -207,8 +207,9 @@ func TestSimNetDeliveryObserver(t *testing.T) {
 	var log []seen
 	var net *transport.SimNet
 	net, procs, _ := newEchoNet(t, transport.WithDeliveryObserver(
-		func(from, to int, msg proto.Message, at float64) {
+		func(from, to int, msg proto.Message, at float64) proto.Message {
 			log = append(log, seen{from, to, msg.TypeName(), at})
+			return msg
 		}))
 	net.StartRead(0, 1)
 	net.Run()
@@ -224,6 +225,28 @@ func TestSimNetDeliveryObserver(t *testing.T) {
 	_ = procs
 }
 
+// TestSimNetObserverReplacesMessage: the recipient steps on the message the
+// hook returns, not the one sent — the seam through which the explorer
+// delivers what the wire codec decoded.
+func TestSimNetObserverReplacesMessage(t *testing.T) {
+	t.Parallel()
+	net, procs, _ := newEchoNet(t, transport.WithDeliveryObserver(
+		func(_, _ int, msg proto.Message, _ float64) proto.Message {
+			if _, isPing := msg.(ping); isPing {
+				return pong{}
+			}
+			return msg
+		}))
+	net.StartRead(0, 1)
+	net.Run()
+	if len(procs[1].received) != 1 || procs[1].received[0] != "PONG" {
+		t.Fatalf("p1 received %v, want the hook's [PONG]", procs[1].received)
+	}
+	if len(procs[0].received) != 0 {
+		t.Fatalf("p0 received %v: p1 answered the PING the hook replaced", procs[0].received)
+	}
+}
+
 // TestSimNetObserverCrashDropsMessage: crashing the recipient from inside
 // the delivery observer must drop that very message — the mechanism behind
 // the explorer's crash-at-protocol-phase triggers.
@@ -232,10 +255,11 @@ func TestSimNetObserverCrashDropsMessage(t *testing.T) {
 	var net *transport.SimNet
 	var opts []transport.Option
 	opts = append(opts, transport.WithDeliveryObserver(
-		func(_, to int, _ proto.Message, _ float64) {
+		func(_, to int, msg proto.Message, _ float64) proto.Message {
 			if to == 1 {
 				net.Crash(1)
 			}
+			return msg
 		}))
 	net, procs, _ := newEchoNet(t, opts...)
 	net.StartRead(0, 1)
