@@ -165,28 +165,6 @@
 // register ("regmap-mwmr" / "regmap-mwmr-wide", a per-key check.For pass)
 // and hunts the lost-cross-key-frame mutant ("mut-regmap-frame").
 //
-// # Fast-path reads
-//
-// core.FastAlgorithm ("twobit-fastread") is a latency variant of the SWMR
-// register: the reader broadcasts READF and every responder answers
-// IMMEDIATELY — no line-20 parking — with PROCEEDF(top, conf), its stream
-// position and the largest index it knows a quorum to hold. If the freshest
-// reported index is already quorum-confirmed (conf >= top across the answer
-// set) and locally held, the read completes in ONE round instead of the
-// classic two; an unconfirmed write in flight forces the standard confirm
-// round as a fallback. Writes are the unmodified Figure-1 protocol. The
-// price is census, not messages: a PROCEEDF carries two 64-bit counters
-// (2+128 control bits against the paper's pure two-bit messages) while the
-// message count per read is unchanged. Completions carry their round count
-// (proto.Completion.Rounds), threaded through metrics, eval, and the
-// explorer's Result (read_rounds / read_latency), and EXPERIMENTS.md E-FR1
-// tabulates the tradeoff against twobit and abd. The variant remains
-// single-writer: a multi-writer sibling would need per-lane (top, conf)
-// vectors in every answer — O(writers · 128) control bits — which defeats
-// the census point. The confirm-skipping cheat is registered as the mutant
-// mut-fastread-skipconfirm, and core.WithClassicReads pins the variant to
-// the classic read path for byte-identical differential runs.
-//
 // # The TCP runtime and the claims benchmark
 //
 // internal/transport.Mesh carries the same state machines over real
@@ -246,8 +224,8 @@
 //
 // # The durable register: crash-restart recovery
 //
-// The paper's model is crash-stop, and the SWMR registers (core.Proc,
-// core.FastProc) stay Figure 1's crash-stop processes. internal/storage
+// The paper's model is crash-stop, and the SWMR register (core.Proc)
+// stays Figure 1's crash-stop process. internal/storage
 // makes the register the store serves — the multi-writer core.MWProc, and
 // regmap.Node hosting it — crash-RESTART capable. StableStorage is the
 // pluggable persistence interface and FileWAL its one log — on a file for
@@ -298,7 +276,6 @@
 //   - twobit — the paper's SWMR register (Figure 1)
 //   - twobit-gc — the same with history garbage collection
 //   - twobit-oracle — the seqnum-ablation oracle (explicit sequence numbers)
-//   - twobit-fastread — the one-round fast-path read variant
 //   - twobit-mwmr — the multi-writer lane-engine register (batched frames)
 //   - regmap-mwmr — the 50-key coalescing keyed store
 //   - regmap-mwmr-wide — the 200-key acceptance configuration
@@ -312,7 +289,6 @@
 //
 //   - mut-ack-early — write acknowledges before its quorum
 //   - mut-skip-proceed — PROCEED skips the line-20 freshness wait
-//   - mut-fastread-skipconfirm — fast read skips a needed confirm round
 //   - mut-stale-read — stale read cache on the SWMR register
 //   - mut-mwmr-stale — stale read cache on the MWMR ABD baseline
 //   - mut-twobit-mwmr — multi-writer write skips its freshness round
@@ -327,7 +303,7 @@
 //
 // ARCHITECTURE.md maps how these pieces fit — the package graph from proto
 // through the lane engine, runtimes, and harnesses, with worked message
-// traces of a write and of a fast-path versus slow-path read.
+// traces of a write and of a read.
 //
 // # Adversarial schedule exploration
 //

@@ -152,12 +152,21 @@ type Handle struct {
 	pid int
 }
 
-// Handle returns a client bound to process pid.
+// Handle returns a client bound to process pid. It panics on a pid outside
+// 0..N-1.
 func (c *Cluster) Handle(pid int) *Handle {
-	if pid < 0 || pid >= c.cfg.N {
-		panic(fmt.Sprintf("cluster: handle for unknown process %d", pid))
+	if err := c.checkPID(pid); err != nil {
+		panic(err)
 	}
 	return &Handle{c: c, pid: pid}
+}
+
+// checkPID reports a pid outside 0..N-1, naming the valid range.
+func (c *Cluster) checkPID(pid int) error {
+	if pid < 0 || pid >= c.cfg.N {
+		return fmt.Errorf("cluster: unknown process %d (valid: 0..%d)", pid, c.cfg.N-1)
+	}
+	return nil
 }
 
 // WriterHandles returns one client handle per member of the writer set,
@@ -192,8 +201,14 @@ func (c *Cluster) Stop() {
 }
 
 // Crash marks pid crashed: it processes nothing further, its pending and
-// future operations fail with ErrCrashed. Idempotent.
-func (c *Cluster) Crash(pid int) { c.nodes[pid].Crash() }
+// future operations fail with ErrCrashed. Idempotent. It panics on a pid
+// outside 0..N-1.
+func (c *Cluster) Crash(pid int) {
+	if err := c.checkPID(pid); err != nil {
+		panic(err)
+	}
+	c.nodes[pid].Crash()
+}
 
 // Write performs a blocking write through process pid, which must belong to
 // the cluster's writer set (ErrNotWriter otherwise).
@@ -209,6 +224,9 @@ func (c *Cluster) Read(pid int) (proto.Value, error) {
 }
 
 func (c *Cluster) invoke(pid int, kind proto.OpKind, v proto.Value) (proto.Completion, error) {
+	if err := c.checkPID(pid); err != nil {
+		return proto.Completion{}, err
+	}
 	op := proto.OpID(c.opSeq.Add(1))
 	if c.cfg.OnInvoke != nil {
 		c.cfg.OnInvoke(op, pid, kind, v)

@@ -28,9 +28,7 @@ import (
 type options struct {
 	initial         proto.Value
 	explicitSeqnums bool
-	writerLocalRead bool
 	gcHistory       bool
-	classicReads    bool
 	fault           Fault
 }
 
@@ -49,15 +47,6 @@ func WithInitial(v proto.Value) Option {
 // measure what the two-bit encoding saves (experiment E5).
 func WithExplicitSeqnums() Option {
 	return func(o *options) { o.explicitSeqnums = true }
-}
-
-// WithWriterLocalRead controls the writer's read fast path. The paper notes
-// (Figure 1, line 5 comment) that the writer can return
-// history[w_sync[w]] directly; that fast path is on by default. Disabling it
-// forces the writer through the full read protocol, which some experiments
-// use for uniformity.
-func WithWriterLocalRead(enabled bool) Option {
-	return func(o *options) { o.writerLocalRead = enabled }
 }
 
 // WithHistoryGC enables garbage collection of the local history prefix — an
@@ -137,7 +126,7 @@ type pendingOp struct {
 // single writer is process writer.
 func New(id, n, writer int, opts ...Option) *Proc {
 	proto.Validate(id, n, writer)
-	o := options{writerLocalRead: true}
+	var o options
 	for _, op := range opts {
 		op(&o)
 	}
@@ -204,15 +193,14 @@ func (p *Proc) StartWrite(op proto.OpID, v proto.Value) proto.Effects {
 }
 
 // StartRead implements Figure 1 lines 5-6 and arms the line-7 wait
-// (then line 9 via drain). The writer answers from its own history when the
-// fast path is enabled.
+// (then line 9 via drain). The writer answers from its own history.
 func (p *Proc) StartRead(op proto.OpID) proto.Effects {
 	if p.cur != nil {
 		panic(fmt.Sprintf("core: process %d invoked read while a %s is in flight (processes are sequential)", p.id, p.cur.kind))
 	}
 	eff := proto.Effects{Sends: p.sends[:0]}
 	defer func() { p.sends = eff.Sends }()
-	if p.id == p.writer && p.opts.writerLocalRead {
+	if p.id == p.writer {
 		// Figure 1, line 5 comment: the writer may return
 		// history[w_sync[w]] directly — its own value is always the
 		// most recent one.

@@ -221,22 +221,6 @@ func TestWriterLocalReadFastPath(t *testing.T) {
 	}
 }
 
-func TestWriterProtocolReadWhenFastPathDisabled(t *testing.T) {
-	t.Parallel()
-	h := newHarness(t, 3, 0, WithWriterLocalRead(false))
-	h.write(0, 1, val("a"))
-	h.deliverAll()
-	before := h.procs[0].MsgsSent()
-	h.read(0, 2)
-	h.deliverAll()
-	if c := h.mustComplete(2); !c.Value.Equal(val("a")) {
-		t.Fatalf("writer protocol read = %q, want a", c.Value)
-	}
-	if got := h.procs[0].MsgsSent() - before; got != 2 { // n-1 READs
-		t.Fatalf("writer protocol read sent %d messages, want 2 READs", got)
-	}
-}
-
 // TestRuleR2CatchUp exercises Figure 1 line 16: a peer whose history lags by
 // more than one value is sent exactly its next missing value. Channels are
 // reliable, so the lagging peer's traffic is delayed, never dropped.

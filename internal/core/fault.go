@@ -22,14 +22,6 @@ const (
 	// quorum fills; without it a stale reader can terminate with an old
 	// value after the corresponding write completed.
 	FaultSkipProceedWait
-	// FaultSkipConfirm breaks the fast-read variant (FastProc): once the
-	// PROCEEDF answer quorum fills, the reader returns its own top value
-	// immediately — even when the freshest reported index is not
-	// quorum-confirmed or not locally held, i.e. when the confirm phase is
-	// needed. A reader whose lane lags a completed write then terminates
-	// with the overwritten value: exactly the linearizability cheat the
-	// explorer must catch (mut-fastread-skipconfirm).
-	FaultSkipConfirm
 )
 
 // WithFault builds the broken protocol variant f. Mutation testing only —

@@ -141,17 +141,11 @@ type mwOp struct {
 
 // mwOptions configures an MWProc.
 type mwOptions struct {
-	initial proto.Value
-	fault   MWFault
+	fault MWFault
 }
 
 // MWOption configures the multi-writer register.
 type MWOption func(*mwOptions)
-
-// WithMWInitial sets v0, the register's initial value (default nil).
-func WithMWInitial(v proto.Value) MWOption {
-	return func(o *mwOptions) { o.initial = v.Clone() }
-}
 
 // MWFault selects a deliberately broken variant of the multi-writer
 // register, for mutation-testing the detection machinery. The zero value is
@@ -234,7 +228,7 @@ func NewMWMR(id, n int, opts ...MWOption) *MWProc {
 		serving: make([]bool, n),
 	}
 	for w := range p.lanes {
-		p.lanes[w] = NewLane(id, n, o.initial, false)
+		p.lanes[w] = NewLane(id, n, nil, false)
 		p.lanes[w].EnablePipelining()
 		p.lanes[w].ForwardWhereServed(w, p.serving)
 		p.lanes[w].resendRuns = o.fault == MWFaultRunResend

@@ -84,11 +84,11 @@ func TestMWSingleProcessWriteRead(t *testing.T) {
 
 func TestMWReadInitialValue(t *testing.T) {
 	t.Parallel()
-	h := newMWHarness(t, 3, WithMWInitial(val("v0")))
+	h := newMWHarness(t, 3)
 	h.read(1, 1)
 	h.deliverAll()
-	if c := h.mustComplete(1); !c.Value.Equal(val("v0")) {
-		t.Fatalf("read = %q, want the initial value", c.Value)
+	if c := h.mustComplete(1); c.Value != nil {
+		t.Fatalf("read = %q, want the nil initial value", c.Value)
 	}
 	h.checkInvariants()
 }

@@ -58,12 +58,6 @@ func (d *Driver) WriteConcurrentRead(v []byte, pid int) float64 {
 // Crash marks pid crashed.
 func (d *Driver) Crash(pid int) { d.r.net.Crash(pid) }
 
-// LastOpRounds returns the protocol rounds of the most recently completed
-// operation (proto.Completion.Rounds): the quorum-wait phases it passed
-// through, e.g. 2 for a classic two-bit read, 1 for a fast-path read, 0 for
-// a writer-local read.
-func (d *Driver) LastOpRounds() int { return d.r.rounds[d.op] }
-
 // Snapshot returns the metrics collected so far.
 func (d *Driver) Snapshot() metrics.Snapshot { return d.r.col.Snapshot() }
 

@@ -36,21 +36,19 @@ func Columns() []proto.Algorithm {
 // completions and metrics. It is the non-test sibling of
 // internal/prototest.SimRig.
 type runner struct {
-	sched  *sim.Scheduler
-	net    *transport.SimNet
-	col    *metrics.Collector
-	done   map[proto.OpID]float64 // completion time by op
-	vals   map[proto.OpID]proto.Value
-	rounds map[proto.OpID]int // protocol rounds by op (Completion.Rounds)
+	sched *sim.Scheduler
+	net   *transport.SimNet
+	col   *metrics.Collector
+	done  map[proto.OpID]float64 // completion time by op
+	vals  map[proto.OpID]proto.Value
 }
 
 func newRunner(alg proto.Algorithm, n, writer int, seed int64, delay transport.DelayFn) *runner {
 	r := &runner{
-		sched:  sim.New(seed),
-		col:    &metrics.Collector{},
-		done:   make(map[proto.OpID]float64),
-		vals:   make(map[proto.OpID]proto.Value),
-		rounds: make(map[proto.OpID]int),
+		sched: sim.New(seed),
+		col:   &metrics.Collector{},
+		done:  make(map[proto.OpID]float64),
+		vals:  make(map[proto.OpID]proto.Value),
 	}
 	procs := make([]proto.Process, n)
 	for i := 0; i < n; i++ {
@@ -62,7 +60,6 @@ func newRunner(alg proto.Algorithm, n, writer int, seed int64, delay transport.D
 		transport.WithCompletion(func(_ int, c proto.Completion, at float64) {
 			r.done[c.Op] = at
 			r.vals[c.Op] = c.Value
-			r.rounds[c.Op] = c.Rounds
 		}),
 	)
 	return r

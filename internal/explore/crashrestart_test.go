@@ -76,7 +76,7 @@ func TestCrashRestartMWMRClean(t *testing.T) {
 // reproduce byte-identically from its descriptor, like every other run.
 func TestCrashRestartDeterminism(t *testing.T) {
 	t.Parallel()
-	for _, alg := range []string{"twobit", "twobit-fastread", "twobit-mwmr", "regmap-mwmr", "abd"} {
+	for _, alg := range []string{"twobit", "twobit-mwmr", "regmap-mwmr", "abd"} {
 		s := Schedule{Alg: alg, Strategy: "crashrestart", Seed: 7, N: 5, Ops: 25, ReadFrac: 0.5, Crashes: 2}
 		if MWMRCapable(alg) {
 			s.Writers = 3

@@ -83,8 +83,8 @@
 // replays the keyed store under the quorum-slowing adversary: seed 42,
 // 5 processes, 60 operations at 90% reads, no crashes, 3 concurrent
 // writers, legacy tie-breaking (pct 0, present only to position the skew),
-// and a 10:1 hot-writer skew. A single-writer run of the fast-read variant
-// is the 8-field form, e.g. xb1:twobit-fastread:race:7:5:30:0.6:1.
+// and a 10:1 hot-writer skew. A single-writer run of Figure 1 is the
+// 8-field form, e.g. xb1:twobit:race:7:5:30:0.6:1.
 //
 // Failures reproduce byte for byte from their token:
 //
@@ -316,11 +316,6 @@ func Run(s Schedule) (Result, error) {
 		procs[i] = p
 		if cp, ok := p.(*core.Proc); ok {
 			coreProcs = append(coreProcs, cp)
-		}
-		if fp, ok := p.(*core.FastProc); ok {
-			// The fast-read variant leaves the lane engine untouched, so
-			// the embedded classic Proc obeys the same proof invariants.
-			coreProcs = append(coreProcs, fp.Base())
 		}
 		if mp, ok := p.(*core.MWProc); ok {
 			mwProcs = append(mwProcs, mp)
@@ -861,7 +856,7 @@ func isQuorumAck(msg proto.Message) bool {
 		return false
 	}
 	name := msg.TypeName()
-	return name == "PROCEED" || name == "PROCEEDF" || strings.HasSuffix(name, "_ACK")
+	return name == "PROCEED" || strings.HasSuffix(name, "_ACK")
 }
 
 // writerInterleaving summarizes a history's multi-writer structure: how

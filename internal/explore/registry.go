@@ -32,16 +32,9 @@ func buildRegistry() map[string]proto.Algorithm {
 		"twobit":        core.Algorithm(),
 		"twobit-gc":     proto.Alg("twobit-gc", core.Algorithm(core.WithHistoryGC()).New),
 		"twobit-oracle": proto.Alg("twobit-oracle", core.Algorithm(core.WithExplicitSeqnums()).New),
-		// The fast-path read variant: writes are the unmodified Figure-1
-		// protocol, reads broadcast READF and complete in ONE round when the
-		// freshest reported index is already quorum-confirmed (no
-		// unconfirmed write in flight), falling back to a local line-9-style
-		// confirm round otherwise. PROCEEDF answers carry two 64-bit stream
-		// positions — the census price of the saved round (E-FR1).
-		"twobit-fastread": core.FastAlgorithm(),
-		"abd":             abd.Algorithm(),
-		"abd-mwmr":        abd.MWMRAlgorithm(),
-		"twobit-mwmr":     core.MWMRAlgorithm(),
+		"abd":           abd.Algorithm(),
+		"abd-mwmr":      abd.MWMRAlgorithm(),
+		"twobit-mwmr":   core.MWMRAlgorithm(),
 		// The keyed multi-writer store: every process runs a regmap node
 		// hosting one lane-engine register per key (multi-writer keys:
 		// every process may write), with cross-key frame coalescing on a
@@ -70,13 +63,6 @@ func buildRegistry() map[string]proto.Algorithm {
 		// run these outside detection tests.
 		"mut-ack-early":    proto.Alg("mut-ack-early", core.Algorithm(core.WithFault(core.FaultAckBeforeQuorum)).New),
 		"mut-skip-proceed": proto.Alg("mut-skip-proceed", core.Algorithm(core.WithFault(core.FaultSkipProceedWait)).New),
-		// The fast-read cheat: once the PROCEEDF answer quorum fills, return
-		// the local top unconditionally — skipping the confirm phase that a
-		// fresher-but-unconfirmed reported index demands. A reader whose
-		// lane lags a completed write terminates with the overwritten value
-		// (core.FaultSkipConfirm).
-		"mut-fastread-skipconfirm": proto.Alg("mut-fastread-skipconfirm",
-			core.FastAlgorithm(core.WithFault(core.FaultSkipConfirm)).New),
 		// The durability cheat on the served register: appends are logged
 		// but the pre-attestation Sync is skipped, so a crash loses the
 		// whole log and the revived process comes back with empty lanes

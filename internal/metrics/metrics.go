@@ -138,8 +138,8 @@ type Snapshot struct {
 	ReadMean, ReadMax   float64
 	WriteMean, WriteMax float64
 	// Rounds aggregates (mean/max quorum-wait phases per operation, from
-	// proto.Completion.Rounds): the round-complexity axis of the fast-read
-	// tradeoff table, reported next to the latency means above.
+	// proto.Completion.Rounds): the round-complexity axis, reported next to
+	// the latency means above.
 	ReadRoundsMean, ReadRoundsMax   float64
 	WriteRoundsMean, WriteRoundsMax float64
 	MeanCtrlBitsPerMsg              float64

@@ -98,13 +98,11 @@ type Completion struct {
 	// returning the nil initial value).
 	Value Value
 	// Rounds counts the quorum-wait phases the operation passed through —
-	// the round complexity the fast-read comparison measures. A phase counts
-	// whether or not it had to park (it is protocol structure, not timing):
-	// the two-bit read is always 2 (the PROCEED round plus the line-9
-	// confirm), its fast-path variant 1 when the confirm is skipped, ABD
-	// reads 2 (query + write-back). Zero means the operation completed
-	// locally (a writer-local read) or the protocol
-	// predates the metric.
+	// its round complexity. A phase counts whether or not it had to park
+	// (it is protocol structure, not timing): the two-bit read is always 2
+	// (the PROCEED round plus the line-9 confirm), ABD reads 2 (query +
+	// write-back). Zero means the operation completed locally (a
+	// writer-local read) or the protocol predates the metric.
 	Rounds int
 }
 

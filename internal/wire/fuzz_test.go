@@ -162,3 +162,61 @@ func FuzzEncodeDecodeKeyed(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeClient throws arbitrary bytes at both client-protocol decoders
+// (a node's client port decodes requests from anyone who connects): neither
+// may panic, and any body either accepts must re-encode to the identical
+// bytes.
+func FuzzDecodeClient(f *testing.F) {
+	for _, r := range []ClientRequest{
+		{ID: 1, Op: ClientGet, Key: "k"},
+		{ID: 1<<64 - 1, Op: ClientPut, Key: "color", Val: []byte("blue")},
+		{ID: 7, Op: ClientPut, Key: "empty-val-put"},
+	} {
+		b, err := AppendClientRequest(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, r := range []ClientResponse{
+		{ID: 1, Status: StatusOK, Val: []byte("v")},
+		{ID: 2, Status: StatusOK},
+		{ID: 3, Status: StatusErr, Err: "boom"},
+		{ID: 4, Status: StatusWrongShard, Err: "shard 1"},
+		{ID: 5, Status: StatusUnavailable},
+	} {
+		b, err := AppendClientResponse(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// Corrupt bodies: the v1 line protocol, an unknown op, an empty key, a
+	// get carrying a value, and a payload length past the bytes present.
+	f.Add([]byte("read\n"))
+	f.Add([]byte{ClientProtoVersion, 9, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k', 0, 0, 0, 0})
+	f.Add([]byte{ClientProtoVersion, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{ClientProtoVersion, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k', 0, 0, 0, 1, 'v'})
+	f.Add([]byte{ClientProtoVersion, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 9, 'v'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if req, err := DecodeClientRequest(data); err == nil {
+			out, err := AppendClientRequest(nil, req)
+			if err != nil {
+				t.Fatalf("decoded request %+v failed to re-encode: %v", req, err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("request re-encode changed bytes: %x -> %x", data, out)
+			}
+		}
+		if resp, err := DecodeClientResponse(data); err == nil {
+			out, err := AppendClientResponse(nil, resp)
+			if err != nil {
+				t.Fatalf("decoded response %+v failed to re-encode: %v", resp, err)
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("response re-encode changed bytes: %x -> %x", data, out)
+			}
+		}
+	})
+}

@@ -17,10 +17,8 @@ var (
 )
 
 type options struct {
-	initial         []byte
-	jitter          time.Duration
-	seed            int64
-	writerLocalRead bool
+	initial []byte
+	jitter  time.Duration
 }
 
 // Option configures Start.
@@ -33,20 +31,9 @@ func WithInitial(v []byte) Option {
 
 // WithJitter delays each message delivery by a random duration up to d,
 // exercising the protocol's tolerance to non-FIFO channels. Default: no
-// artificial delay.
+// artificial delay. The jitter randomness is seeded with 1.
 func WithJitter(d time.Duration) Option {
 	return func(o *options) { o.jitter = d }
-}
-
-// WithSeed fixes the jitter randomness (default 1).
-func WithSeed(seed int64) Option {
-	return func(o *options) { o.seed = seed }
-}
-
-// WithWriterProtocolReads forces the writer through the full read protocol
-// instead of answering reads from its own history (Figure 1, line 5 comment).
-func WithWriterProtocolReads() Option {
-	return func(o *options) { o.writerLocalRead = false }
 }
 
 // Register is a running n-process two-bit atomic register. Process 0 is the
@@ -60,23 +47,18 @@ type Register struct {
 
 // Start launches an n-process register (n >= 1); the caller must Stop it.
 func Start(n int, opts ...Option) (*Register, error) {
-	o := options{seed: 1, writerLocalRead: true}
+	var o options
 	for _, op := range opts {
 		op(&o)
 	}
-	var coreOpts []core.Option
-	if o.initial != nil {
-		coreOpts = append(coreOpts, core.WithInitial(o.initial))
-	}
-	coreOpts = append(coreOpts, core.WithWriterLocalRead(o.writerLocalRead))
 	col := &metrics.Collector{}
 	c, err := cluster.New(cluster.Config{
 		N:         n,
 		Writer:    0,
-		Alg:       core.Algorithm(coreOpts...),
+		Alg:       core.Algorithm(core.WithInitial(o.initial)),
 		Collector: col,
 		MaxJitter: o.jitter,
-		Seed:      o.seed,
+		Seed:      1,
 	})
 	if err != nil {
 		return nil, err
@@ -90,13 +72,15 @@ func (r *Register) Write(v []byte) error {
 	return r.c.Write(r.c.Writer(), v)
 }
 
-// Read returns the register's value as seen through process pid.
+// Read returns the register's value as seen through process pid. A pid
+// outside 0..N-1 is an error.
 func (r *Register) Read(pid int) ([]byte, error) {
 	return r.c.Read(pid)
 }
 
 // Crash stops process pid (crash-stop). The register remains live while
-// fewer than half the processes have crashed.
+// fewer than half the processes have crashed. It panics on a pid outside
+// 0..N-1.
 func (r *Register) Crash(pid int) { r.c.Crash(pid) }
 
 // N returns the number of processes.

@@ -3,6 +3,7 @@ package twobitreg_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,25 +116,6 @@ func TestRegisterConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestRegisterWriterProtocolReads(t *testing.T) {
-	t.Parallel()
-	reg, err := twobitreg.Start(3, twobitreg.WithWriterProtocolReads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Stop()
-	if err := reg.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := reg.Read(0) // writer reads through the full protocol
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "x" {
-		t.Fatalf("writer read = %q, want x", got)
-	}
-}
-
 func TestRegisterStopUnblocks(t *testing.T) {
 	t.Parallel()
 	reg, err := twobitreg.Start(3)
@@ -161,4 +143,26 @@ func TestRegisterRejectsBadN(t *testing.T) {
 	if _, err := twobitreg.Start(0); err == nil {
 		t.Fatal("Start(0) succeeded")
 	}
+}
+
+// TestRegisterUnknownProcess: a pid outside 0..N-1 is an error on Read and
+// a panic naming the valid range on Crash, never an index-out-of-range.
+func TestRegisterUnknownProcess(t *testing.T) {
+	t.Parallel()
+	reg, err := twobitreg.Start(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Stop()
+	for _, pid := range []int{-1, 3} {
+		if _, err := reg.Read(pid); err == nil {
+			t.Fatalf("Read(%d) on a 3-process register succeeded", pid)
+		}
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "0..2") {
+			t.Fatalf("Crash(3) panicked with %q, want the valid range 0..2", msg)
+		}
+	}()
+	reg.Crash(3)
 }
