@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation. One benchmark family per
 // Table 1 row (the paper's only table — it has no figures), plus the
-// supplementary experiments indexed in DESIGN.md: Theorem 2's census (E2),
-// the read-dominated workload claim (E3), crash impact (E4), and the
-// explicit-seqnum ablation (E5).
+// supplementary experiments indexed in internal/eval's package doc:
+// Theorem 2's census (E2), the read-dominated workload claim (E3), crash
+// impact (E4), and the explicit-seqnum ablation (E5).
 //
 // Reported custom metrics:
 //

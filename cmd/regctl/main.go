@@ -7,11 +7,12 @@
 //	regctl -cluster "127.0.0.1:7100,127.0.0.1:7101;127.0.0.1:7110,127.0.0.1:7111" put color blue
 //	regctl -cluster "..." get color
 //	regctl -config cluster.json get color
-//	regctl -addr 127.0.0.1:7100 get color        # single node, single shard
+//	regctl -cluster 127.0.0.1:7100 get color     # one node only
 //
 // -cluster takes the client address table (';'-separated shards of
-// ','-separated addresses); -config takes the same JSON file regnode
-// serves from (mesh addresses are ignored — clients never dial them).
+// ','-separated addresses; one address is a one-node, one-shard table);
+// -config takes the same JSON file regnode serves from (mesh addresses
+// are ignored — clients never dial them).
 package main
 
 import (
@@ -26,12 +27,11 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "single node client address (one-shard shorthand)")
 	clusterList := flag.String("cluster", "", "client address table: ';'-separated shards of ','-separated addresses")
 	configPath := flag.String("config", "", "JSON cluster config file (shard.ClusterConfig)")
 	flag.Parse()
 
-	if err := run(*addr, *clusterList, *configPath, flag.Args()); err != nil {
+	if err := run(*clusterList, *configPath, flag.Args()); err != nil {
 		var cerr *shard.ConfigError
 		if errors.As(err, &cerr) {
 			fmt.Fprintf(os.Stderr, "regctl: bad configuration at %s: %s\n", cerr.Field, cerr.Reason)
@@ -42,8 +42,8 @@ func main() {
 	}
 }
 
-func run(addr, clusterList, configPath string, args []string) error {
-	cfg, err := loadConfig(addr, clusterList, configPath)
+func run(clusterList, configPath string, args []string) error {
+	cfg, err := loadConfig(clusterList, configPath)
 	if err != nil {
 		return err
 	}
@@ -76,23 +76,13 @@ func run(addr, clusterList, configPath string, args []string) error {
 	}
 }
 
-// loadConfig resolves exactly one of the three addressing surfaces.
-func loadConfig(addr, clusterList, configPath string) (*shard.ClusterConfig, error) {
-	set := 0
-	for _, s := range []string{addr, clusterList, configPath} {
-		if s != "" {
-			set++
-		}
+// loadConfig resolves exactly one of the two addressing surfaces.
+func loadConfig(clusterList, configPath string) (*shard.ClusterConfig, error) {
+	if (clusterList == "") == (configPath == "") {
+		return nil, fmt.Errorf("need exactly one of -cluster, -config")
 	}
-	if set != 1 {
-		return nil, fmt.Errorf("need exactly one of -addr, -cluster, -config")
-	}
-	switch {
-	case configPath != "":
+	if configPath != "" {
 		return shard.LoadFile(configPath)
-	case clusterList != "":
-		return shard.ParseTopology("", clusterList)
-	default:
-		return shard.ParseTopology("", addr)
 	}
+	return shard.ParseTopology("", clusterList)
 }

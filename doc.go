@@ -23,7 +23,7 @@
 // The facade runs every process in-memory on its own goroutine. The
 // internal packages expose the full machinery: the protocol state machine
 // (internal/core), the discrete-event simulator and instrumented transports
-// (internal/sim, internal/transport), the ABD baselines (internal/abd), the
+// (internal/sim, internal/transport), the ABD baseline (internal/abd), the
 // bounded-cost comparators (internal/phased), the
 // linearizability checkers (internal/check — a Checker interface over the
 // paper's Lemma-10 SWMR fast path, a near-linear Gibbons–Korach multi-writer
@@ -279,8 +279,8 @@
 //   - twobit-mwmr — the multi-writer lane-engine register (batched frames)
 //   - regmap-mwmr — the 50-key coalescing keyed store
 //   - regmap-mwmr-wide — the 200-key acceptance configuration
-//   - abd — the unbounded ABD SWMR baseline
-//   - abd-mwmr — the multi-writer ABD baseline
+//   - abd — the unbounded ABD baseline, single writer (abd.Proc)
+//   - abd-mwmr — the same abd.Proc with no designated writer: a TsReq round before each write
 //   - bounded-abd — the bounded-ABD cost comparator (phased engine)
 //   - attiya — the Attiya-algorithm cost comparator (phased engine)
 //   - phased — the phased engine's minimal base case

@@ -1,7 +1,11 @@
 package twobitreg_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -133,4 +137,51 @@ func TestDocLinksArchitecture(t *testing.T) {
 	if _, err := os.Stat("ARCHITECTURE.md"); err != nil {
 		t.Fatalf("ARCHITECTURE.md missing: %v", err)
 	}
+}
+
+// TestDocReferencedFilesExist keeps comments from citing documents that do
+// not exist: every *.md path named in a Go comment anywhere in the module
+// must resolve, against the repository root or the commenting file's own
+// directory.
+func TestDocReferencedFilesExist(t *testing.T) {
+	t.Parallel()
+	mdPath := regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, ref := range mdPath.FindAllString(c.Text, -1) {
+					if exists(ref) || exists(filepath.Join(filepath.Dir(path), ref)) {
+						continue
+					}
+					t.Errorf("%s: comment names %s, which does not exist", fset.Position(c.Pos()), ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -169,17 +169,6 @@ func (c *Cluster) checkPID(pid int) error {
 	return nil
 }
 
-// WriterHandles returns one client handle per member of the writer set,
-// sorted by process index.
-func (c *Cluster) WriterHandles() []*Handle {
-	ws := c.Writers()
-	out := make([]*Handle, len(ws))
-	for i, w := range ws {
-		out[i] = c.Handle(w)
-	}
-	return out
-}
-
 // PID returns the process this handle is bound to.
 func (h *Handle) PID() int { return h.pid }
 

@@ -29,8 +29,8 @@ func TestClusterTwoBitMWMRStressWithCrash(t *testing.T) {
 	r := newRig(t, core.MWMRAlgorithm(), n, 200*time.Microsecond, 0, 1, 2)
 
 	var wg sync.WaitGroup
-	for _, h := range r.c.WriterHandles() {
-		h := h
+	for _, w := range r.c.Writers() {
+		h := r.c.Handle(w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -98,8 +98,8 @@ func TestClusterWriterSetEnforced(t *testing.T) {
 	if !r.c.IsWriter(2) || r.c.IsWriter(1) {
 		t.Fatal("IsWriter misreports the set")
 	}
-	if hs := r.c.WriterHandles(); len(hs) != 2 || hs[1].PID() != 2 {
-		t.Fatalf("WriterHandles() pids wrong: %v", hs)
+	if h := r.c.Handle(2); h.PID() != 2 {
+		t.Fatalf("Handle(2).PID() = %d", h.PID())
 	}
 	if err := r.c.Write(0, val("ok")); err != nil {
 		t.Fatalf("write through writer 0: %v", err)

@@ -1,7 +1,27 @@
 // Package eval regenerates the paper's evaluation: Table 1 (the paper's only
-// table; it has no figures) plus the supplementary experiments DESIGN.md
-// indexes (Theorem 2's message census, the read-dominated workload claim,
-// crash-impact, and the seqnum ablation).
+// table; it has no figures; RunTable1, cmd/table1) plus four supplementary
+// experiments. This comment is their index; EXPERIMENTS.md records results.
+//
+//   - E2, Theorem 2's message census: the two-bit register sends exactly
+//     four message types of two control bits each. MeasureBits;
+//     TestTheorem2Census, BenchmarkTheorem2TypeCensus.
+//   - E3, the read-dominated workload claim (§5): at high read fractions
+//     the two-bit register uses fewer messages per operation than ABD.
+//     MeasureMix; TestMeasureMixReadDominatedFavorsTwoBit,
+//     BenchmarkReadDominated, examples/readdominated.
+//   - E4, crash impact: up to t crashed processes do not slow the
+//     survivors. MeasureCrash; TestMeasureCrashKeepsLatency,
+//     BenchmarkCrashImpact.
+//   - E5, the seqnum ablation: the two-bit register against its
+//     explicit-seqnum twin (core.WithExplicitSeqnums, registry name
+//     twobit-oracle), identical behaviour at many times the control volume.
+//     TestExplicitSeqnumAblationEquivalence (internal/core),
+//     BenchmarkAblationSeqnumOracle.
+//
+// Table 1's bounded-ABD and Attiya columns are internal/phased comparators
+// that account their control payloads (Message.ControlBits) rather than
+// materialize them: a Θ(n⁵)-bit payload per message would make the
+// simulation infeasible and change no measured quantity.
 //
 // Every measurement runs on the deterministic virtual-time simulator with
 // per-message delay exactly Δ = 1, matching the paper's timing model

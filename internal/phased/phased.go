@@ -17,8 +17,8 @@
 //
 // Control payloads are accounted (Message.ControlBits), not materialized:
 // allocating n⁵ bits per message would make the simulation infeasible
-// without changing any measured quantity. DESIGN.md documents this
-// substitution.
+// without changing any measured quantity. internal/eval's package doc, the
+// index of the evaluation, records this substitution.
 package phased
 
 import (

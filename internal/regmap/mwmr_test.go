@@ -26,12 +26,14 @@ func TestStorePerKeyWriterSets(t *testing.T) {
 		Writers: map[string][]int{"shared": {0, 1, 2}, "p3only": {3}},
 	}, nil)
 
-	shared := s.procs[0].WritersFor("shared")
-	if len(shared) != 3 || shared[0] != 0 || shared[2] != 2 {
-		t.Fatalf("WritersFor(shared) = %v", shared)
-	}
-	if got := s.procs[4].WritersFor("unlisted"); fmt.Sprint(got) != "[0 1 2 3 4]" {
-		t.Fatalf("WritersFor(unlisted) = %v, want the default: every process", got)
+	shared := []int{0, 1, 2}
+	for pid := 0; pid < 5; pid++ {
+		if got, want := s.procs[0].IsWriter("shared", pid), pid <= 2; got != want {
+			t.Fatalf("IsWriter(shared, %d) = %v, want %v", pid, got, want)
+		}
+		if !s.procs[4].IsWriter("unlisted", pid) {
+			t.Fatalf("IsWriter(unlisted, %d) = false, want the default: every process", pid)
+		}
 	}
 
 	for i, w := range shared {

@@ -87,11 +87,6 @@ func (nd *Node) ID() int { return nd.id }
 // N returns the number of processes.
 func (nd *Node) N() int { return nd.sh.n }
 
-// WritersFor returns key's writer set, sorted ascending.
-func (nd *Node) WritersFor(key string) []int {
-	return append([]int(nil), nd.sh.writersFor(key)...)
-}
-
 // IsWriter reports whether pid may write key.
 func (nd *Node) IsWriter(key string, pid int) bool {
 	for _, w := range nd.sh.writersFor(key) {

@@ -53,7 +53,12 @@ func newStore(t *testing.T, n int) *store {
 
 // Write stores val under key via the first member of key's writer set.
 func (s *store) Write(key string, val []byte) error {
-	return s.WriteVia(s.procs[0].WritersFor(key)[0], key, val)
+	for pid := range s.procs {
+		if s.procs[0].IsWriter(key, pid) {
+			return s.WriteVia(pid, key, val)
+		}
+	}
+	return fmt.Errorf("key %q has no writer", key)
 }
 
 func (s *store) WriteVia(pid int, key string, val []byte) error { return s.nodes[pid].Put(key, val) }

@@ -158,9 +158,6 @@ func checkAddr(addr, field string, seen map[string]string) string {
 	return ""
 }
 
-// NumShards returns the shard count.
-func (c *ClusterConfig) NumShards() int { return len(c.Shards) }
-
 // ShardOf returns the shard index key is placed on.
 func (c *ClusterConfig) ShardOf(key string) int { return ShardOfKey(key, len(c.Shards)) }
 

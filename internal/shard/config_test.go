@@ -88,7 +88,7 @@ func TestLoadJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumShards() != 2 || len(c.Shards[0].Procs) != 1 {
+	if len(c.Shards) != 2 || len(c.Shards[0].Procs) != 1 {
 		t.Fatalf("parsed shape: %+v", c)
 	}
 
@@ -112,7 +112,7 @@ func TestParseTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumShards() != 2 || len(c.Shards[1].Procs) != 2 {
+	if len(c.Shards) != 2 || len(c.Shards[1].Procs) != 2 {
 		t.Fatalf("parsed shape: %+v", c)
 	}
 	if c.Shards[1].Procs[0].Mesh != "127.0.0.1:7010" || c.Shards[1].Procs[0].Client != "127.0.0.1:7110" {
@@ -124,7 +124,7 @@ func TestParseTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumShards() != 2 || c.Shards[0].Procs[0].Mesh != "" {
+	if len(c.Shards) != 2 || c.Shards[0].Procs[0].Mesh != "" {
 		t.Fatalf("client-only shape: %+v", c)
 	}
 

@@ -232,7 +232,7 @@ func TestStartLocalSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	if got := lc.Config.NumShards(); got != 2 {
+	if got := len(lc.Config.Shards); got != 2 {
 		t.Fatalf("shards=%d", got)
 	}
 

@@ -79,7 +79,7 @@ node 1 2
 pids="$pids $!"
 serves() {
   for k in $KEYS; do
-    "$bin/regctl" -addr "$1" get "$k" >/dev/null 2>&1 && return 0
+    "$bin/regctl" -cluster "$1" get "$k" >/dev/null 2>&1 && return 0
   done
   return 1
 }
@@ -94,7 +94,7 @@ done
 for k in $KEYS omega; do
   served=0
   for addr in $RESTARTED; do
-    if got="$("$bin/regctl" -addr "$addr" get "$k" 2>/dev/null)"; then
+    if got="$("$bin/regctl" -cluster "$addr" get "$k" 2>/dev/null)"; then
       [ "$got" = "$(want "$k")" ] || {
         echo "key $k through restarted $addr: got '$got', want '$(want "$k")'" >&2
         exit 1
@@ -106,7 +106,7 @@ for k in $KEYS omega; do
 done
 # And they take writes: through a restarted process's port, read anywhere.
 for addr in $RESTARTED; do
-  "$bin/regctl" -addr "$addr" put alpha "via-$addr" 2>/dev/null || true
+  "$bin/regctl" -cluster "$addr" put alpha "via-$addr" 2>/dev/null || true
 done
 got="$("$bin/regctl" -cluster "$CLIENTS" get alpha)"
 case "$got" in
